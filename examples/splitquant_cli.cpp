@@ -563,6 +563,12 @@ int main(int argc, char** argv) {
   }
   std::printf("scheme:   %s (solve %.2fs, %d ILP solves, %d nodes)\n",
               r.plan.scheme.c_str(), r.solve_seconds, r.ilp_solves, r.ilp_nodes);
+  if (r.ilp_truncated > 0) {
+    std::fprintf(stderr,
+                 "warning: %d of %d ILP solves hit the time/node cap before "
+                 "proving optimality; the plan may differ on a faster or slower host\n",
+                 r.ilp_truncated, r.ilp_solves);
+  }
   std::printf("plan:     %s\n", r.plan.summary(cluster).c_str());
   std::printf("topology: %s, planned concurrency %llu\n", r.topology.c_str(),
               static_cast<unsigned long long>(r.planned_batch));

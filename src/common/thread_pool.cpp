@@ -6,6 +6,7 @@
 namespace sq::common {
 
 int resolve_threads(int requested) {
+  if (requested < 0) return 1;
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

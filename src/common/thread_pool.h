@@ -21,7 +21,7 @@
 namespace sq::common {
 
 /// Resolve a user-facing thread-count knob: 0 = hardware concurrency,
-/// otherwise the requested value (floored at 1).
+/// a negative count = 1, otherwise the requested value.
 int resolve_threads(int requested);
 
 /// True when the calling thread is a ThreadPool worker (any pool).  Nested

@@ -11,36 +11,34 @@ namespace {
 /// well-conditioned for the dense simplex.
 constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
+/// Position of z_{g,j,b} in IlpModel::binaries.
+std::size_t z_index(int g, int j, int bi, int J, int B) {
+  return (static_cast<std::size_t>(g) * J + static_cast<std::size_t>(j)) * B +
+         static_cast<std::size_t>(bi);
+}
+
 }  // namespace
 
-IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>& warm,
-                     const sq::solver::MilpOptions& opts, bool quality_only) {
+IlpModel build_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>& warm,
+                   bool quality_only) {
   using sq::solver::Constraint;
-  using sq::solver::LpProblem;
   using sq::solver::Sense;
-  using sq::solver::Term;
 
   const int G = ctx.num_groups(), J = ctx.num_stages(), B = ctx.num_bits();
   const double theta = ctx.inputs().theta;
 
-  LpProblem p;
+  IlpModel model;
+  auto& p = model.problem;
   // z variables, objective (4): per-group latency sums + theta * omega.
-  std::vector<int> z(static_cast<std::size_t>(G) * J * B);
-  auto zid = [&](int g, int j, int bi) {
-    return z[(static_cast<std::size_t>(g) * J + static_cast<std::size_t>(j)) * B +
-             static_cast<std::size_t>(bi)];
-  };
-  std::vector<int> binaries;
-  binaries.reserve(z.size());
+  auto& z = model.binaries;
+  z.reserve(static_cast<std::size_t>(G) * J * B);
+  auto zid = [&](int g, int j, int bi) { return z[z_index(g, j, bi, J, B)]; };
   for (int g = 0; g < G; ++g) {
     for (int j = 0; j < J; ++j) {
       for (int bi = 0; bi < B; ++bi) {
         double coeff = theta * ctx.omega(g, bi);
         if (!quality_only) coeff += ctx.l_pre(g, j, bi) + ctx.l_dec(g, j, bi);
-        const int v = p.add_variable(coeff);
-        z[(static_cast<std::size_t>(g) * J + static_cast<std::size_t>(j)) * B +
-          static_cast<std::size_t>(bi)] = v;
-        binaries.push_back(v);
+        z.push_back(p.add_variable(coeff));
       }
     }
   }
@@ -145,7 +143,7 @@ IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>&
   }
 
   // Warm start: expand a heuristic assignment into the variable space.
-  std::vector<double> warm_x;
+  auto& warm_x = model.warm_start;
   if (warm) {
     warm_x.assign(static_cast<std::size_t>(p.num_vars()), 0.0);
     for (int g = 0; g < G; ++g) {
@@ -156,22 +154,32 @@ IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>&
     warm_x[static_cast<std::size_t>(t_pre)] = warm->eval.t_pre_max;
     warm_x[static_cast<std::size_t>(t_dec)] = warm->eval.t_dec_max;
   }
+  return model;
+}
 
-  const sq::solver::BranchAndBound bb(opts);
-  const auto r = bb.solve(p, binaries, warm_x);
+IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>& warm,
+                     const sq::solver::MilpOptions& opts, bool quality_only) {
+  const IlpModel model = build_ilp(ctx, warm, quality_only);
+  const auto r = sq::solver::BranchAndBound(opts).solve(model.problem, model.binaries,
+                                                        model.warm_start);
 
   IlpOutcome out;
   out.nodes = r.nodes;
+  out.pivots = r.pivots;
   out.seconds = r.seconds;
   out.best_bound = r.best_bound;
   out.hit_time_limit = r.hit_time_limit;
   out.proven_optimal = r.status == sq::solver::MilpStatus::kOptimal;
+  out.truncated = r.status == sq::solver::MilpStatus::kFeasible ||
+                  r.status == sq::solver::MilpStatus::kNoSolution;
   if (r.status != sq::solver::MilpStatus::kOptimal &&
       r.status != sq::solver::MilpStatus::kFeasible) {
     return out;
   }
 
   // Extract the assignment.
+  const int G = ctx.num_groups(), J = ctx.num_stages(), B = ctx.num_bits();
+  auto zid = [&](int g, int j, int bi) { return model.binaries[z_index(g, j, bi, J, B)]; };
   HeuristicPlan plan;
   plan.group_stage.assign(static_cast<std::size_t>(G), 0);
   plan.group_bit.assign(static_cast<std::size_t>(G), 0);

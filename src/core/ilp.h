@@ -11,7 +11,9 @@
 // the generalized pipeline latency plus theta times the quality penalty.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/context.h"
 #include "core/heuristics.h"
@@ -26,10 +28,27 @@ struct IlpOutcome {
   double objective = 0.0;    ///< MILP objective (matches plan.eval.objective).
   double best_bound = 0.0;   ///< Solver lower bound.
   int nodes = 0;             ///< B&B nodes.
+  std::int64_t pivots = 0;   ///< Simplex iterations over all nodes.
   double seconds = 0.0;      ///< Solve wall time.
   bool hit_time_limit = false;
   bool proven_optimal = false;
+  /// The search stopped at the time or node cap without proving the
+  /// incumbent optimal (a proven-infeasible solve is not truncated).
+  bool truncated = false;
 };
+
+/// The MILP of Eq. (4)-(16) for one context, as BranchAndBound takes it.
+struct IlpModel {
+  sq::solver::LpProblem problem;
+  /// The z_{g,j,b} variables at index (g * J + j) * B + b; all binary.
+  std::vector<int> binaries;
+  /// Integer-feasible incumbent from the warm plan; empty without one.
+  std::vector<double> warm_start;
+};
+
+/// Build the ILP for `ctx` (see solve_ilp for the arguments).
+IlpModel build_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>& warm,
+                   bool quality_only = false);
 
 /// Build and solve the ILP for `ctx`.  `warm`, when present, seeds the
 /// solver with an integer-feasible incumbent.  `quality_only` drops the

@@ -420,6 +420,8 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
       const auto& out = outs[static_cast<std::size_t>(i)];
       ++result.ilp_solves;
       result.ilp_nodes += out.nodes;
+      result.ilp_pivots += out.pivots;
+      if (out.truncated) ++result.ilp_truncated;
       if (out.feasible && normalized(out.plan.eval, c.input) < c.norm_obj) {
         c.seed = out.plan;
         c.norm_obj = normalized(out.plan.eval, c.input);
@@ -436,6 +438,10 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
         .add(static_cast<std::uint64_t>(result.ilp_solves));
     sq::obs::counter("planner.ilp.nodes")
         .add(static_cast<std::uint64_t>(result.ilp_nodes));
+    sq::obs::counter("planner.ilp.pivots")
+        .add(static_cast<std::uint64_t>(result.ilp_pivots));
+    sq::obs::counter("planner.ilp.truncated")
+        .add(static_cast<std::uint64_t>(result.ilp_truncated));
     observe_phase_s("planner.time.ilp_s", seconds_since(phase_t0));
     phase_t0 = Clock::now();
   }
@@ -488,6 +494,8 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   r.pairs_tried = result.pairs_tried;
   r.ilp_solves = result.ilp_solves;
   r.ilp_nodes = result.ilp_nodes;
+  r.ilp_pivots = result.ilp_pivots;
+  r.ilp_truncated = result.ilp_truncated;
 
   // Dominance check: the Uniform and Het configurations are points of
   // SplitQuant's own search space; if cost-model error ranked them below

@@ -78,6 +78,8 @@ struct PlanResult {
   double solve_seconds = 0.0;       ///< Total assigner wall time.
   int ilp_solves = 0;               ///< MILP invocations.
   int ilp_nodes = 0;                ///< Total B&B nodes.
+  std::int64_t ilp_pivots = 0;      ///< Total simplex iterations (exact).
+  int ilp_truncated = 0;            ///< Solves stopped at a cap, unproven.
   int topologies_tried = 0;
   int pairs_tried = 0;
 };

@@ -11,6 +11,35 @@
 // x >= 0 elementwise.  Upper bounds on variables are not represented
 // directly; the MILP layer handles binary fixing by substitution and the
 // assigner's formulation implies z <= 1 through its assignment equalities.
+//
+// Determinism contract.  The pivot (row elimination) and the Dantzig
+// pricing scan run in kernels compiled for SSE2 (the x86-64 baseline),
+// AVX2 and AVX-512 and picked once at startup with __builtin_cpu_supports
+// (set_lp_isa below forces one).  Every path yields the same bits as the
+// scalar loops they replaced — every pivot, every LpSolution (signed zeros
+// included), so every branch-and-bound tree and every plan — because:
+//
+//   1. Each pivot updates full dense rows: every tableau element is one
+//      independent chain dst[c] - f * src[c], an explicit multiply and then
+//      a subtract, and lp.cpp is compiled with -ffp-contract=off so no path
+//      can fuse them into an FMA.  Vector width only changes how many
+//      chains retire per instruction.
+//   2. No zero-skipping inside a row.  Skipping src[c] == 0 looks free but
+//      is not exact: -0.0 - f * 0.0 is +0.0 when f < 0, and in the rhs
+//      column that sign is the sign of an x entry.  It is not faster
+//      either: skipping all-zero 8-wide blocks ran about 1.5x slower on the
+//      assigner's ILPs (the branch mispredicts).  Whole rows whose
+//      pivot-column entry is below kEps are skipped, as they always were.
+//   3. Artificial columns go dead after phase 1 — pricing stops before
+//      them and extraction reads only the rhs — so phase 2 stops scaling
+//      and updating them.  Every column that is still read gets exactly
+//      the operations it always got.
+//   4. Pricing returns the first column holding the most negative reduced
+//      cost, as the scalar strict-< scan does: the vector paths take a
+//      NaN-ignoring minimum, then the first column equal to it.
+//
+// tests/lp_kernel_test.cpp holds these against a frozen copy of the scalar
+// simplex on every path the host can run.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +97,17 @@ class LpProblem {
   std::vector<std::string> names_;
   std::vector<Constraint> rows_;
 };
+
+/// Name of the dispatched pivot-kernel path ("avx512", "avx2" or "base").
+/// Informational: all paths produce identical bits.
+const char* lp_isa();
+
+/// Test hook: force a pivot-kernel path by name ("base", "avx2",
+/// "avx512") or restore runtime selection ("auto").  Returns false —
+/// leaving the dispatch unchanged — when this CPU cannot run the requested
+/// path or the name is unknown.  Thread-safe; takes effect on the next
+/// solve.
+bool set_lp_isa(const char* name);
 
 /// Simplex outcome.
 enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit };

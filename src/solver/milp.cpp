@@ -88,9 +88,12 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
   bool truncated = false;
 
   while (!open.empty()) {
-    if (res.nodes >= opts_.max_nodes || elapsed() >= opts_.time_limit_s) {
+    // One clock reading decides both the stop and its label, so a node-cap
+    // stop is never reported as a time-limit hit.
+    const bool out_of_time = elapsed() >= opts_.time_limit_s;
+    if (res.nodes >= opts_.max_nodes || out_of_time) {
       truncated = true;
-      res.hit_time_limit = elapsed() >= opts_.time_limit_s;
+      res.hit_time_limit = out_of_time;
       global_bound = open.top()->parent_bound;
       break;
     }
@@ -104,8 +107,10 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
       break;
     }
 
-    const LpSolution rel = lp.solve(p, node->fixed_mask, node->fixed_value);
+    const LpSolution rel = lp_ ? lp_(p, node->fixed_mask, node->fixed_value)
+                               : lp.solve(p, node->fixed_mask, node->fixed_value);
     ++res.nodes;
+    res.pivots += rel.iterations;
     if (rel.status == LpStatus::kInfeasible) continue;
     if (rel.status == LpStatus::kUnbounded) {
       // Relaxation unbounded at the root means the MILP is ill-posed;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "solver/lp.h"
@@ -38,14 +39,25 @@ struct MilpResult {
   std::vector<double> x;       ///< Incumbent point (size num_vars).
   double best_bound = 0.0;     ///< Global lower bound at termination.
   int nodes = 0;               ///< B&B nodes explored.
+  /// Simplex iterations summed over the solved nodes (LpSolution::
+  /// iterations): an exact, host-independent work counter.
+  std::int64_t pivots = 0;
   double seconds = 0.0;        ///< Wall-clock solve time.
-  bool hit_time_limit = false;
+  bool hit_time_limit = false; ///< Search stopped at the wall-clock cap.
 };
+
+/// Solves one node's LP relaxation: (problem, fixed_mask, fixed_value), as
+/// SimplexSolver::solve takes them.
+using LpSolveFn = std::function<LpSolution(const LpProblem&, const std::vector<std::uint8_t>&,
+                                           const std::vector<double>&)>;
 
 /// Branch-and-bound solver for LpProblem + binary-variable markings.
 class BranchAndBound {
  public:
   explicit BranchAndBound(MilpOptions opts = {}) : opts_(opts) {}
+  /// Search over `lp` instead of SimplexSolver: the seam through which
+  /// tests replay the tree on a reference simplex.
+  BranchAndBound(MilpOptions opts, LpSolveFn lp) : opts_(opts), lp_(std::move(lp)) {}
 
   /// Solve `p` with `binary_vars` restricted to {0, 1}.  `warm_start`, if
   /// nonempty, must be an integer-feasible point used as the initial
@@ -55,6 +67,7 @@ class BranchAndBound {
 
  private:
   MilpOptions opts_;
+  LpSolveFn lp_;  ///< Empty: SimplexSolver.
 };
 
 }  // namespace sq::solver

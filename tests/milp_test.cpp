@@ -1,6 +1,9 @@
 // Tests for the branch-and-bound MILP solver.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "solver/milp.h"
 #include "tensor/rng.h"
 
@@ -137,6 +140,51 @@ TEST(Milp, NodeCapRespected) {
   opts.max_nodes = 3;
   const MilpResult r = BranchAndBound(opts).solve(p, bins);
   EXPECT_LE(r.nodes, 3);
+}
+
+TEST(Milp, NodeCapStopIsNotReportedAsTimeLimitHit) {
+  LpProblem p;
+  std::vector<int> bins;
+  for (int i = 0; i < 10; ++i) {
+    const int v = p.add_variable(-1.0);
+    bins.push_back(v);
+    p.add_constraint({{{v, 2.0}}, Sense::kLe, 1.0, ""});
+  }
+  MilpOptions opts;
+  opts.max_nodes = 3;
+  opts.time_limit_s = 1e9;
+  const MilpResult r = BranchAndBound(opts).solve(p, bins);
+  EXPECT_EQ(r.nodes, 3);
+  EXPECT_NE(r.status, MilpStatus::kOptimal);
+  EXPECT_FALSE(r.hit_time_limit);
+}
+
+TEST(Milp, PivotsSumTheIterationsOfEveryNodeLp) {
+  LpProblem p;
+  std::vector<int> bins;
+  for (int i = 0; i < 6; ++i) {
+    const int v = p.add_variable(-1.0 - 0.1 * i);
+    bins.push_back(v);
+    p.add_constraint({{{v, 2.0}}, Sense::kLe, 1.0, ""});
+  }
+  std::int64_t iterations = 0;
+  int calls = 0;
+  const MilpResult r =
+      BranchAndBound({}, [&](const LpProblem& lp, const std::vector<std::uint8_t>& mask,
+                             const std::vector<double>& value) {
+        const LpSolution s = SimplexSolver().solve(lp, mask, value);
+        iterations += s.iterations;
+        ++calls;
+        return s;
+      }).solve(p, bins);
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  EXPECT_EQ(r.nodes, calls);
+  EXPECT_EQ(r.pivots, iterations);
+  EXPECT_GE(r.pivots, r.nodes);  // even an optimal slack basis takes one pricing pass
+  // The default LP path does the same work.
+  const MilpResult plain = BranchAndBound().solve(p, bins);
+  EXPECT_EQ(plain.nodes, r.nodes);
+  EXPECT_EQ(plain.pivots, r.pivots);
 }
 
 TEST(Milp, ContinuousVariablesStayFractional) {

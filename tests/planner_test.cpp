@@ -95,6 +95,23 @@ TEST_F(PlannerFixture, HeuristicModeSkipsIlp) {
   EXPECT_EQ(r.ilp_solves, 0);
 }
 
+TEST_F(PlannerFixture, IlpWorkAndTruncationAreCounted) {
+  PlannerConfig cfg = fast_cfg();
+  cfg.ilp_time_limit_s = 1e9;  // every solve runs to its proof
+  const PlanResult full = planner_.plan(cfg);
+  ASSERT_TRUE(full.feasible);
+  ASSERT_GT(full.ilp_solves, 0);
+  EXPECT_EQ(full.ilp_truncated, 0);
+  EXPECT_GE(full.ilp_pivots, full.ilp_nodes);
+
+  cfg.ilp_time_limit_s = 0.0;  // every solve stops before its first node
+  const PlanResult cut = planner_.plan(cfg);
+  ASSERT_TRUE(cut.feasible);  // the heuristic warm starts still stand
+  EXPECT_EQ(cut.ilp_truncated, cut.ilp_solves);
+  EXPECT_EQ(cut.ilp_nodes, 0);
+  EXPECT_EQ(cut.ilp_pivots, 0);
+}
+
 TEST_F(PlannerFixture, VllmBackendExcludesInt3) {
   PlannerConfig cfg = fast_cfg();
   cfg.custom_backend = false;

@@ -10,58 +10,15 @@
 
 #include "solver/lp.h"
 #include "solver/milp.h"
+#include "solver_test_util.h"
 #include "tensor/rng.h"
 
 namespace sq::solver {
 namespace {
 
-/// A random small MILP over `n` binaries: assignment-style equalities over
-/// variable groups plus random <= knapsack rows.  Returns problem + the
-/// binaries.
-struct RandomMilp {
-  LpProblem p;
-  std::vector<int> binaries;
-  int n = 0;
-};
-
-RandomMilp make_random_milp(std::uint64_t seed, int n_groups, int n_choices) {
-  sq::tensor::Rng rng(seed);
-  RandomMilp m;
-  m.n = n_groups * n_choices;
-  std::vector<std::vector<int>> z(static_cast<std::size_t>(n_groups));
-  for (int g = 0; g < n_groups; ++g) {
-    for (int c = 0; c < n_choices; ++c) {
-      const int v = m.p.add_variable(rng.uniform(0.1, 3.0));
-      z[static_cast<std::size_t>(g)].push_back(v);
-      m.binaries.push_back(v);
-    }
-  }
-  // One-hot per group.
-  for (int g = 0; g < n_groups; ++g) {
-    Constraint c;
-    c.sense = Sense::kEq;
-    c.rhs = 1.0;
-    for (const int v : z[static_cast<std::size_t>(g)]) c.terms.push_back({v, 1.0});
-    m.p.add_constraint(std::move(c));
-  }
-  // Two random knapsack rows coupling the groups.
-  for (int row = 0; row < 2; ++row) {
-    Constraint c;
-    c.sense = Sense::kLe;
-    double total = 0.0;
-    for (const int v : m.binaries) {
-      const double w = rng.uniform(0.0, 2.0);
-      c.terms.push_back({v, w});
-      total += w;
-    }
-    // Capacity between "roughly half the groups can take their heaviest
-    // choice" and "everything fits" so both feasible and binding cases
-    // appear across seeds.
-    c.rhs = rng.uniform(0.25, 0.9) * total / n_choices;
-    m.p.add_constraint(std::move(c));
-  }
-  return m;
-}
+using testutil::make_random_boxed_lp;
+using testutil::make_random_milp;
+using testutil::RandomMilp;
 
 /// Exhaustive optimum over all one-hot assignments (n_choices^n_groups).
 double brute_force(const RandomMilp& m, int n_groups, int n_choices) {
@@ -117,20 +74,8 @@ TEST_P(SimplexFeasibility, OptimalPointsAreFeasibleAndNoWorseThanSamples) {
   // Random LPs: whenever the simplex reports optimal, the point must be
   // feasible, and no randomly sampled feasible point may beat it.
   sq::tensor::Rng rng(GetParam());
-  LpProblem p;
   const int n = 5;
-  for (int i = 0; i < n; ++i) p.add_variable(rng.uniform(-1.0, 1.0));
-  for (int r = 0; r < 4; ++r) {
-    Constraint c;
-    c.sense = Sense::kLe;
-    for (int i = 0; i < n; ++i) c.terms.push_back({i, rng.uniform(0.0, 1.0)});
-    c.rhs = rng.uniform(1.0, 5.0);
-    p.add_constraint(std::move(c));
-  }
-  // Box the variables so the LP is always bounded.
-  for (int i = 0; i < n; ++i) {
-    p.add_constraint({{{i, 1.0}}, Sense::kLe, 10.0, ""});
-  }
+  const LpProblem p = make_random_boxed_lp(rng, n);
   const LpSolution s = SimplexSolver().solve(p);
   ASSERT_EQ(s.status, LpStatus::kOptimal) << "seed " << GetParam();
   EXPECT_LE(p.max_violation(s.x), 1e-7);
