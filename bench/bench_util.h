@@ -64,7 +64,7 @@ struct Cell {
   double serve(const sq::sim::ExecutionPlan& plan,
                sq::runtime::Backend backend = sq::runtime::Backend::kVllmStyle) const {
     const sq::runtime::OfflineEngine eng(cluster, model, plan, backend);
-    const auto stats = eng.serve_requests(requests, serve_batch);
+    const auto stats = eng.serve_requests(requests, serve_batch).serve;
     return stats.feasible ? stats.throughput_tok_s : 0.0;
   }
 };

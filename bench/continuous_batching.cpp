@@ -100,7 +100,7 @@ BatchBaseline serve_whole_batch(
       latest_arrive = std::max(latest_arrive, sorted[j].arrive_s);
       out.useful_tokens += static_cast<double>(sorted[j].request.output_tokens);
     }
-    const auto stats = eng.serve({w});
+    const auto stats = eng.serve({w}).serve;
     if (!stats.feasible) {
       out.feasible = false;
       out.failure = stats.failure;

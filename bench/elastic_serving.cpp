@@ -133,7 +133,7 @@ int main() {
   const ElasticFleetEngine engine(model, {rg});
 
   const auto replan =
-      sq::core::make_elastic_replanner(model, latency, quality, planning, cfg);
+      sq::core::make_replanner(model, latency, quality, planning, cfg);
 
   const auto serve = [&](const MembershipTimeline* t, MigrationPolicy p,
                          int threads) {

@@ -21,7 +21,6 @@
 
 #include "bench_util.h"
 #include "core/repair.h"
-#include "runtime/recovery.h"
 #include "sim/faults.h"
 
 namespace {
@@ -89,9 +88,9 @@ void run_cell(const CellCase& cc, int request_count,
     return;
   }
 
-  const sq::runtime::OfflineEngine healthy_eng(cell.cluster, cell.model,
-                                               planned.plan);
-  const auto healthy = healthy_eng.serve_requests(cell.requests, cell.serve_batch);
+  const sq::runtime::OfflineEngine eng(cell.cluster, cell.model, planned.plan);
+  const sq::runtime::ServeStats healthy =
+      eng.serve_requests(cell.requests, cell.serve_batch).serve;
   if (!healthy.feasible) {
     std::printf("%-10d %-18s healthy serve failed: %s\n", cc.cluster,
                 cell.model.name.c_str(), healthy.failure.c_str());
@@ -99,8 +98,6 @@ void run_cell(const CellCase& cc, int request_count,
   }
   const double healthy_us = healthy.total_seconds * 1e6;
 
-  const sq::runtime::FaultTolerantEngine eng(cell.cluster, cell.model,
-                                             planned.plan);
   for (const Scenario& sc : scenarios(sq::bench::bench_smoke())) {
     const FaultSchedule schedule = sc.make(healthy_us, cell.cluster.device_count());
 
@@ -108,13 +105,13 @@ void run_cell(const CellCase& cc, int request_count,
     with_repair.faults = &schedule;
     with_repair.replan = sq::core::make_replanner(
         cell.model, cell.latency, cell.quality, cell.planning, cfg);
-    const auto repaired = eng.serve_requests(cell.requests, cell.serve_batch,
-                                             with_repair);
+    const auto repaired =
+        eng.serve_requests(cell.requests, cell.serve_batch, with_repair);
 
     sq::runtime::RecoveryOptions no_repair;
     no_repair.faults = &schedule;
-    const auto unrepaired = eng.serve_requests(cell.requests, cell.serve_batch,
-                                               no_repair);
+    const auto unrepaired =
+        eng.serve_requests(cell.requests, cell.serve_batch, no_repair);
 
     const double retention =
         sq::bench::ratio(repaired.goodput_tok_s, healthy.throughput_tok_s);

@@ -15,6 +15,7 @@ Usage: python3 ci/check_cli_smoke.py <path-to-splitquant_cli>
 """
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -167,6 +168,25 @@ def main() -> int:
                 epath, "serve+elastic",
                 want_counters=["elastic.events", "elastic.replans",
                                "serve.request.completed"])
+
+        # 6c. Elastic serving under a permanent fault with repair disabled:
+        # --no-repair must hold under --elastic too, so the requests the
+        # failure strands are reported lost.
+        proc = run(cli, [*BASE, "--serve", "--continuous", "--elastic",
+                         "price:T4=0.30@0", "--faults", "fail:0@1.0",
+                         "--no-repair"], 0, "elastic+faults+no-repair")
+        if proc is None:
+            errors += 1
+        else:
+            m = re.search(r"^requests: \d+/\d+ completed, (\d+) lost",
+                          proc.stdout, re.MULTILINE)
+            if m is None or int(m.group(1)) == 0:
+                print("FAIL: elastic+faults+no-repair: want lost requests, "
+                      f"got {m.group(0) if m else 'no requests line'!r}",
+                      file=sys.stderr)
+                errors += 1
+            else:
+                print(f"ok: elastic+faults+no-repair lost {m.group(1)}")
 
         # 7. Usage errors must exit 2 (not 0, not a crash).
         if run(cli, [*BASE, "--shards", "0"], 2, "bad --shards") is None:

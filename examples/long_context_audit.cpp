@@ -61,7 +61,7 @@ int main() {
     }
 
     const runtime::OfflineEngine engine(cluster, model, r.plan);
-    const auto stats = engine.serve_requests(requests, 128);
+    const auto stats = engine.serve_requests(requests, 128).serve;
     if (stats.feasible) {
       std::printf("served %.0f answer tokens at %.1f tok/s "
                   "(%llu waves, concurrency-capped batches: %llu)\n\n",

@@ -60,7 +60,7 @@ int main() {
 
   // 5. Serve.
   const runtime::OfflineEngine engine(cluster, model, result.plan);
-  const runtime::ServeStats stats = engine.serve_requests(requests, 128);
+  const runtime::ServeStats stats = engine.serve_requests(requests, 128).serve;
   if (!stats.feasible) {
     std::printf("serving failed: %s\n", stats.failure.c_str());
     return 1;

@@ -99,7 +99,6 @@
 #include "model/registry.h"
 #include "quality/quality_model.h"
 #include "runtime/engine.h"
-#include "runtime/recovery.h"
 #include "sim/faults.h"
 #include "workload/arrivals.h"
 #include "workload/profile.h"
@@ -179,10 +178,28 @@ sq::workload::Dataset dataset_of(const std::string& name) {
   return sq::workload::Dataset::kCnnDailyMail;
 }
 
-/// Parse --faults into a schedule (0 = ok, 2 = bad spec, diagnostics on
-/// stderr).  Shared by the single-pipeline and fleet serving paths.
-int parse_faults(const std::string& spec, int device_count,
+/// The "serve:" and "requests:" lines of a continuous run.
+void print_request_stats(const sq::runtime::RequestStats& rs) {
+  std::printf("serve:    %.1f tok/s goodput (%.0f tokens in %.1fs, "
+              "%llu iterations)\n",
+              rs.goodput_tok_s, rs.output_tokens, rs.total_seconds,
+              static_cast<unsigned long long>(rs.iterations));
+  std::printf("requests: %llu/%llu completed, %llu lost, %llu preemptions, "
+              "%llu blocked admissions\n",
+              static_cast<unsigned long long>(rs.completed),
+              static_cast<unsigned long long>(rs.submitted),
+              static_cast<unsigned long long>(rs.lost),
+              static_cast<unsigned long long>(rs.preemptions),
+              static_cast<unsigned long long>(rs.admission_blocked));
+}
+
+/// Parse --faults into a schedule and echo it on a "faults:" line (0 = ok
+/// or no --faults, 2 = bad spec, diagnostics on stderr).  Shared by every
+/// serving path.
+int parse_faults(const Args& args, int device_count,
                  sq::sim::FaultSchedule* out) {
+  const std::string& spec = args.faults;
+  if (spec.empty()) return 0;
   if (spec.rfind("random:", 0) == 0) {
     unsigned long seed = 0, n = 4;
     if (std::sscanf(spec.c_str(), "random:%lu:%lu", &seed, &n) < 1) {
@@ -191,14 +208,15 @@ int parse_faults(const std::string& spec, int device_count,
     }
     *out = sq::sim::random_fault_schedule(seed, device_count, 60.0,
                                           static_cast<int>(n));
-    return 0;
+  } else {
+    const sq::sim::FaultParse fp = sq::sim::parse_fault_spec(spec);
+    if (!fp.ok) {
+      std::fprintf(stderr, "bad --faults spec: %s\n", fp.error.c_str());
+      return 2;
+    }
+    *out = fp.schedule;
   }
-  const sq::sim::FaultParse fp = sq::sim::parse_fault_spec(spec);
-  if (!fp.ok) {
-    std::fprintf(stderr, "bad --faults spec: %s\n", fp.error.c_str());
-    return 2;
-  }
-  *out = fp.schedule;
+  std::printf("faults:   %s\n", out->empty() ? "(none)" : out->to_spec().c_str());
   return 0;
 }
 
@@ -361,12 +379,8 @@ int run_sharded(const Args& args, const sq::model::LlmSpec& m,
   if (const int rc = parse_jobs(args, m, &jobs)) return rc;
 
   sq::sim::FaultSchedule schedule;
-  if (!args.faults.empty()) {
-    if (const int rc = parse_faults(args.faults, cluster.device_count(), &schedule)) {
-      return rc;
-    }
-    std::printf("faults:   %s\n",
-                schedule.empty() ? "(none)" : schedule.to_spec().c_str());
+  if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
+    return rc;
   }
 
   runtime::FleetEngine fleet(m, sres.groups,
@@ -575,6 +589,9 @@ int main(int argc, char** argv) {
   std::printf("quality:  est PPL %.3f (base %.3f), est accuracy %.1f%%\n", r.est_ppl,
               quality.base_ppl(), r.est_accuracy);
 
+  const runtime::Backend backend = args.custom_backend
+                                      ? runtime::Backend::kCustom
+                                      : runtime::Backend::kVllmStyle;
   if (args.serve && args.continuous) {
     // Continuous-batching serving: iteration-level admission over an
     // arrival timeline (fault-tolerant when --faults is given).
@@ -598,30 +615,22 @@ int main(int argc, char** argv) {
                   elastic::to_string(migration));
 
       sim::FaultSchedule schedule;
-      if (!args.faults.empty()) {
-        if (const int rc =
-                parse_faults(args.faults, cluster.device_count(), &schedule)) {
-          return rc;
-        }
-        std::printf("faults:   %s\n",
-                    schedule.empty() ? "(none)" : schedule.to_spec().c_str());
+      if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
+        return rc;
       }
 
       runtime::ReplicaGroup rg;
       rg.cluster = cluster;
       rg.plan = r.plan;
       rg.predicted_tok_s = r.predicted_throughput;
-      elastic::ElasticFleetEngine engine(
-          m, {rg},
-          args.custom_backend ? runtime::Backend::kCustom
-                              : runtime::Backend::kVllmStyle);
+      elastic::ElasticFleetEngine engine(m, {rg}, backend);
       engine.set_observe(!args.metrics.empty());
 
       elastic::ElasticOptions eopts;
       eopts.timeline = &timeline;
       eopts.migration = migration;
-      eopts.replan = core::make_elastic_replanner(
-          m, latency, quality, profile.planning_batch(m), cfg);
+      eopts.replan = core::make_replanner(m, latency, quality,
+                                          profile.planning_batch(m), cfg);
       eopts.fleet.num_threads = args.threads;
       if (!schedule.empty()) eopts.fleet.faults = &schedule;
       if (!args.faults.empty() && !args.no_repair) {
@@ -639,17 +648,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       const runtime::RequestStats& rs = es.fleet.jobs[0].continuous;
-      std::printf("serve:    %.1f tok/s goodput (%.0f tokens in %.1fs, "
-                  "%llu iterations)\n",
-                  rs.goodput_tok_s, rs.output_tokens, rs.total_seconds,
-                  static_cast<unsigned long long>(rs.iterations));
-      std::printf("requests: %llu/%llu completed, %llu lost, %llu preemptions, "
-                  "%llu blocked admissions\n",
-                  static_cast<unsigned long long>(rs.completed),
-                  static_cast<unsigned long long>(rs.submitted),
-                  static_cast<unsigned long long>(rs.lost),
-                  static_cast<unsigned long long>(rs.preemptions),
-                  static_cast<unsigned long long>(rs.admission_blocked));
+      print_request_stats(rs);
       std::printf("elastic:  %llu events; joins %llu/%llu accepted, "
                   "%llu leaves, %llu repriced, %llu scale-downs; "
                   "%llu replans\n",
@@ -674,52 +673,27 @@ int main(int argc, char** argv) {
 
     runtime::ContinuousOptions copts;
     copts.num_threads = args.threads;
-    runtime::RequestStats rs;
-    if (!args.faults.empty()) {
-      sim::FaultSchedule schedule;
-      if (const int rc =
-              parse_faults(args.faults, cluster.device_count(), &schedule)) {
-        return rc;
-      }
-      std::printf("faults:   %s\n",
-                  schedule.empty() ? "(none)" : schedule.to_spec().c_str());
-      runtime::FaultTolerantEngine engine(
-          cluster, m, r.plan,
-          args.custom_backend ? runtime::Backend::kCustom
-                              : runtime::Backend::kVllmStyle);
-      engine.set_observe(!args.metrics.empty());
-      runtime::RecoveryOptions ropts;
-      if (!schedule.empty()) ropts.faults = &schedule;
-      if (!args.no_repair) {
-        ropts.replan = core::make_replanner(m, latency, quality,
-                                            profile.planning_batch(m), cfg);
-      }
-      rs = engine.serve_continuous(arrivals, ropts, copts);
-    } else {
-      runtime::OfflineEngine engine(
-          cluster, m, r.plan,
-          args.custom_backend ? runtime::Backend::kCustom
-                              : runtime::Backend::kVllmStyle);
-      engine.set_observe(!args.metrics.empty());
-      rs = engine.serve_continuous(arrivals, copts);
+    sim::FaultSchedule schedule;
+    if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
+      return rc;
     }
+    runtime::RecoveryOptions ropts;
+    if (!schedule.empty()) ropts.faults = &schedule;
+    if (!args.faults.empty() && !args.no_repair) {
+      ropts.replan = core::make_replanner(m, latency, quality,
+                                          profile.planning_batch(m), cfg);
+    }
+    runtime::OfflineEngine engine(cluster, m, r.plan, backend);
+    engine.set_observe(!args.metrics.empty());
+    const runtime::RequestStats rs =
+        engine.serve_continuous(arrivals, copts, ropts);
 
     for (const auto& e : rs.events) std::printf("event:    %s\n", e.c_str());
     if (!rs.feasible) {
       std::printf("serve:    FAILED — %s\n", rs.failure.c_str());
       return 1;
     }
-    std::printf("serve:    %.1f tok/s goodput (%.0f tokens in %.1fs, "
-                "%llu iterations)\n",
-                rs.goodput_tok_s, rs.output_tokens, rs.total_seconds,
-                static_cast<unsigned long long>(rs.iterations));
-    std::printf("requests: %llu/%llu completed, %llu lost, %llu preemptions, "
-                "%llu blocked admissions\n",
-                static_cast<unsigned long long>(rs.completed),
-                static_cast<unsigned long long>(rs.submitted),
-                static_cast<unsigned long long>(rs.lost),
-                static_cast<unsigned long long>(rs.preemptions),
-                static_cast<unsigned long long>(rs.admission_blocked));
+    print_request_stats(rs);
     std::printf("latency:  mean %.2fs, p50 %.2fs, p95 %.2fs; queue mean "
                 "%.2fs; KV peak %.0f%%\n",
                 rs.mean_latency_s, rs.p50_latency_s, rs.p95_latency_s,
@@ -742,29 +716,37 @@ int main(int argc, char** argv) {
     return export_metrics(args);
   }
 
-  if (args.serve && !args.faults.empty()) {
-    // Fault-tolerant serving: inject the schedule, repair on failures.
+  if (args.serve) {
+    // Batch serving; with --faults, inject the schedule and repair on
+    // failures.
+    const bool faulted = !args.faults.empty();
     sim::FaultSchedule schedule;
-    if (const int rc = parse_faults(args.faults, cluster.device_count(), &schedule)) {
+    if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
       return rc;
     }
-    std::printf("faults:   %s\n", schedule.empty() ? "(none)" : schedule.to_spec().c_str());
-
-    runtime::FaultTolerantEngine engine(
-        cluster, m, r.plan,
-        args.custom_backend ? runtime::Backend::kCustom
-                            : runtime::Backend::kVllmStyle);
-    engine.set_observe(!args.metrics.empty());
     runtime::RecoveryOptions ropts;
-    ropts.faults = &schedule;
-    if (!args.no_repair) {
-      ropts.replan = core::make_replanner(m, latency, quality,
-                                          profile.planning_batch(m), cfg);
+    if (faulted) {
+      ropts.faults = &schedule;
+      if (!args.no_repair) {
+        ropts.replan = core::make_replanner(m, latency, quality,
+                                            profile.planning_batch(m), cfg);
+      }
     }
+    runtime::OfflineEngine engine(cluster, m, r.plan, backend);
+    engine.set_observe(!args.metrics.empty());
     const auto rec = engine.serve_requests(requests, args.batch, ropts);
     if (!rec.serve.feasible) {
       std::printf("serve:    FAILED — %s\n", rec.serve.failure.c_str());
       return 1;
+    }
+    if (!faulted) {
+      std::printf("serve:    %.1f tok/s (%.0f tokens in %.1fs, %llu waves, "
+                  "%.0f%% idle)\n",
+                  rec.serve.throughput_tok_s, rec.serve.output_tokens,
+                  rec.serve.total_seconds,
+                  static_cast<unsigned long long>(rec.serve.waves),
+                  100.0 * rec.serve.mean_bubble);
+      return export_metrics(args);
     }
     for (const auto& e : rec.events) std::printf("event:    %s\n", e.c_str());
     std::printf("serve:    %.1f tok/s productive (%.0f tokens in %.1fs, "
@@ -794,22 +776,6 @@ int main(int argc, char** argv) {
       const auto deg = hw::degrade_cluster(cluster, rec.final_plan.excluded_devices);
       std::printf("plan':    %s\n", rec.final_plan.summary(deg.cluster).c_str());
     }
-  } else if (args.serve) {
-    runtime::OfflineEngine engine(
-        cluster, m, r.plan,
-        args.custom_backend ? runtime::Backend::kCustom
-                            : runtime::Backend::kVllmStyle);
-    engine.set_observe(!args.metrics.empty());
-    const auto stats = engine.serve_requests(requests, args.batch);
-    if (!stats.feasible) {
-      std::printf("serve:    FAILED — %s\n", stats.failure.c_str());
-      return 1;
-    }
-    std::printf("serve:    %.1f tok/s (%.0f tokens in %.1fs, %llu waves, "
-                "%.0f%% idle)\n",
-                stats.throughput_tok_s, stats.output_tokens, stats.total_seconds,
-                static_cast<unsigned long long>(stats.waves),
-                100.0 * stats.mean_bubble);
   }
 
   return export_metrics(args);

@@ -54,7 +54,7 @@ int main() {
 
   auto serve = [&](const sim::ExecutionPlan& plan) {
     const runtime::OfflineEngine engine(cluster, model, plan);
-    return engine.serve_requests(requests, 256);
+    return engine.serve_requests(requests, 256).serve;
   };
 
   std::vector<Outcome> outcomes;

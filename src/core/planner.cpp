@@ -558,7 +558,7 @@ double Planner::validation_score(const sq::sim::ExecutionPlan& plan,
                            static_cast<double>(w.prompt_len) * frac)));
     batches.push_back(w);
   }
-  const auto stats = engine.serve(batches);
+  const auto stats = engine.serve(batches).serve;
   if (!stats.feasible || stats.throughput_tok_s <= 0.0) {
     return std::numeric_limits<double>::infinity();
   }

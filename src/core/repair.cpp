@@ -10,10 +10,10 @@ sq::runtime::Replanner make_replanner(const sq::model::LlmSpec& model,
                                       const sq::sim::BatchWorkload& workload,
                                       const PlannerConfig& cfg) {
   return [&model, &latency, &quality, workload, cfg](
-             const sq::hw::Cluster& degraded,
+             const sq::hw::Cluster& changed,
              int attempt) -> sq::runtime::ReplanOutcome {
-    Planner::profile_all(latency, degraded, cfg.bits);
-    const Planner planner(model, degraded, workload, latency, quality);
+    Planner::profile_all(latency, changed, cfg.bits);
+    const Planner planner(model, changed, workload, latency, quality);
 
     PlannerConfig repair_cfg = cfg;
     if (attempt >= 1) repair_cfg.max_ppl_delta = -1.0;  // Relax quality budget.
@@ -24,34 +24,17 @@ sq::runtime::Replanner make_replanner(const sq::model::LlmSpec& model,
     out.feasible = r.feasible;
     out.failure = std::move(r.failure);
     out.plan = std::move(r.plan);
+    out.predicted_tok_s = r.predicted_throughput;
     out.solve_seconds = r.solve_seconds;
     return out;
   };
 }
 
-sq::elastic::ElasticReplanner make_elastic_replanner(
+sq::runtime::Replanner make_elastic_replanner(
     const sq::model::LlmSpec& model, sq::cost::LatencyCostModel& latency,
     const sq::quality::QualityModel& quality,
     const sq::sim::BatchWorkload& workload, const PlannerConfig& cfg) {
-  return [&model, &latency, &quality, workload, cfg](
-             const sq::hw::Cluster& changed,
-             int attempt) -> sq::elastic::ElasticReplanOutcome {
-    Planner::profile_all(latency, changed, cfg.bits);
-    const Planner planner(model, changed, workload, latency, quality);
-
-    PlannerConfig elastic_cfg = cfg;
-    if (attempt >= 1) elastic_cfg.max_ppl_delta = -1.0;  // Relax quality.
-    PlanResult r = attempt >= 2 ? planner.plan_uniform(elastic_cfg)
-                                : planner.plan(elastic_cfg);
-
-    sq::elastic::ElasticReplanOutcome out;
-    out.feasible = r.feasible;
-    out.failure = std::move(r.failure);
-    out.plan = std::move(r.plan);
-    out.predicted_tok_s = r.predicted_throughput;
-    out.solve_seconds = r.solve_seconds;
-    return out;
-  };
+  return make_replanner(model, latency, quality, workload, cfg);
 }
 
 }  // namespace sq::core

@@ -43,6 +43,21 @@ struct MemberState {
   std::vector<int> to_base;  ///< Flat index -> stable base id.
   sq::sim::ExecutionPlan plan;
   double predicted_tok_s = 0.0;
+
+  /// Shrink to `deg` (this cluster minus some devices) under the plan `r`
+  /// made for it; surviving devices keep their base ids.
+  void shrink(const sq::hw::DegradedCluster& deg,
+              const sq::runtime::ReplanOutcome& r) {
+    std::vector<int> chained;
+    chained.reserve(deg.to_original.size());
+    for (const int i : deg.to_original) {
+      chained.push_back(to_base[static_cast<std::size_t>(i)]);
+    }
+    cluster = deg.cluster;
+    to_base = std::move(chained);
+    plan = r.plan;
+    predicted_tok_s = r.predicted_tok_s;
+  }
 };
 
 /// Changes staged by event application, adopted after the in-flight
@@ -156,8 +171,7 @@ ElasticStats ElasticFleetEngine::serve(
   std::vector<std::vector<int>> join_stack;  ///< Base ids per accepted join.
   int join_seq = 0;
 
-  const double eff =
-      backend_ == sq::runtime::Backend::kVllmStyle ? 1.0 : 0.72;
+  const double eff = sq::runtime::backend_efficiency(backend_);
   const sq::sim::KernelModel km(kernel_);
   const sq::sim::FaultSchedule* fleet_faults = opts.fleet.faults;
 
@@ -176,25 +190,21 @@ ElasticStats ElasticFleetEngine::serve(
     last_charge_us = to_us;
   };
 
-  // Graceful-degradation replan ladder (same escalation as fault repair).
-  const auto ladder = [&](const sq::hw::Cluster& c,
-                          ElasticReplanOutcome* r) -> bool {
-    if (!opts.replan) {
-      r->failure = "no elastic replanner configured";
-      return false;
-    }
-    for (int attempt = 0; attempt < std::max(1, opts.max_replan_attempts);
-         ++attempt) {
-      *r = opts.replan(c, attempt);
-      if (ob) {
-        sq::obs::counter("elastic.replan.attempts").add();
-        sq::obs::histogram("elastic.replan_wall_s",
-                           sq::obs::BucketLayout::kSeconds)
-            .observe(r->solve_seconds);
-      }
-      if (r->feasible) return true;
-    }
-    return false;
+  // Graceful-degradation replan ladders: membership changes replan with
+  // `opts.replan`; fault repair replans with `opts.fleet.replan`, whose
+  // null means a permanent failure loses the remaining requests.
+  static constexpr sq::runtime::LadderObs kLadderObs{"elastic.replan.attempts",
+                                                     "elastic.replan_wall_s"};
+  const sq::runtime::LadderObs* ladder_obs = ob ? &kLadderObs : nullptr;
+  const auto replan_membership = [&](const sq::hw::Cluster& c) {
+    return sq::runtime::replan_ladder(opts.replan, c, opts.max_replan_attempts,
+                                      nullptr, nullptr, ladder_obs);
+  };
+  const auto replan_repair = [&](const sq::hw::Cluster& c,
+                                 std::uint64_t* calls) {
+    return sq::runtime::replan_ladder(opts.fleet.replan, c,
+                                      opts.fleet.max_replan_attempts, calls,
+                                      nullptr, ladder_obs);
   };
 
   // ---- Membership event application (stages a PendingChange). ----------
@@ -217,11 +227,10 @@ ElasticStats ElasticFleetEngine::serve(
         node.gpu_count = e.count;
         node.intra_gbps = 300.0;
         const sq::hw::Cluster grown = sq::hw::grow_cluster(p->next.cluster, node);
-        ElasticReplanOutcome r;
-        const bool planned = ladder(grown, &r);
+        const sq::runtime::ReplanOutcome r = replan_membership(grown);
         bool accept = false;
         std::string reason;
-        if (!planned) {
+        if (!r.feasible) {
           reason = "no feasible plan: " + r.failure;
         } else if (!opts.autoscale.enabled) {
           accept = true;
@@ -294,21 +303,13 @@ ElasticStats ElasticFleetEngine::serve(
           out.events.push_back("[" + fmt_s(e.at_us) + "] leave: " + fatal);
           return;
         }
-        ElasticReplanOutcome r;
-        if (!ladder(deg.cluster, &r)) {
+        const sq::runtime::ReplanOutcome r = replan_membership(deg.cluster);
+        if (!r.feasible) {
           fatal = "no feasible plan after leave: " + r.failure;
           out.events.push_back("[" + fmt_s(e.at_us) + "] " + fatal);
           return;
         }
-        std::vector<int> chained;
-        chained.reserve(deg.to_original.size());
-        for (const int i : deg.to_original) {
-          chained.push_back(p->next.to_base[static_cast<std::size_t>(i)]);
-        }
-        p->next.cluster = deg.cluster;
-        p->next.to_base = std::move(chained);
-        p->next.plan = r.plan;
-        p->next.predicted_tok_s = r.predicted_tok_s;
+        p->next.shrink(deg, r);
         p->changed = true;
         ++p->switches;
         out.events.push_back("[" + fmt_s(e.at_us) + "] leave: " +
@@ -338,8 +339,8 @@ ElasticStats ElasticFleetEngine::serve(
           const sq::hw::DegradedCluster deg =
               sq::hw::degrade_cluster(p->next.cluster, excl);
           if (!deg.feasible) break;
-          ElasticReplanOutcome r;
-          if (!ladder(deg.cluster, &r)) break;
+          const sq::runtime::ReplanOutcome r = replan_membership(deg.cluster);
+          if (!r.feasible) break;
           const double cur_rate = cost.cluster_rate_per_s(p->next.cluster);
           const double shr_rate = cost.cluster_rate_per_s(deg.cluster);
           const double cur_tpd =
@@ -351,15 +352,7 @@ ElasticStats ElasticFleetEngine::serve(
             break;
           }
           ++out.scale_downs;
-          std::vector<int> chained;
-          chained.reserve(deg.to_original.size());
-          for (const int i : deg.to_original) {
-            chained.push_back(p->next.to_base[static_cast<std::size_t>(i)]);
-          }
-          p->next.cluster = deg.cluster;
-          p->next.to_base = std::move(chained);
-          p->next.plan = r.plan;
-          p->next.predicted_tok_s = r.predicted_tok_s;
+          p->next.shrink(deg, r);
           p->changed = true;
           ++p->switches;
           join_stack.pop_back();
@@ -422,13 +415,7 @@ ElasticStats ElasticFleetEngine::serve(
     jo.start_s = fc0_us * 1e-6;
     const std::size_t n = job.arrivals.size();
 
-    sq::runtime::RequestStats total;
-    total.submitted = n;
-    total.requests.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      total.requests[i].id = i;
-      total.requests[i].arrive_s = job.arrivals[i].arrive_s;
-    }
+    sq::runtime::RequestStats total = sq::runtime::pending_stats(job.arrivals);
 
     sq::sim::FaultSchedule local_sched;
     if (fleet_faults != nullptr && !fleet_faults->events.empty()) {
@@ -471,48 +458,22 @@ ElasticStats ElasticFleetEngine::serve(
       c.faults = sched_ptr;
       c.to_original = &ms.to_base;
       sq::runtime::RequestStats st = sched.serve(sub, c);
-
-      total.completed += st.completed;
-      total.lost += st.lost;
-      total.preemptions += st.preemptions;
-      total.admission_blocked += st.admission_blocked;
-      total.iterations += st.iterations;
-      total.output_tokens += st.output_tokens;
-      total.faults_hit += st.faults_hit;
-      total.retries += st.retries;
-      total.kv_peak_utilization =
-          std::max(total.kv_peak_utilization, st.kv_peak_utilization);
-      for (const auto& e : st.events) total.events.push_back(e);
-      incomplete->clear();
+      *incomplete = sq::runtime::merge_segment(total, st, ids);
       for (std::size_t si = 0; si < ids.size(); ++si) {
-        const std::size_t id = ids[si];
         const sq::runtime::RequestOutcome& o = st.requests[si];
-        sq::runtime::RequestOutcome& dst = total.requests[id];
-        if (o.completed) {
-          dst.completed = true;
-          dst.admit_s = o.admit_s;
-          dst.finish_s = o.finish_s;
-          dst.output_tokens = o.output_tokens;
-          dst.preemptions = o.preemptions;
-          progress[id] = -1;
-        } else if (o.lost) {
-          dst.lost = true;
-          progress[id] = -1;
-        } else {
-          incomplete->push_back(id);
-          if (o.in_flight) {
-            progress[id] = o.prefill_done
-                               ? static_cast<std::int64_t>(o.progress_tokens)
-                               : std::int64_t{-1};
-          }
+        if (o.completed || o.lost) {
+          progress[ids[si]] = -1;
+        } else if (o.in_flight) {
+          progress[ids[si]] = o.prefill_done
+                                  ? static_cast<std::int64_t>(o.progress_tokens)
+                                  : std::int64_t{-1};
         }
       }
       return st;
     };
 
     const auto lose_remaining = [&](const std::string& why) {
-      total.lost += remaining.size();
-      for (const std::size_t id : remaining) total.requests[id].lost = true;
+      sq::runtime::lose_requests(total, remaining);
       total.events.push_back("[" + fmt_s(jl_us) + "] " + why + " (" +
                              std::to_string(remaining.size()) + " requests)");
       remaining.clear();
@@ -541,8 +502,7 @@ ElasticStats ElasticFleetEngine::serve(
       if (st.fault_permanent) {
         // Permanent failure: the device's KV is GONE — unlike a graceful
         // leave, in-flight work always restarts.  Repair mirrors the
-        // fault-tolerant engine: exclude, replan, resume.
-        ++total.repairs_attempted;
+        // engine's: exclude, replan, resume.
         for (const std::size_t id : remaining) {
           if (progress[id] >= 0) {
             ++out.restarts;
@@ -561,22 +521,15 @@ ElasticStats ElasticFleetEngine::serve(
           lose_remaining(fatal);
           break;
         }
-        ElasticReplanOutcome r;
-        if (!ladder(deg.cluster, &r)) {
+        const sq::runtime::ReplanOutcome r =
+            replan_repair(deg.cluster, &total.repairs_attempted);
+        if (!r.feasible) {
           fatal = "no feasible repair plan: " + r.failure;
           lose_remaining(fatal);
           break;
         }
-        std::vector<int> chained;
-        chained.reserve(deg.to_original.size());
-        for (const int i : deg.to_original) {
-          chained.push_back(ms.to_base[static_cast<std::size_t>(i)]);
-        }
         const auto old_bits = ms.plan.layer_bits;
-        ms.cluster = deg.cluster;
-        ms.to_base = std::move(chained);
-        ms.plan = std::move(r.plan);
-        ms.predicted_tok_s = r.predicted_tok_s;
+        ms.shrink(deg, r);
         if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
         ++total.repairs_succeeded;
         ++total.final_generation;
@@ -631,22 +584,17 @@ ElasticStats ElasticFleetEngine::serve(
             if (flat >= 0) {
               const sq::hw::DegradedCluster deg =
                   sq::hw::degrade_cluster(p.next.cluster, {flat});
-              ElasticReplanOutcome r;
-              if (!deg.feasible || !ladder(deg.cluster, &r)) {
+              sq::runtime::ReplanOutcome r;
+              if (deg.feasible) {
+                r = replan_repair(deg.cluster, &total.repairs_attempted);
+              }
+              if (!r.feasible) {
                 fatal = !deg.feasible ? deg.failure
                                       : "no feasible repair plan: " + r.failure;
                 lose_remaining("no serving capacity remains: " + fatal);
                 break;
               }
-              std::vector<int> chained;
-              chained.reserve(deg.to_original.size());
-              for (const int i : deg.to_original) {
-                chained.push_back(p.next.to_base[static_cast<std::size_t>(i)]);
-              }
-              p.next.cluster = deg.cluster;
-              p.next.to_base = std::move(chained);
-              p.next.plan = std::move(r.plan);
-              p.next.predicted_tok_s = r.predicted_tok_s;
+              p.next.shrink(deg, r);
               ++p.switches;
               ++total.repairs_succeeded;
               ++total.final_generation;

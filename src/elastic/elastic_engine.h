@@ -1,7 +1,7 @@
 // Elastic fleet serving: continuous-batching under dynamic device
 // membership, with price-aware autoscaling and live plan migration.
 //
-// The ElasticFleetEngine layers on FleetEngine / FaultTolerantEngine:
+// The ElasticFleetEngine layers on FleetEngine / OfflineEngine:
 //
 //   * With an EMPTY membership timeline it delegates verbatim to
 //     FleetEngine — FleetStats are byte-identical to the non-elastic
@@ -11,10 +11,11 @@
 //     on ONE elastic replica group through a segmented event loop: serve
 //     to the next membership event (RequestScheduler's stop horizon),
 //     apply the event, re-plan incrementally on the changed cluster (the
-//     same graceful-degradation ladder as plan repair, reusing memoized
-//     stage times and the content-addressed QuantCache so only layers
-//     that change bits re-quantize via WeightPrep::reprepare), and resume
-//     with per-request progress.
+//     same graceful-degradation ladder as plan repair,
+//     runtime::replan_ladder, reusing memoized stage times and the
+//     content-addressed QuantCache so only layers that change bits
+//     re-quantize via WeightPrep::reprepare), and resume with per-request
+//     progress.  Segment outcomes merge through runtime::merge_segment.
 //   * In-flight requests cross a plan switch by LIVE MIGRATION (KV state
 //     re-transferred over the inter-node fabric, charged through the
 //     kernel model's link-time), by DRAINING (finish on the old plan
@@ -35,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,24 +49,6 @@
 #include "sim/plan.h"
 
 namespace sq::elastic {
-
-/// Replan outcome for a membership change; unlike fault repair, elastic
-/// re-planning also needs the planner's throughput estimate (the
-/// autoscaler's accept/reject signal).
-struct ElasticReplanOutcome {
-  bool feasible = false;
-  std::string failure;
-  sq::sim::ExecutionPlan plan;     ///< Plan over the changed cluster.
-  double predicted_tok_s = 0.0;    ///< Planner throughput estimate.
-  double solve_seconds = 0.0;      ///< Real planner wall time (obs only).
-};
-
-/// Elastic replanner: plan for a changed (grown or shrunk) cluster.
-/// `attempt` escalates like the repair ladder (0 = full constraints,
-/// 1 = relaxed quality budget, 2+ = uniform fallback); see
-/// sq::core::make_elastic_replanner.
-using ElasticReplanner = std::function<ElasticReplanOutcome(
-    const sq::hw::Cluster& changed, int attempt)>;
 
 /// What happens to in-flight requests when the plan switches.
 enum class MigrationPolicy {
@@ -105,7 +87,10 @@ struct AutoscalerOptions {
 /// Elastic serving knobs.
 struct ElasticOptions {
   const MembershipTimeline* timeline = nullptr;  ///< Null/empty = delegate.
-  ElasticReplanner replan;           ///< Required for membership changes.
+  /// Replans membership changes (the outcome's predicted_tok_s is the
+  /// autoscaler's accept/reject signal); required when the timeline
+  /// changes membership.
+  sq::runtime::Replanner replan;
   MigrationPolicy migration = MigrationPolicy::kAuto;
   AutoscalerOptions autoscale;
   CostModel cost;                    ///< $/device-hour book.
@@ -118,7 +103,9 @@ struct ElasticOptions {
   /// Baseline fleet knobs: fault schedule + fault replanner + thread
   /// count.  The empty-timeline path forwards this verbatim to
   /// FleetEngine (byte-identity); the elastic path reads faults /
-  /// num_threads / replan_penalty_s from it.
+  /// num_threads / replan / max_replan_attempts / replan_penalty_s from
+  /// it (a null `replan` loses the requests a permanent failure strands,
+  /// as in FleetEngine).
   sq::runtime::FleetOptions fleet;
 };
 

@@ -63,33 +63,28 @@ bool can_run(const GroupState& st, const sq::model::LlmSpec& model,
   return true;
 }
 
-/// Fold a permanent repair performed inside a job's FaultTolerantEngine run
+/// Fold a permanent repair performed inside a job's OfflineEngine run
 /// back into the group's standing state: degrade the group cluster by the
 /// excluded devices (permanent straggler deratings baked in, mirroring the
-/// recovery engine), adopt the repaired plan, and remap the remaining
+/// engine's repair), adopt the repaired plan, and remap the remaining
 /// schedule to the new local indices.
 void fold_repair(GroupState* st, const sq::sim::ExecutionPlan& final_plan) {
   std::vector<sq::hw::DeviceDerate> derates;
   for (const auto& e : st->schedule.events) {
-    if (e.kind == sq::sim::FaultKind::kSlowdown && e.permanent() &&
-        e.factor > 1.0) {
-      derates.push_back({e.device, e.factor});
-    }
+    if (e.permanent_slowdown()) derates.push_back({e.device, e.factor});
   }
   const sq::hw::DegradedCluster deg = sq::hw::degrade_cluster(
       st->cluster, final_plan.excluded_devices, derates);
   if (!deg.feasible) {
     // The repair excluded every device; nothing left to fold — the group
-    // is done for.  (The recovery engine already reported the failure.)
+    // is done for.  (The engine already reported the failure.)
     st->retired = true;
     return;
   }
 
   sq::sim::FaultSchedule remapped;
   for (const auto& e : st->schedule.events) {
-    const bool baked = e.kind == sq::sim::FaultKind::kSlowdown &&
-                       e.permanent() && e.factor > 1.0;
-    if (baked) continue;
+    if (e.permanent_slowdown()) continue;  // Baked into the derated spec.
     const int local = deg.from_original[static_cast<std::size_t>(e.device)];
     if (local < 0) continue;  // Device excluded by the repair.
     sq::sim::FaultEvent ev = e;
@@ -322,8 +317,8 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
         ropts.max_replan_attempts = opts.max_replan_attempts;
         ropts.replan_penalty_s = opts.replan_penalty_s;
 
-        FaultTolerantEngine eng(st.cluster, model_, st.plan, backend_,
-                                kernel_, memoize_);
+        OfflineEngine eng(st.cluster, model_, st.plan, backend_, kernel_,
+                          memoize_);
         if (prep_) eng.set_weight_prep(prep_);
         JobOutcome& out = stats.jobs[j];
         out.group = static_cast<int>(g);
@@ -356,7 +351,7 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
           // holds.  Lost requests (unservable alone) fail the job's
           // completeness accounting but do not retire the group — only
           // structural failures and unrepaired permanent faults do.
-          RequestStats crs = eng.serve_continuous(job.arrivals, ropts);
+          RequestStats crs = eng.serve_continuous(job.arrivals, {}, ropts);
           out.end_s = out.start_s + crs.total_seconds;
           out.completed = crs.feasible && !crs.fault_permanent;
           if (!out.completed) {

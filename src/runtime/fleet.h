@@ -22,7 +22,7 @@
 //     only ever move wall-clock time, exactly like the planner's fan-out.
 //   * Faults stay group-local.  The fleet-level schedule (original fleet
 //     device indices) is translated into each group's local indices; each
-//     group serves through its own FaultTolerantEngine, so a permanent
+//     group serves through its own OfflineEngine, so a permanent
 //     device failure repairs — or, when repair is impossible, retires —
 //     only its own group.  Jobs still queued on a retired group are
 //     re-assigned to the surviving groups in the next scheduling round.
@@ -36,7 +36,6 @@
 #include "hw/cluster.h"
 #include "model/llm.h"
 #include "runtime/engine.h"
-#include "runtime/recovery.h"
 #include "sim/faults.h"
 #include "sim/plan.h"
 
@@ -113,8 +112,8 @@ struct FleetOptions {
   /// null = fault-free.  Events are translated into each group's local
   /// indices (events on devices outside every group are inert).
   const sq::sim::FaultSchedule* faults = nullptr;
-  /// Per-group plan repair (same callback contract as RecoveryOptions);
-  /// null = no repair: a permanent failure retires the group.
+  /// Per-group plan repair (RecoveryOptions::replan); null = no repair: a
+  /// permanent failure retires the group.
   Replanner replan;
   /// Scheduler worker threads draining the group queue: 0 = hardware
   /// concurrency, 1 = sequential.  FleetStats are bit-identical across all
@@ -180,7 +179,7 @@ class FleetEngine {
   bool observe() const { return observe_; }
 
   /// Attach a weight-preparation hook, propagated to every per-group
-  /// FaultTolerantEngine.  Replica groups serving the same plan share the
+  /// OfflineEngine.  Replica groups serving the same plan share the
   /// process-wide QuantCache, so each distinct (weights, bits) pair is
   /// quantized once fleet-wide regardless of replica count.
   void set_weight_prep(std::shared_ptr<const WeightPrep> prep) {

@@ -101,6 +101,65 @@ void finalize_request_aggregates(RequestStats& stats) {
   }
 }
 
+RequestStats pending_stats(
+    const std::vector<sq::workload::TimedRequest>& arrivals) {
+  RequestStats stats;
+  stats.submitted = arrivals.size();
+  stats.requests.resize(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    stats.requests[i].id = i;
+    stats.requests[i].arrive_s = arrivals[i].arrive_s;
+  }
+  return stats;
+}
+
+std::vector<std::size_t> merge_segment(RequestStats& total,
+                                       const RequestStats& seg,
+                                       const std::vector<std::size_t>& ids) {
+  total.completed += seg.completed;
+  total.lost += seg.lost;
+  total.preemptions += seg.preemptions;
+  total.admission_blocked += seg.admission_blocked;
+  total.iterations += seg.iterations;
+  total.faults_hit += seg.faults_hit;
+  total.retries += seg.retries;
+  total.output_tokens += seg.output_tokens;
+  total.kv_peak_utilization =
+      std::max(total.kv_peak_utilization, seg.kv_peak_utilization);
+  total.total_seconds = std::max(total.total_seconds, seg.total_seconds);
+  for (const auto& e : seg.events) total.events.push_back(e);
+
+  std::vector<std::size_t> incomplete;
+  for (std::size_t si = 0; si < ids.size(); ++si) {
+    const RequestOutcome& out = seg.requests[si];
+    RequestOutcome& dst = total.requests[ids[si]];
+    dst.prompt_tokens = out.prompt_tokens;
+    dst.preemptions += out.preemptions;
+    if (out.admit_s >= 0.0 && dst.admit_s < 0.0) dst.admit_s = out.admit_s;
+    dst.in_flight = out.in_flight;
+    dst.prefill_done = out.prefill_done;
+    dst.progress_tokens = out.progress_tokens;
+    if (out.completed) {
+      dst.completed = true;
+      dst.finish_s = out.finish_s;
+      dst.output_tokens = out.output_tokens;
+    } else if (out.lost) {
+      dst.lost = true;
+    } else {
+      incomplete.push_back(ids[si]);
+    }
+  }
+  return incomplete;
+}
+
+void lose_requests(RequestStats& stats, const std::vector<std::size_t>& ids) {
+  stats.lost += ids.size();
+  for (const std::size_t id : ids) {
+    stats.requests[id].lost = true;
+    stats.requests[id].in_flight = false;
+  }
+}
+
 RequestScheduler::RequestScheduler(sq::hw::Cluster cluster,
                                    sq::model::LlmSpec model,
                                    sq::sim::ExecutionPlan plan,

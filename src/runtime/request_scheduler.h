@@ -32,7 +32,8 @@
 //     windows and an iteration that touches an active failure window is
 //     discarded: transient windows are waited out and the iteration
 //     re-runs; a permanent failure stops the scheduler with typed stats so
-//     the fault-tolerant engine can repair the plan and resume.
+//     the engine (OfflineEngine::serve_continuous) can repair the plan and
+//     resume.
 //
 // Determinism contract: RequestStats are bit-identical across 1..N
 // scheduler threads and across repeated runs with the same inputs,
@@ -93,7 +94,7 @@ struct RequestStats {
   std::uint64_t iterations = 0;
   double output_tokens = 0.0;   ///< Committed output tokens (completed only).
   /// End of serving on the simulated clock (seconds from 0), including
-  /// idle, fault-stall and — through the fault-tolerant wiring — repair
+  /// idle, fault-stall and — through the engine's repair loop — repair
   /// windows.  The goodput denominator.
   double total_seconds = 0.0;
   double goodput_tok_s = 0.0;   ///< output_tokens / total_seconds.
@@ -106,8 +107,8 @@ struct RequestStats {
   std::uint64_t retries = 0;         ///< Transient windows waited out.
   /// Typed permanent-failure outcome: serving stopped at `fault_s` because
   /// device `fault_device` (ORIGINAL cluster index) failed permanently.
-  /// The fault-tolerant engine repairs and resumes; standalone use loses
-  /// the incomplete requests.
+  /// The engine repairs and resumes; standalone use leaves the requests
+  /// it did not finish incomplete.
   bool fault_permanent = false;
   int fault_device = -1;
   double fault_s = 0.0;
@@ -119,8 +120,8 @@ struct RequestStats {
   /// Deterministic event log ("[1.234s] ..."); identical across threads.
   std::vector<std::string> events;
   std::vector<RequestOutcome> requests;  ///< In input order.
-  // Repair provenance, filled by FaultTolerantEngine::serve_continuous
-  // (zero / default when serving never repaired).
+  // Repair provenance, filled by OfflineEngine::serve_continuous and the
+  // elastic engine (zero / default when serving never repaired).
   std::uint64_t repairs_attempted = 0;
   std::uint64_t repairs_succeeded = 0;
   int final_generation = 0;
@@ -129,9 +130,29 @@ struct RequestStats {
 
 /// Recompute `goodput_tok_s` and the latency/queue aggregates of `stats`
 /// from its per-request outcomes and `total_seconds`.  The scheduler calls
-/// this itself; the fault-tolerant engine re-calls it after merging the
-/// outcomes of several serving generations into one RequestStats.
+/// this itself; the engines re-call it after merging the outcomes of
+/// several serving segments into one RequestStats.
 void finalize_request_aggregates(RequestStats& stats);
+
+/// Stats of a run that has served nothing yet: every request of `arrivals`
+/// submitted and pending (ids and arrival instants set).  The starting
+/// point merge_segment folds sub-serves into.
+RequestStats pending_stats(const std::vector<sq::workload::TimedRequest>& arrivals);
+
+/// Fold the stats `seg` of one sub-serve into `total`.  `seg` served the
+/// requests `ids` of `total` (index-parallel with seg.requests) on the same
+/// absolute clock.  Counters add up, the KV peak and `total_seconds` take
+/// the max, events append.  Per request, prompt_tokens and the in-flight
+/// state are the segment's, preemptions add up, admit_s keeps the first
+/// admission, and completed/lost outcomes are copied.  Returns the ids
+/// that neither completed nor were lost, in `ids` order.
+std::vector<std::size_t> merge_segment(RequestStats& total,
+                                       const RequestStats& seg,
+                                       const std::vector<std::size_t>& ids);
+
+/// Mark the requests `ids` of `stats` lost (no longer in flight) and count
+/// them in `stats.lost`.
+void lose_requests(RequestStats& stats, const std::vector<std::size_t>& ids);
 
 /// Continuous-serving knobs.
 struct ContinuousOptions {
@@ -143,9 +164,9 @@ struct ContinuousOptions {
   /// Extra cap on concurrently admitted requests; 0 = KV-limited only.
   std::uint64_t max_running = 0;
   /// Serving starts at this instant on the simulated clock (arrivals
-  /// before it are immediately available).  The fault-tolerant engine uses
-  /// it to resume after a repair; times in the fault schedule are always
-  /// absolute on this same clock.
+  /// before it are immediately available).  The engine uses it to resume
+  /// after a repair; times in the fault schedule are always absolute on
+  /// this same clock.
   double start_us = 0.0;
   /// Serving pauses once the simulated clock reaches this instant: no new
   /// iteration starts at or past it (one already under way completes).

@@ -50,6 +50,11 @@ struct FaultEvent {
 
   double end_us() const { return start_us + duration_us; }
   bool permanent() const { return !(duration_us < std::numeric_limits<double>::infinity()); }
+  /// A permanent straggler: plan repair re-rates the device's spec by
+  /// `factor` instead of replaying the window.
+  bool permanent_slowdown() const {
+    return kind == FaultKind::kSlowdown && permanent() && factor > 1.0;
+  }
 
   /// Spec-grammar rendering of this event ("fail:2@1.5").
   std::string to_spec() const;

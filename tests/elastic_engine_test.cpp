@@ -54,9 +54,9 @@ sq::sim::ExecutionPlan plan_over(const sq::model::LlmSpec& m, int stages,
 /// devices of whatever cluster membership produced, predicting throughput
 /// proportional to the devices it can actually use.  Keeps the tests
 /// independent of the real planner's runtime.
-ElasticReplanner test_replanner(const sq::model::LlmSpec& m) {
+sq::runtime::Replanner test_replanner(const sq::model::LlmSpec& m) {
   return [&m](const sq::hw::Cluster& c, int) {
-    ElasticReplanOutcome o;
+    sq::runtime::ReplanOutcome o;
     if (c.device_count() < 1) {
       o.failure = "no devices";
       return o;
@@ -331,6 +331,7 @@ TEST_F(ElasticFixture, PermanentFaultRestartsInFlightEvenUnderMigrate) {
   const MembershipTimeline t = parse_membership_spec("price:T4=0.3@90").timeline;
   ElasticOptions o = options(&t, MigrationPolicy::kMigrate);
   o.fleet.faults = &faults;
+  o.fleet.replan = test_replanner(model_);
   const ElasticStats es = engine().serve(one_job(burst(48)), o);
   ASSERT_TRUE(es.feasible) << es.failure;
   EXPECT_EQ(es.migrations, 0u);
@@ -340,6 +341,27 @@ TEST_F(ElasticFixture, PermanentFaultRestartsInFlightEvenUnderMigrate) {
   EXPECT_EQ(rs.repairs_succeeded, 1u);
   EXPECT_EQ(rs.completed, 48u) << "repair should keep the job serving";
   EXPECT_EQ(es.fleet.jobs_completed, 1u);
+}
+
+TEST_F(ElasticFixture, PermanentFaultWithoutRepairLosesRemainingRequests) {
+  // fleet.replan is the fault-repair callback; null means no repair, as in
+  // FleetEngine — even though membership changes keep replanning.
+  sq::sim::FaultSchedule faults;
+  faults.events.push_back({sq::sim::FaultKind::kDeviceFail, 0, 4e6});
+  const MembershipTimeline t = parse_membership_spec("join:1xV100@1").timeline;
+  ElasticOptions o = options(&t, MigrationPolicy::kMigrate);
+  o.fleet.faults = &faults;
+  ASSERT_FALSE(o.fleet.replan);
+  const ElasticStats es = engine().serve(one_job(burst(48)), o);
+  ASSERT_TRUE(es.feasible) << es.failure;
+  EXPECT_EQ(es.joins_accepted, 1u);
+  EXPECT_GE(es.replans, 1u);  // the join still replanned
+  const auto& rs = es.fleet.jobs[0].continuous;
+  EXPECT_GE(rs.faults_hit, 1u);
+  EXPECT_GT(rs.lost, 0u);
+  EXPECT_EQ(rs.completed + rs.lost, 48u);
+  EXPECT_EQ(rs.repairs_succeeded, 0u);
+  EXPECT_EQ(es.fleet.jobs_completed, 0u);
 }
 
 TEST_F(ElasticFixture, CostLedgerChargesHeldDevices) {

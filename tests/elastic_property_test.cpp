@@ -82,9 +82,9 @@ sq::sim::ExecutionPlan plan_over(const sq::model::LlmSpec& m, int stages,
   return p;
 }
 
-ElasticReplanner synthetic_replanner(const sq::model::LlmSpec& m) {
+sq::runtime::Replanner synthetic_replanner(const sq::model::LlmSpec& m) {
   return [&m](const sq::hw::Cluster& c, int) {
-    ElasticReplanOutcome o;
+    sq::runtime::ReplanOutcome o;
     if (c.device_count() < 1) {
       o.failure = "no devices";
       return o;

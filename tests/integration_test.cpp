@@ -26,7 +26,7 @@ double serve_throughput(const Harness& h, const sq::sim::ExecutionPlan& plan,
                         const std::vector<sq::workload::Request>& reqs,
                         Backend backend = Backend::kVllmStyle) {
   const OfflineEngine eng(h.cluster, h.model, plan, backend);
-  const auto stats = eng.serve_requests(reqs, 128);
+  const auto stats = eng.serve_requests(reqs, 128).serve;
   return stats.feasible ? stats.throughput_tok_s : 0.0;
 }
 
@@ -112,7 +112,7 @@ TEST(Integration, PlanSurvivesEngineValidation) {
                         planner.plan_adabits(quick()), planner.plan(quick())}) {
     ASSERT_TRUE(r.feasible) << r.failure;
     const OfflineEngine eng(h.cluster, h.model, r.plan);
-    const auto stats = eng.serve_requests(reqs, 64);
+    const auto stats = eng.serve_requests(reqs, 64).serve;
     EXPECT_TRUE(stats.feasible) << r.plan.scheme << ": " << stats.failure;
     EXPECT_GT(stats.throughput_tok_s, 0.0) << r.plan.scheme;
   }

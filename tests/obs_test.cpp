@@ -18,6 +18,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
+#include "sim/faults.h"
 #include "workload/profile.h"
 
 namespace sq::obs {
@@ -251,12 +252,13 @@ TEST_F(ObsTest, ServeStatsBitIdenticalWithMetricsOnVsOff) {
 
   set_enabled(false);
   sq::runtime::OfflineEngine quiet(cluster, m, plan);
-  const std::string off = stats_fingerprint(quiet.serve_requests(reqs, 32));
+  const auto quiet_run = quiet.serve_requests(reqs, 32);
+  const std::string off = stats_fingerprint(quiet_run.serve);
 
   set_enabled(true);
   sq::runtime::OfflineEngine loud(cluster, m, plan);
   loud.set_observe(true);
-  const std::string on = stats_fingerprint(loud.serve_requests(reqs, 32));
+  const std::string on = stats_fingerprint(loud.serve_requests(reqs, 32).serve);
   EXPECT_EQ(on, off);
 
   // And the instrumented run actually recorded something.
@@ -267,6 +269,45 @@ TEST_F(ObsTest, ServeStatsBitIdenticalWithMetricsOnVsOff) {
     if (c.name == "runtime.waves") saw_waves = c.value > 0;
   }
   EXPECT_TRUE(saw_waves);
+
+  // The same holds for a faulted, repaired run: device 0 fails mid-run and
+  // the plan moves to the surviving A100 alone.
+  sq::sim::FaultSchedule faults;
+  faults.events.push_back({sq::sim::FaultKind::kDeviceFail, 0,
+                           quiet_run.serve.total_seconds * 0.5e6});
+  sq::runtime::RecoveryOptions ropts;
+  ropts.faults = &faults;
+  ropts.replan = [&](const sq::hw::Cluster& degraded, int) {
+    sq::runtime::ReplanOutcome out;
+    out.plan = plan;
+    out.plan.stages = {{{0}, 0, m.n_layers}};
+    out.feasible = out.plan.validate(m, degraded).empty();
+    return out;
+  };
+  const auto recovery_fingerprint = [&](const sq::runtime::RecoveryStats& r) {
+    std::ostringstream os;
+    os << stats_fingerprint(r.serve) << std::hexfloat << " good=" << r.goodput_tok_s
+       << " wall=" << r.wall_seconds << " lost=" << r.lost_us
+       << " replan=" << r.replan_us << " faults=" << r.faults_hit
+       << " repairs=" << r.repairs_succeeded << "/" << r.repairs_attempted
+       << " lost_req=" << r.lost_requests;
+    for (const auto& e : r.events) os << " | " << e;
+    return os.str();
+  };
+  set_enabled(false);
+  const sq::runtime::RecoveryStats faulted_off =
+      quiet.serve_requests(reqs, 32, ropts);
+  set_enabled(true);
+  const sq::runtime::RecoveryStats faulted_on =
+      loud.serve_requests(reqs, 32, ropts);
+  EXPECT_EQ(faulted_on.repairs_succeeded, 1u);
+  EXPECT_EQ(faulted_on.lost_requests, 0u);
+  EXPECT_EQ(recovery_fingerprint(faulted_on), recovery_fingerprint(faulted_off));
+  bool saw_repair = false;
+  for (const auto& c : Registry::global().snapshot().counters) {
+    if (c.name == "fault.repairs.succeeded") saw_repair = c.value > 0;
+  }
+  EXPECT_TRUE(saw_repair);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Integration tests for fault-tolerant serving: checkpointed execution,
-// retry/backoff on transient faults, plan repair on permanent failures,
-// graceful degradation, and the bit-determinism contract across planner
-// thread counts.
+// Integration tests for fault-tolerant serving through OfflineEngine:
+// checkpointed execution, retry/backoff on transient faults, plan repair on
+// permanent failures, graceful degradation, and the bit-determinism
+// contract across planner thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "core/repair.h"
 #include "core_test_util.h"
 #include "runtime/engine.h"
-#include "runtime/recovery.h"
 #include "sim/faults.h"
 #include "sim/plan_io.h"
 
@@ -54,14 +53,21 @@ class RecoveryFixture : public ::testing::Test {
         plan_(plan_for(h_.model, 4, Bitwidth::kInt8)),
         eng_(h_.cluster, h_.model, plan_),
         batches_{{16, 512, 32, 2048}, {16, 256, 16, 2048}} {
-    healthy_ = OfflineEngine(h_.cluster, h_.model, plan_).serve(batches_);
+    // Fault-free ServeStats of `batches_`, pinned bit-exactly (hexfloat)
+    // from the wave loop before fault tolerance was folded into it.
+    healthy_.batches = 2;
+    healthy_.waves = 2;
+    healthy_.total_seconds = 0x1.05d539185936ep+3;
+    healthy_.output_tokens = 0x1.8p+9;
+    healthy_.throughput_tok_s = 0x1.7772100c4d26bp+6;
+    healthy_.mean_bubble = 0x1.023049872d112p-1;
   }
 
   double expected_tokens() const { return 16.0 * 32 + 16.0 * 16; }
 
   Harness h_;
   sq::sim::ExecutionPlan plan_;
-  FaultTolerantEngine eng_;
+  OfflineEngine eng_;
   std::vector<sq::sim::BatchWorkload> batches_;
   ServeStats healthy_;
 };

@@ -11,7 +11,6 @@
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
 #include "runtime/engine.h"
-#include "runtime/recovery.h"
 #include "runtime/request_scheduler.h"
 #include "workload/arrivals.h"
 
@@ -387,14 +386,14 @@ Replanner single_stage_replanner(const sq::model::LlmSpec& m) {
 
 TEST(RequestScheduler, ServeContinuousRepairsAndResumes) {
   const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);
-  const FaultTolerantEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
+  const OfflineEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
   const auto arrivals = burst_trace(24);
   const sq::sim::FaultParse fp = sq::sim::parse_fault_spec("fail:1@3");
   ASSERT_TRUE(fp.ok) << fp.error;
   RecoveryOptions ropts;
   ropts.faults = &fp.schedule;
   ropts.replan = single_stage_replanner(m);
-  const RequestStats s = eng.serve_continuous(arrivals, ropts);
+  const RequestStats s = eng.serve_continuous(arrivals, {}, ropts);
   ASSERT_TRUE(s.feasible) << s.failure;
   EXPECT_FALSE(s.fault_permanent);
   EXPECT_EQ(s.completed, 24u);
@@ -414,18 +413,18 @@ TEST(RequestScheduler, ServeContinuousRepairsAndResumes) {
   for (const RequestOutcome& out : s.requests) EXPECT_TRUE(out.completed);
   ContinuousOptions copts;
   copts.num_threads = 8;
-  EXPECT_TRUE(identical(s, eng.serve_continuous(arrivals, ropts, copts)));
+  EXPECT_TRUE(identical(s, eng.serve_continuous(arrivals, copts, ropts)));
 }
 
 TEST(RequestScheduler, ServeContinuousWithoutRepairLosesRemaining) {
   const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);
-  const FaultTolerantEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
+  const OfflineEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
   const auto arrivals = burst_trace(24);
   const sq::sim::FaultParse fp = sq::sim::parse_fault_spec("fail:1@3");
   ASSERT_TRUE(fp.ok) << fp.error;
   RecoveryOptions ropts;
   ropts.faults = &fp.schedule;  // no replanner
-  const RequestStats s = eng.serve_continuous(arrivals, ropts);
+  const RequestStats s = eng.serve_continuous(arrivals, {}, ropts);
   ASSERT_TRUE(s.feasible);
   EXPECT_TRUE(s.fault_permanent);
   EXPECT_EQ(s.fault_device, 1);
@@ -440,10 +439,17 @@ TEST(RequestScheduler, ServeContinuousWithoutRepairLosesRemaining) {
 TEST(RequestScheduler, FaultFreeServeContinuousMatchesPlainScheduler) {
   const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);
   const auto plan = plan_for(m, 2, Bitwidth::kInt8);
-  const FaultTolerantEngine eng(two_v100(), m, plan);
+  const OfflineEngine eng(two_v100(), m, plan);
   const RequestScheduler sched(two_v100(), m, plan, eng.backend_efficiency());
   const auto arrivals = burst_trace(16);
-  EXPECT_TRUE(identical(eng.serve_continuous(arrivals), sched.serve(arrivals)));
+  // The recovery loop with an empty schedule (and a replanner it never
+  // needs) is the plain scheduler, bit for bit.
+  const sq::sim::FaultSchedule none;
+  RecoveryOptions ropts;
+  ropts.faults = &none;
+  ropts.replan = single_stage_replanner(m);
+  EXPECT_TRUE(identical(eng.serve_continuous(arrivals, {}, ropts),
+                        sched.serve(arrivals)));
 }
 
 }  // namespace

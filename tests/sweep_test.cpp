@@ -106,7 +106,7 @@ TEST_P(PlannerClusterSweep, FindsAPlanOnEveryPaperCluster) {
   ASSERT_TRUE(r.feasible) << "cluster " << cluster_id << ": " << r.failure;
   EXPECT_EQ(r.plan.validate(h.model, h.cluster), "");
   const runtime::OfflineEngine engine(h.cluster, h.model, r.plan);
-  const auto stats = engine.serve({{16, 512, 32, 2048}});
+  const auto stats = engine.serve({{16, 512, 32, 2048}}).serve;
   EXPECT_TRUE(stats.feasible) << stats.failure;
   EXPECT_GT(stats.throughput_tok_s, 0.0);
 }
