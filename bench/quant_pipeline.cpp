@@ -5,14 +5,17 @@
 // scalar references — a mismatch exits non-zero, so the bit-determinism
 // contract is enforced on every bench run.  The whole-model case
 // additionally hard-asserts the headline claim of the pipeline (>= 2x
-// preparation speedup) and the repair case hard-asserts cache reuse.
+// preparation speedup) and that the quantized layers hold exactly
+// ceil(n * bits / 8) code bytes (reported as code_bytes), and the repair
+// case hard-asserts cache reuse.
 //
 //   SQ_BENCH_SMOKE=1         shrink shapes for the CI gate (seconds, not
 //                            minutes; schema identical)
 //   SQ_THREADS=<n>           kernel/quant-pool threads for the *_nt columns
 //   SQ_BENCH_JSON_DIR=<dir>  emit BENCH_quant_pipeline.json; the CI gate
 //                            fails on >20% drops of the *_speedup_x
-//                            columns and on any *_fingerprint change
+//                            columns and on any *_fingerprint or *_bytes
+//                            change
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -201,6 +204,7 @@ int main() {
   //    fan-out (cold cache each rep) + dequantize.  This is the headline
   //    number; the >= 2x floor is asserted, not just reported.
   double prep_speedup_nt = 0.0;
+  bool code_bytes_ok = false;
   {
     const std::size_t layers = smoke ? 8 : 16;
     const std::size_t rows = smoke ? 160 : 512;
@@ -218,6 +222,7 @@ int main() {
     }
 
     std::vector<Tensor> legacy, fast;
+    std::size_t code_bytes = 0;
     const double t_legacy = best_seconds(reps, [&] {
       legacy.clear();
       for (const Tensor& w : weights) {
@@ -230,7 +235,11 @@ int main() {
       cache.clear();  // Cold start: time quantization, not cache hits.
       const auto stats = cache.quantize_model(jobs);
       fast.clear();
-      for (const auto& qt : stats.tensors) fast.push_back(qt->dequantize());
+      code_bytes = 0;
+      for (const auto& qt : stats.tensors) {
+        fast.push_back(qt->dequantize());
+        code_bytes += qt->packed_codes().size();
+      }
     };
     sq::tensor::set_kernel_threads(1);
     const double t_1t = best_seconds(reps, run_fast);
@@ -243,6 +252,8 @@ int main() {
       same = bytes_equal(legacy[l], fast[l]);
     }
     ok = ok && same;
+    // INT4 codes are held bit-packed: exactly half a byte per weight.
+    code_bytes_ok = code_bytes == layers * rows * cols / 2;
     prep_speedup_nt = t_legacy / t_nt;
 
     char shape[32];
@@ -257,6 +268,7 @@ int main() {
     row["cols"] = static_cast<std::int64_t>(cols);
     row["prep_1t_speedup_x"] = t_legacy / t_1t;
     row["prep_nt_speedup_x"] = prep_speedup_nt;
+    row["code_bytes"] = static_cast<std::int64_t>(code_bytes);
     row["dequant_fingerprint"] = tensors_fingerprint(legacy);
   }
 
@@ -322,6 +334,12 @@ int main() {
                  "FAIL: model_prep speedup %.2fx is below the 2x floor the "
                  "pipeline is required to deliver\n",
                  prep_speedup_nt);
+    return 1;
+  }
+  if (!code_bytes_ok) {
+    std::fprintf(stderr,
+                 "FAIL: model_prep packed code bytes differ from "
+                 "ceil(n * bits / 8) per layer\n");
     return 1;
   }
   if (repair_quantized != 3 || restart_reused != 12) {

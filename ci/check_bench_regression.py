@@ -21,6 +21,9 @@ Gate rules, keyed purely on field-name conventions (see bench/bench_util.h):
                  picked a different plan or a kernel changed bits, which
                  must be an intentional, reviewed change accompanied by a
                  baseline refresh)
+  *_bytes        deterministic storage byte counts (e.g. the packed
+                 quantized-code bytes) — any change fails, exactly like a
+                 fingerprint: the bytes a format holds are not a speed
 
 Everything else (wall-clock seconds, cache hit rates, ppl) is informative
 only.  Rows are matched positionally; a row-count or schema change fails.
@@ -84,6 +87,10 @@ def compare(name: str, run: dict, base: dict, tolerance: float) -> list:
                 failures.append(
                     f"{name} {label}: {key} changed {want!r} -> {got!r} "
                     f"(plan changed; refresh ci/baselines if intentional)")
+            elif key.endswith("_bytes") and got != want:
+                failures.append(
+                    f"{name} {label}: {key} changed {want!r} -> {got!r} "
+                    f"(storage size changed; refresh ci/baselines if intentional)")
             elif (key.endswith("_tok_s") or key.endswith("_speedup_x")) \
                     and isinstance(want, (int, float)):
                 if want > 0 and got < want * (1.0 - tolerance):

@@ -79,6 +79,15 @@ class GateTest(unittest.TestCase):
         self.assertEqual(r.returncode, 1)
         self.assertIn("plan changed", r.stdout)
 
+    def test_byte_count_change_fails(self):
+        self.write(self.base_dir, bench_doc([dict(ROW, code_bytes=1024)]))
+        self.write(self.run_dir, bench_doc([dict(ROW, code_bytes=1025)]))
+        r = self.gate()
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("storage size changed", r.stdout)
+        self.write(self.run_dir, bench_doc([dict(ROW, code_bytes=1024)]))
+        self.assertEqual(self.gate().returncode, 0)
+
     def test_untracked_fields_are_informative_only(self):
         self.write(self.base_dir, bench_doc([ROW]))
         self.write(self.run_dir, bench_doc([dict(ROW, wall_s=99.0)]))

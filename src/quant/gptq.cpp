@@ -100,12 +100,25 @@ void quantize_row_reference(std::span<const float> row, Bitwidth bits,
 
 // ---- Fast paths ---------------------------------------------------------
 
-/// Blocked right-looking Cholesky + column-parallel inverse.  Identical
-/// bits to spd_inverse_reference: each L element's subtraction chain runs
-/// ascending k (trailing updates apply finished panels in order, then the
-/// panel factorization finishes the chain), and the forward solve's
-/// skipped prefix is provably +0.0 in the reference (acc starts +0.0 and
-/// 0.0 - (+-0.0) = +0.0, y[i] = +0.0 / l_ii = +0.0 for i < col).
+/// `pool` when a parallel section carries at least 8M multiply-subtracts
+/// (a few milliseconds of one core), else nullptr.  parallel_for splits a
+/// section into up to 8 tasks per thread, and each hand-off costs tens of
+/// microseconds on a loaded host, so smaller sections ran slower threaded
+/// than inline.  Results are identical either way (each element keeps its
+/// own chain).
+sq::common::ThreadPool* pool_for(sq::common::ThreadPool* pool, double flops) {
+  return flops >= 8e6 ? pool : nullptr;
+}
+
+/// Blocked right-looking Cholesky + column-parallel inverse: the panel
+/// factorization runs inline; the trailing update and the column solves
+/// (the O(n^3) work) fan out over `pool` when pool_for deems them large
+/// enough.  Identical bits to spd_inverse_reference: each L element's
+/// subtraction chain runs ascending k (trailing updates apply finished
+/// panels in order, then the panel factorization finishes the chain), and
+/// the forward solve's skipped prefix is provably +0.0 in the reference
+/// (acc starts +0.0 and 0.0 - (+-0.0) = +0.0, y[i] = +0.0 / l_ii = +0.0
+/// for i < col).
 std::vector<double> spd_inverse(const std::vector<double>& a, std::size_t n,
                                 sq::common::ThreadPool* pool) {
   constexpr std::size_t kPanel = 64;
@@ -121,16 +134,20 @@ std::vector<double> spd_inverse(const std::vector<double>& a, std::size_t n,
       for (std::size_t k = c0; k < j; ++k) acc -= l[j * n + k] * l[j * n + k];
       const double diag = std::sqrt(std::max(acc, 1e-12));
       l[j * n + j] = diag;
-      sq::common::parallel_for(pool, n - (j + 1), [&](std::size_t t) {
-        const std::size_t i = j + 1 + t;
+      // Inline: each column carries only (n - j) * (j - c0) flops, far too
+      // little to repay a pool fan-out per column.
+      for (std::size_t i = j + 1; i < n; ++i) {
         double v = l[i * n + j];
         for (std::size_t k = c0; k < j; ++k) v -= l[i * n + k] * l[j * n + k];
         l[i * n + j] = v / diag;
-      });
+      }
     }
     // Trailing update: fold this panel's columns into the not-yet-factored
     // lower triangle, rows independent.
-    sq::common::parallel_for(pool, n > c1 ? n - c1 : 0, [&](std::size_t t) {
+    const std::size_t rows = n - c1;
+    const double r = static_cast<double>(rows);
+    const double flops = 0.5 * r * r * static_cast<double>(c1 - c0);
+    sq::common::parallel_for(pool_for(pool, flops), rows, [&](std::size_t t) {
       const std::size_t i = c1 + t;
       for (std::size_t j = c1; j <= i; ++j) {
         double acc = l[i * n + j];
@@ -148,7 +165,8 @@ std::vector<double> spd_inverse(const std::vector<double>& a, std::size_t n,
 
   // Column solves are independent; write column-major, transpose once.
   std::vector<double> inv_t(n * n, 0.0);
-  sq::common::parallel_for(pool, n, [&](std::size_t col) {
+  const double dn = static_cast<double>(n);
+  sq::common::parallel_for(pool_for(pool, dn * dn * dn), n, [&](std::size_t col) {
     static thread_local std::vector<double> y, x;
     y.assign(n, 0.0);  // y[i] = +0.0 for i < col, as the reference computes
     x.resize(n);
@@ -338,7 +356,10 @@ GptqResult gptq_quantize(const Tensor& weights, const Tensor& calibration,
     }
     // Delayed block-end pass over trailing rows, each row independent.
     const std::size_t nb = b1 - b0;
-    sq::common::parallel_for(pool, in > b1 ? in - b1 : 0, [&](std::size_t t) {
+    const std::size_t rows = in - b1;
+    const double flops = static_cast<double>(rows) * static_cast<double>(nb) *
+                         static_cast<double>(nb / 2 + cols + rows);
+    sq::common::parallel_for(pool_for(pool, flops), rows, [&](std::size_t t) {
       const std::size_t j = b1 + t;
       // Reconstruct this row's pivot factors f_i = hinv[j][i] as of step i
       // by replaying the in-block Schur chain (ascending pivots, identical

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -39,6 +40,14 @@ struct Kernels {
                   float*);
   void (*qdq)(const float*, std::size_t, float zero, float inv_scale,
               float scale, std::int32_t lo, std::int32_t hi, float*);
+  // Packed storage (qkernels.h "Bit-packed code storage"): quantize to the
+  // one-byte offsets code - lo, pack `units` runs of 8 offset bytes into
+  // 8*b bits each, and unpack `units` runs back to int32 codes.
+  void (*quantize_u8)(const float*, std::size_t, float zero, float inv_scale,
+                      std::int32_t lo, std::int32_t hi, std::uint8_t*);
+  void (*pack)(const std::uint8_t*, std::size_t units, int b, std::uint8_t*);
+  void (*unpack)(const std::uint8_t*, std::size_t units, int b,
+                 std::int32_t lo, std::int32_t*);
 };
 
 // ---- Scalar base path (and tail loops of the vector paths) --------------
@@ -50,12 +59,18 @@ void minmax_base(const float* v, std::size_t n, float* mn, float* mx) {
   *mx = *hi;
 }
 
+/// One element's quantize chain: scale, round, clamp.
+std::int32_t quantize_one(float v, float zero, float inv_scale, std::int32_t lo,
+                          std::int32_t hi) {
+  const float scaled = (v - zero) * inv_scale;
+  const float rounded = std::nearbyint(scaled);
+  return std::clamp(static_cast<std::int32_t>(rounded), lo, hi);
+}
+
 void quantize_base(const float* v, std::size_t n, float zero, float inv_scale,
                    std::int32_t lo, std::int32_t hi, std::int32_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const float scaled = (v[i] - zero) * inv_scale;
-    const float rounded = std::nearbyint(scaled);
-    out[i] = std::clamp(static_cast<std::int32_t>(rounded), lo, hi);
+    out[i] = quantize_one(v[i], zero, inv_scale, lo, hi);
   }
 }
 
@@ -69,10 +84,89 @@ void dequant_base(const std::int32_t* c, std::size_t n, float scale, float zero,
 void qdq_base(const float* v, std::size_t n, float zero, float inv_scale,
               float scale, std::int32_t lo, std::int32_t hi, float* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const float scaled = (v[i] - zero) * inv_scale;
-    const float rounded = std::nearbyint(scaled);
-    const std::int32_t code = std::clamp(static_cast<std::int32_t>(rounded), lo, hi);
+    const std::int32_t code = quantize_one(v[i], zero, inv_scale, lo, hi);
     out[i] = scale * static_cast<float>(code) + zero;
+  }
+}
+
+void quantize_u8_base(const float* v, std::size_t n, float zero,
+                      float inv_scale, std::int32_t lo, std::int32_t hi,
+                      std::uint8_t* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(quantize_one(v[i], zero, inv_scale, lo, hi) - lo);
+  }
+}
+
+// ---- Bit packing (integer-only; the vector paths reuse these for tails) --
+// A "unit" is 8 consecutive elements: 8 offset bytes before packing, b
+// bytes after, so unit u of a packed stream starts at byte u * b.
+
+/// Little-endian load/store of the first `n` (<= 8) bytes of a word.
+std::uint64_t load_le(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t x = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&x, p, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) x |= std::uint64_t{p[i]} << (8 * i);
+  }
+  return x;
+}
+
+void store_le(std::uint8_t* p, std::uint64_t x, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &x, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(x >> (8 * i));
+  }
+}
+
+/// SWAR constants that merge 8 b-bit fields held one per byte (b < 8)
+/// into 8*b contiguous bits: adjacent fields join pairwise in 16-bit
+/// lanes, pairs join in 32-bit lanes, then the two halves join.
+struct PackSteps {
+  unsigned shift[3];
+  std::uint64_t mask[3];
+  explicit PackSteps(int b) {
+    const auto ub = static_cast<unsigned>(b);
+    shift[0] = 8 - ub;
+    shift[1] = 16 - 2 * ub;
+    shift[2] = 32 - 4 * ub;
+    mask[0] = ((std::uint64_t{1} << (2 * ub)) - 1) * 0x0001000100010001ull;
+    mask[1] = ((std::uint64_t{1} << (4 * ub)) - 1) * 0x0000000100000001ull;
+    mask[2] = (std::uint64_t{1} << (8 * ub)) - 1;
+  }
+};
+
+void pack_base(const std::uint8_t* in, std::size_t units, int b,
+               std::uint8_t* out) {
+  if (b == 8) {
+    std::memcpy(out, in, units * 8);
+    return;
+  }
+  const PackSteps st(b);
+  for (std::size_t u = 0; u < units; ++u) {
+    std::uint64_t x = load_le(in + 8 * u, 8);
+    for (int s = 0; s < 3; ++s) x = (x | (x >> st.shift[s])) & st.mask[s];
+    store_le(out + u * static_cast<std::size_t>(b), x, static_cast<std::size_t>(b));
+  }
+}
+
+/// Decode one unit from its first `avail` (<= b) bytes; a short final unit
+/// of a stream reads only the bytes that exist (the rest decode as 0).
+void unpack_unit(const std::uint8_t* in, std::size_t avail, int b,
+                 std::int32_t lo, std::int32_t* out) {
+  const std::uint64_t x = load_le(in, avail);
+  const std::uint64_t mask = (std::uint64_t{1} << b) - 1;
+  for (int j = 0; j < 8; ++j) {
+    out[j] = static_cast<std::int32_t>((x >> (j * b)) & mask) + lo;
+  }
+}
+
+void unpack_base(const std::uint8_t* in, std::size_t units, int b,
+                 std::int32_t lo, std::int32_t* out) {
+  const auto ub = static_cast<std::size_t>(b);
+  for (std::size_t u = 0; u < units; ++u) {
+    unpack_unit(in + u * ub, ub, b, lo, out + 8 * u);
   }
 }
 
@@ -112,6 +206,18 @@ void minmax_avx2(const float* v, std::size_t n, float* mn, float* mx) {
   *mx = m1;
 }
 
+/// The clamped codes of v[0..8): the quantize chain shared by every AVX2
+/// loop below.
+SQ_QK_TARGET_AVX2
+inline __m256i quantize8_avx2(const float* v, __m256 vz, __m256 vis,
+                              __m256i vlo, __m256i vhi) {
+  const __m256 scaled = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(v), vz), vis);
+  const __m256 rounded =
+      _mm256_round_ps(scaled, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
+  const __m256i code = _mm256_cvttps_epi32(rounded);
+  return _mm256_min_epi32(_mm256_max_epi32(code, vlo), vhi);
+}
+
 SQ_QK_TARGET_AVX2
 void quantize_avx2(const float* v, std::size_t n, float zero, float inv_scale,
                    std::int32_t lo, std::int32_t hi, std::int32_t* out) {
@@ -121,13 +227,8 @@ void quantize_avx2(const float* v, std::size_t n, float zero, float inv_scale,
   const __m256i vhi = _mm256_set1_epi32(hi);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 scaled =
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(v + i), vz), vs);
-    const __m256 rounded =
-        _mm256_round_ps(scaled, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-    __m256i code = _mm256_cvttps_epi32(rounded);
-    code = _mm256_min_epi32(_mm256_max_epi32(code, vlo), vhi);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), code);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        quantize8_avx2(v + i, vz, vs, vlo, vhi));
   }
   quantize_base(v + i, n - i, zero, inv_scale, lo, hi, out + i);
 }
@@ -156,16 +257,121 @@ void qdq_avx2(const float* v, std::size_t n, float zero, float inv_scale,
   const __m256i vhi = _mm256_set1_epi32(hi);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 scaled =
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(v + i), vz), vis);
-    const __m256 rounded =
-        _mm256_round_ps(scaled, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-    __m256i code = _mm256_cvttps_epi32(rounded);
-    code = _mm256_min_epi32(_mm256_max_epi32(code, vlo), vhi);
-    const __m256 f = _mm256_cvtepi32_ps(code);
+    const __m256 f = _mm256_cvtepi32_ps(quantize8_avx2(v + i, vz, vis, vlo, vhi));
     _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_mul_ps(vsc, f), vz));
   }
   qdq_base(v + i, n - i, zero, inv_scale, scale, lo, hi, out + i);
+}
+
+SQ_QK_TARGET_AVX2
+void quantize_u8_avx2(const float* v, std::size_t n, float zero,
+                      float inv_scale, std::int32_t lo, std::int32_t hi,
+                      std::uint8_t* out) {
+  const __m256 vz = _mm256_set1_ps(zero);
+  const __m256 vs = _mm256_set1_ps(inv_scale);
+  const __m256i vlo = _mm256_set1_epi32(lo);
+  const __m256i vhi = _mm256_set1_epi32(hi);
+  // Offsets are in [0, 255], so both saturating packs are exact; they
+  // interleave the 128-bit lanes, which the dword permute undoes.
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256i a = _mm256_sub_epi32(quantize8_avx2(v + i, vz, vs, vlo, vhi), vlo);
+    const __m256i b =
+        _mm256_sub_epi32(quantize8_avx2(v + i + 8, vz, vs, vlo, vhi), vlo);
+    const __m256i w = _mm256_packs_epi32(a, b);
+    const __m256i bytes =
+        _mm256_permutevar8x32_epi32(_mm256_packus_epi16(w, w), order);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm256_castsi256_si128(bytes));
+  }
+  quantize_u8_base(v + i, n - i, zero, inv_scale, lo, hi, out + i);
+}
+
+/// Four units per step: the SWAR merge of pack_base on 64-bit lanes, then
+/// one byte shuffle gathers each lane's low b bytes into 4b contiguous
+/// bytes (lanes 0-1 from the low half, lanes 2-3 placed after them from
+/// the high half).  The AVX-512 path reuses this loop: packing reads one
+/// byte per weight, so the float quantize step dominates the write path.
+SQ_QK_TARGET_AVX2
+void pack_avx2(const std::uint8_t* in, std::size_t units, int b,
+               std::uint8_t* out) {
+  if (b == 8) {
+    std::memcpy(out, in, units * 8);
+    return;
+  }
+  const PackSteps st(b);
+  __m128i shift[3];
+  __m256i mask[3];
+  for (int s = 0; s < 3; ++s) {
+    shift[s] = _mm_cvtsi32_si128(static_cast<int>(st.shift[s]));
+    mask[s] = _mm256_set1_epi64x(static_cast<long long>(st.mask[s]));
+  }
+  alignas(32) std::int8_t ctl[32];
+  std::memset(ctl, -1, sizeof ctl);  // -1: shuffle writes a zero byte
+  for (int half = 0; half < 2; ++half) {
+    for (int lane = 0; lane < 2; ++lane) {
+      for (int j = 0; j < b; ++j) {
+        ctl[half * 16 + half * 2 * b + lane * b + j] =
+            static_cast<std::int8_t>(lane * 8 + j);
+      }
+    }
+  }
+  const __m256i gather = _mm256_load_si256(reinterpret_cast<const __m256i*>(ctl));
+  const auto ub = static_cast<std::size_t>(b);
+  std::size_t u = 0;
+  for (; u + 4 <= units; u += 4) {
+    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + 8 * u));
+    for (int s = 0; s < 3; ++s) {
+      x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srl_epi64(x, shift[s])),
+                           mask[s]);
+    }
+    x = _mm256_shuffle_epi8(x, gather);
+    const __m128i r =
+        _mm_or_si128(_mm256_castsi256_si128(x), _mm256_extracti128_si256(x, 1));
+    std::uint8_t* dst = out + u * ub;
+    if (b == 4) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), r);
+    } else {  // 4b = 12 bytes
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(dst), r);
+      const auto tail = static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(r, 8)));
+      std::memcpy(dst + 8, &tail, 4);
+    }
+  }
+  pack_base(in + 8 * u, units - u, b, out + u * ub);
+}
+
+/// One unit per step: broadcast its b bytes, shift lane j right by j*b,
+/// mask.  A 4-byte load reads one byte past an INT3 unit, so the last
+/// INT3 unit is left to the exact-width scalar decoder.
+SQ_QK_TARGET_AVX2
+void unpack_avx2(const std::uint8_t* in, std::size_t units, int b,
+                 std::int32_t lo, std::int32_t* out) {
+  const __m256i vlo = _mm256_set1_epi32(lo);
+  std::size_t u = 0;
+  if (b == 8) {
+    for (; u < units; ++u) {
+      const __m256i c = _mm256_cvtepu8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(in + 8 * u)));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * u),
+                          _mm256_add_epi32(c, vlo));
+    }
+    return;
+  }
+  const __m256i shifts = _mm256_setr_epi32(0, b, 2 * b, 3 * b, 4 * b, 5 * b,
+                                           6 * b, 7 * b);
+  const __m256i mask = _mm256_set1_epi32((1 << b) - 1);
+  const auto ub = static_cast<std::size_t>(b);
+  const std::size_t wide = b == 4 || units == 0 ? units : units - 1;
+  for (; u < wide; ++u) {
+    std::uint32_t w;
+    std::memcpy(&w, in + u * ub, 4);
+    const __m256i c = _mm256_and_si256(
+        _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(w)), shifts), mask);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * u),
+                        _mm256_add_epi32(c, vlo));
+  }
+  unpack_base(in + u * ub, units - u, b, lo, out + 8 * u);
 }
 
 // ---- AVX-512 (16-wide) --------------------------------------------------
@@ -194,6 +400,17 @@ void minmax_avx512(const float* v, std::size_t n, float* mn, float* mx) {
   *mx = m1;
 }
 
+/// The clamped codes of v[0..16) (AVX-512 twin of quantize8_avx2).
+SQ_QK_TARGET_AVX512
+inline __m512i quantize16_avx512(const float* v, __m512 vz, __m512 vis,
+                                 __m512i vlo, __m512i vhi) {
+  const __m512 scaled = _mm512_mul_ps(_mm512_sub_ps(_mm512_loadu_ps(v), vz), vis);
+  const __m512 rounded =
+      _mm512_roundscale_ps(scaled, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
+  const __m512i code = _mm512_cvttps_epi32(rounded);
+  return _mm512_min_epi32(_mm512_max_epi32(code, vlo), vhi);
+}
+
 SQ_QK_TARGET_AVX512
 void quantize_avx512(const float* v, std::size_t n, float zero, float inv_scale,
                      std::int32_t lo, std::int32_t hi, std::int32_t* out) {
@@ -203,13 +420,7 @@ void quantize_avx512(const float* v, std::size_t n, float zero, float inv_scale,
   const __m512i vhi = _mm512_set1_epi32(hi);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m512 scaled =
-        _mm512_mul_ps(_mm512_sub_ps(_mm512_loadu_ps(v + i), vz), vs);
-    const __m512 rounded = _mm512_roundscale_ps(
-        scaled, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-    __m512i code = _mm512_cvttps_epi32(rounded);
-    code = _mm512_min_epi32(_mm512_max_epi32(code, vlo), vhi);
-    _mm512_storeu_si512(out + i, code);
+    _mm512_storeu_si512(out + i, quantize16_avx512(v + i, vz, vs, vlo, vhi));
   }
   quantize_base(v + i, n - i, zero, inv_scale, lo, hi, out + i);
 }
@@ -237,29 +448,82 @@ void qdq_avx512(const float* v, std::size_t n, float zero, float inv_scale,
   const __m512i vhi = _mm512_set1_epi32(hi);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m512 scaled =
-        _mm512_mul_ps(_mm512_sub_ps(_mm512_loadu_ps(v + i), vz), vis);
-    const __m512 rounded = _mm512_roundscale_ps(
-        scaled, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-    __m512i code = _mm512_cvttps_epi32(rounded);
-    code = _mm512_min_epi32(_mm512_max_epi32(code, vlo), vhi);
-    const __m512 f = _mm512_cvtepi32_ps(code);
+    const __m512 f =
+        _mm512_cvtepi32_ps(quantize16_avx512(v + i, vz, vis, vlo, vhi));
     _mm512_storeu_ps(out + i, _mm512_add_ps(_mm512_mul_ps(vsc, f), vz));
   }
   qdq_base(v + i, n - i, zero, inv_scale, scale, lo, hi, out + i);
+}
+
+SQ_QK_TARGET_AVX512
+void quantize_u8_avx512(const float* v, std::size_t n, float zero,
+                        float inv_scale, std::int32_t lo, std::int32_t hi,
+                        std::uint8_t* out) {
+  const __m512 vz = _mm512_set1_ps(zero);
+  const __m512 vs = _mm512_set1_ps(inv_scale);
+  const __m512i vlo = _mm512_set1_epi32(lo);
+  const __m512i vhi = _mm512_set1_epi32(hi);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    // Offsets are in [0, 255]: the truncating dword->byte narrow is exact.
+    const __m512i offs =
+        _mm512_sub_epi32(quantize16_avx512(v + i, vz, vs, vlo, vhi), vlo);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm512_cvtepi32_epi8(offs));
+  }
+  quantize_u8_base(v + i, n - i, zero, inv_scale, lo, hi, out + i);
+}
+
+/// Two units per step: unit 0 feeds lanes 0-7 and unit 1 lanes 8-15, each
+/// lane shifted by (j mod 8) * b.  The 8-byte INT3 load reads two bytes
+/// past the pair, so it runs only while a further unit follows; the rest
+/// goes through unpack_avx2.
+SQ_QK_TARGET_AVX512
+void unpack_avx512(const std::uint8_t* in, std::size_t units, int b,
+                   std::int32_t lo, std::int32_t* out) {
+  const __m512i vlo = _mm512_set1_epi32(lo);
+  const auto ub = static_cast<std::size_t>(b);
+  std::size_t u = 0;
+  if (b == 8) {
+    for (; u + 2 <= units; u += 2) {
+      const __m512i c = _mm512_cvtepu8_epi32(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 8 * u)));
+      _mm512_storeu_si512(out + 8 * u, _mm512_add_epi32(c, vlo));
+    }
+  } else {
+    const __m512i shifts =
+        _mm512_setr_epi32(0, b, 2 * b, 3 * b, 4 * b, 5 * b, 6 * b, 7 * b, 0,
+                          b, 2 * b, 3 * b, 4 * b, 5 * b, 6 * b, 7 * b);
+    const __m512i mask = _mm512_set1_epi32((1 << b) - 1);
+    const std::size_t pairs_end = b == 4 ? units : (units > 2 ? units - 1 : 0);
+    for (; u + 2 <= pairs_end; u += 2) {
+      std::uint64_t w;
+      std::memcpy(&w, in + u * ub, 8);
+      const auto w0 = static_cast<int>(w & ((std::uint64_t{1} << (8 * ub)) - 1));
+      const auto w1 = static_cast<int>(w >> (8 * ub));
+      const __m512i x = _mm512_inserti64x4(
+          _mm512_castsi256_si512(_mm256_set1_epi32(w0)), _mm256_set1_epi32(w1), 1);
+      const __m512i c = _mm512_and_si512(_mm512_srlv_epi32(x, shifts), mask);
+      _mm512_storeu_si512(out + 8 * u, _mm512_add_epi32(c, vlo));
+    }
+  }
+  unpack_avx2(in + u * ub, units - u, b, lo, out + 8 * u);
 }
 
 #endif  // SQ_QK_MULTI_ISA
 
 // ---- Dispatch -----------------------------------------------------------
 
-constexpr Kernels kBase{"base", minmax_base, quantize_base, dequant_base,
-                        qdq_base};
+constexpr Kernels kBase{"base",     minmax_base,      quantize_base,
+                        dequant_base, qdq_base,         quantize_u8_base,
+                        pack_base,    unpack_base};
 #if SQ_QK_MULTI_ISA
-constexpr Kernels kAvx2{"avx2", minmax_avx2, quantize_avx2, dequant_avx2,
-                        qdq_avx2};
-constexpr Kernels kAvx512{"avx512", minmax_avx512, quantize_avx512,
-                          dequant_avx512, qdq_avx512};
+constexpr Kernels kAvx2{"avx2",       minmax_avx2,      quantize_avx2,
+                        dequant_avx2, qdq_avx2,         quantize_u8_avx2,
+                        pack_avx2,    unpack_avx2};
+constexpr Kernels kAvx512{"avx512",       minmax_avx512,      quantize_avx512,
+                          dequant_avx512, qdq_avx512,         quantize_u8_avx512,
+                          pack_avx2,      unpack_avx512};
 #endif
 
 const Kernels* pick_kernels() {
@@ -303,6 +567,61 @@ void fix_zero_extrema(const float* v, std::size_t n, float* mn, float* mx) {
 float inv_scale_of(const QuantParams& p) {
   return p.scale != 0.0f ? 1.0f / p.scale : 0.0f;
 }
+
+// ---- Streaming packer ---------------------------------------------------
+
+/// Elements per write-path chunk: 16 KiB of fp32 input, so a chunk read by
+/// the min/max scan is still in L1 when it is quantized.
+constexpr std::size_t kChunk = 4096;
+/// Codes per read-path piece (1 KiB of int32 scratch on the stack).
+constexpr std::size_t kPiece = 256;
+
+/// Collects offset bytes in stream order and packs every whole unit of 8
+/// into the output; up to 7 trailing bytes carry over to the next batch,
+/// so groups of any size pack without per-element bit twiddling.
+class Packer {
+ public:
+  Packer(const Kernels& k, int b, std::span<std::uint8_t> out)
+      : k_(k), b_(b), out_(out) {}
+
+  /// Room for `n` (<= kChunk) offset bytes; write them, then commit(n).
+  std::uint8_t* reserve(std::size_t n) {
+    if (fill_ + n > sizeof buf_) flush();
+    return buf_ + fill_;
+  }
+  void commit(std::size_t n) { fill_ += n; }
+
+  /// Pack the last partial unit with zero padding; write only its bytes.
+  void finish() {
+    flush();
+    if (fill_ > 0) {
+      std::memset(buf_ + fill_, 0, 8 - fill_);
+      std::uint8_t unit[8];
+      k_.pack(buf_, 1, b_, unit);
+      std::memcpy(out_.data() + written_, unit, out_.size() - written_);
+      written_ = out_.size();
+    }
+    assert(written_ == out_.size());
+  }
+
+ private:
+  void flush() {
+    const std::size_t units = fill_ / 8;
+    if (units == 0) return;
+    k_.pack(buf_, units, b_, out_.data() + written_);
+    written_ += units * static_cast<std::size_t>(b_);
+    const std::size_t rest = fill_ - units * 8;
+    std::memmove(buf_, buf_ + units * 8, rest);
+    fill_ = rest;
+  }
+
+  const Kernels& k_;
+  const int b_;
+  std::span<std::uint8_t> out_;
+  std::size_t written_ = 0;
+  std::size_t fill_ = 0;
+  alignas(64) std::uint8_t buf_[kChunk + 8];
+};
 
 // ---- Quant-side thread pool ---------------------------------------------
 
@@ -363,26 +682,10 @@ void group_minmax(std::span<const float> values, std::size_t group_size,
 
 void quantize_codes(std::span<const float> values, const QuantParams& params,
                     std::int32_t lo, std::int32_t hi,
-                    std::span<std::int32_t> codes_out) {
-  assert(codes_out.size() == values.size());
+                    std::span<std::int32_t> codes) {
+  assert(codes.size() == values.size());
   kernels().quantize(values.data(), values.size(), params.zero,
-                     inv_scale_of(params), lo, hi, codes_out.data());
-}
-
-void quantize_grouped(std::span<const float> values,
-                      std::span<const QuantParams> params,
-                      std::size_t group_size, std::int32_t lo, std::int32_t hi,
-                      std::span<std::int32_t> codes_out) {
-  assert(group_size > 0 && codes_out.size() == values.size());
-  const std::size_t n_groups = (values.size() + group_size - 1) / group_size;
-  assert(params.size() >= n_groups);
-  const Kernels& k = kernels();
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const std::size_t begin = g * group_size;
-    const std::size_t len = std::min(group_size, values.size() - begin);
-    k.quantize(values.data() + begin, len, params[g].zero,
-               inv_scale_of(params[g]), lo, hi, codes_out.data() + begin);
-  }
+                     inv_scale_of(params), lo, hi, codes.data());
 }
 
 void dequantize_codes(std::span<const std::int32_t> codes,
@@ -397,6 +700,117 @@ void quantize_dequant(std::span<const float> values, const QuantParams& params,
   assert(out.size() == values.size());
   kernels().qdq(values.data(), values.size(), params.zero, inv_scale_of(params),
                 params.scale, lo, hi, out.data());
+}
+
+std::size_t packed_size(std::size_t n, Bitwidth b) {
+  assert(b != Bitwidth::kFp16 && "packed_size: FP16 is not code-packed");
+  return (n * static_cast<std::size_t>(bits(b)) + 7) / 8;
+}
+
+void quantize_pack(std::span<const float> values, std::size_t group_size,
+                   Bitwidth b, Scheme scheme, Rounding rounding,
+                   sq::tensor::Rng* rng, std::span<QuantParams> params_out,
+                   std::span<std::uint8_t> packed_out) {
+  assert(group_size > 0 && "quantize_pack: zero group size");
+  const std::size_t n = values.size();
+  const std::size_t n_groups = (n + group_size - 1) / group_size;
+  assert(params_out.size() == n_groups && packed_out.size() == packed_size(n, b));
+  assert((rounding != Rounding::kStochastic || rng != nullptr) &&
+         "stochastic rounding needs an RNG");
+  const Kernels& k = kernels();
+  const auto [lo, hi] = code_range(b, scheme);
+  Packer packer(k, bits(b), packed_out);
+  // Chunks of whole groups sized to stay in L1 between the min/max scan
+  // and the quantize step (one group per chunk when a group is larger).
+  const std::size_t groups_per_chunk = std::max<std::size_t>(1, kChunk / group_size);
+  for (std::size_t g0 = 0; g0 < n_groups; g0 += groups_per_chunk) {
+    const std::size_t g1 = std::min(n_groups, g0 + groups_per_chunk);
+    for (std::size_t g = g0; g < g1; ++g) {
+      const std::size_t begin = g * group_size;
+      const std::size_t len = std::min(group_size, n - begin);
+      float mn = 0.0f, mx = 0.0f;
+      k.minmax(values.data() + begin, len, &mn, &mx);
+      fix_zero_extrema(values.data() + begin, len, &mn, &mx);
+      params_out[g] = params_from_range(mn, mx, b, scheme);
+    }
+    for (std::size_t g = g0; g < g1; ++g) {
+      const QuantParams& p = params_out[g];
+      const float inv_scale = inv_scale_of(p);
+      const std::size_t end = std::min(n, (g + 1) * group_size);
+      for (std::size_t i = g * group_size; i < end; i += kChunk) {
+        const std::size_t len = std::min(kChunk, end - i);
+        std::uint8_t* dst = packer.reserve(len);
+        if (rounding == Rounding::kDeterministic) {
+          k.quantize_u8(values.data() + i, len, p.zero, inv_scale, lo, hi, dst);
+        } else {
+          // Stochastic rounding stays scalar (one variate per element, in
+          // order); only its codes pass through a chunk-sized int32 buffer.
+          std::int32_t codes[kChunk];
+          quantize(values.subspan(i, len), p, b, scheme, rounding, rng,
+                   std::span<std::int32_t>(codes, len));
+          for (std::size_t j = 0; j < len; ++j) {
+            dst[j] = static_cast<std::uint8_t>(codes[j] - lo);
+          }
+        }
+        packer.commit(len);
+      }
+    }
+  }
+  packer.finish();
+}
+
+void unpack_codes(std::span<const std::uint8_t> packed, std::size_t begin,
+                  Bitwidth b, Scheme scheme, std::span<std::int32_t> codes) {
+  const int nb = bits(b);
+  const auto ub = static_cast<std::size_t>(nb);
+  const std::int32_t lo = code_range(b, scheme).first;
+  std::size_t i = begin;
+  const std::size_t end = begin + codes.size();
+  std::int32_t* out = codes.data();
+  // Whole units go to the kernel; a partial unit at either end is decoded
+  // into scratch from the bytes that exist and the requested codes copied.
+  const auto partial = [&](std::size_t upto) {
+    std::int32_t unit[8];
+    const std::size_t u = i / 8;
+    unpack_unit(packed.data() + u * ub, std::min(ub, packed.size() - u * ub), nb,
+                lo, unit);
+    const std::size_t take = upto - i;
+    std::copy_n(unit + i % 8, take, out);
+    out += take;
+    i += take;
+  };
+  if (i % 8 != 0 && i < end) partial(std::min(end, (i / 8 + 1) * 8));
+  const std::size_t units = (end - i) / 8;
+  if (units > 0) {
+    assert((i / 8 + units) * ub <= packed.size());
+    kernels().unpack(packed.data() + (i / 8) * ub, units, nb, lo, out);
+    out += units * 8;
+    i += units * 8;
+  }
+  if (i < end) partial(end);
+}
+
+void dequantize_packed(std::span<const std::uint8_t> packed,
+                       std::size_t begin, Bitwidth b, Scheme scheme,
+                       std::span<const QuantParams> params,
+                       std::size_t group_size, std::span<float> out) {
+  assert(group_size > 0 && "dequantize_packed: zero group size");
+  const Kernels& k = kernels();
+  alignas(64) std::int32_t codes[kPiece];
+  for (std::size_t done = 0; done < out.size();) {
+    const std::size_t len = std::min(kPiece, out.size() - done);
+    unpack_codes(packed, begin + done, b, scheme,
+                 std::span<std::int32_t>(codes, len));
+    // Split the piece at group boundaries; each run gets its group's params.
+    for (std::size_t j = 0; j < len;) {
+      const std::size_t g = (begin + done + j) / group_size;
+      const std::size_t run = std::min(len - j, (g + 1) * group_size - (begin + done + j));
+      k.dequant(codes + j, run, params[g].scale, params[g].zero,
+                out.data() + done + j);
+      j += run;
+    }
+    done += len;
+  }
 }
 
 sq::common::ThreadPool* quant_pool() {

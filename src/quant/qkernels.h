@@ -18,6 +18,10 @@
 //      the scan order std::minmax_element uses (first minimum, last
 //      maximum), so compute_params sees identical bytes.  Inputs are
 //      assumed finite (weights are; NaN propagation is unspecified).
+//   4. Bit packing and unpacking (QTensor storage, see "Bit-packed code
+//      storage" below) are integer shifts and masks on the already-clamped
+//      code, so a code survives pack -> unpack unchanged on every path and
+//      the dequantized float is the same scale * float(code) + zero.
 //
 // Dispatch mirrors gemm.cpp: the loops are compiled for SSE2 (the x86-64
 // baseline), AVX2 and AVX-512 and selected once at startup via
@@ -62,15 +66,7 @@ void group_minmax(std::span<const float> values, std::size_t group_size,
 /// inv_scale), lo, hi).  Bit-identical to quantize_reference.
 void quantize_codes(std::span<const float> values, const QuantParams& params,
                     std::int32_t lo, std::int32_t hi,
-                    std::span<std::int32_t> codes_out);
-
-/// Grouped deterministic quantization: group g of `values` (contiguous
-/// `group_size`-element chunks, short tail allowed) is quantized with
-/// `params[g]`.  One dispatch for a whole tensor.
-void quantize_grouped(std::span<const float> values,
-                      std::span<const QuantParams> params,
-                      std::size_t group_size, std::int32_t lo, std::int32_t hi,
-                      std::span<std::int32_t> codes_out);
+                    std::span<std::int32_t> codes);
 
 /// out[i] = scale * codes[i] + zero.  Bit-identical to dequantize_reference.
 void dequantize_codes(std::span<const std::int32_t> codes,
@@ -81,6 +77,50 @@ void dequantize_codes(std::span<const std::int32_t> codes,
 /// followed by dequantize_reference.
 void quantize_dequant(std::span<const float> values, const QuantParams& params,
                       std::int32_t lo, std::int32_t hi, std::span<float> out);
+
+// ---- Bit-packed code storage (QTensor) ----------------------------------
+//
+// Format: element i is stored as the unsigned offset u = code - lo (lo from
+// code_range), in bits [i*b, i*b + b) of a little-endian bitstream, b =
+// bits(bitwidth): one byte per INT8 code, two INT4 codes per byte (element
+// 2k in the low nibble), eight INT3 codes per 3 bytes.  A run of n codes
+// takes packed_size(n, b) = ceil(n*b / 8) bytes; the unused high bits of
+// the last byte are zero.  Packing and unpacking are integer-only, so every
+// ISA path produces and reads the same bytes.
+
+/// Bytes holding `n` codes bit-packed at integer bitwidth `b`.
+std::size_t packed_size(std::size_t n, Bitwidth b);
+
+/// The fused write path.  Quantizes `values` in contiguous groups of
+/// `group_size` elements (short tail allowed) and bit-packs the codes,
+/// streaming over L1-sized chunks of whole groups: per group min/max ->
+/// params_from_range -> quantize -> pack, without materializing int32
+/// codes.  `params_out` receives one QuantParams per group and must hold
+/// exactly ceil(n / group_size) entries; `packed_out` must hold exactly
+/// packed_size(n, b) bytes.  Stochastic rounding draws from `rng` in
+/// element order, exactly like quantize().  Codes and params are
+/// bit-identical to compute_params + quantize_reference (deterministic) or
+/// compute_params + quantize (stochastic) applied group by group.
+void quantize_pack(std::span<const float> values, std::size_t group_size,
+                   Bitwidth b, Scheme scheme, Rounding rounding,
+                   sq::tensor::Rng* rng, std::span<QuantParams> params_out,
+                   std::span<std::uint8_t> packed_out);
+
+/// The one decoder: codes[j] = the int32 code of element begin + j of
+/// a packed_size-byte stream written by quantize_pack (offset + lo).
+/// Reads only bytes of `packed`; any `begin` is allowed.
+void unpack_codes(std::span<const std::uint8_t> packed, std::size_t begin,
+                  Bitwidth b, Scheme scheme, std::span<std::int32_t> codes);
+
+/// out[j] = scale * float(code) + zero for element begin + j, with the
+/// params of that element's group (group g covers [g*group_size,
+/// (g+1)*group_size)).  unpack_codes followed by dequantize_codes in
+/// cache-sized pieces, so bit-identical to dequantize_reference on the
+/// unpacked codes.  Safe to call concurrently (stack scratch only).
+void dequantize_packed(std::span<const std::uint8_t> packed,
+                       std::size_t begin, Bitwidth b, Scheme scheme,
+                       std::span<const QuantParams> params,
+                       std::size_t group_size, std::span<float> out);
 
 /// Shared quant-side worker pool, sized by the kernel-thread knob of the
 /// GEMM layer (SQ_THREADS / sq::tensor::set_kernel_threads, one knob for

@@ -35,41 +35,31 @@ QTensor::QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
     return;
   }
 
-  codes_.resize(flat.size());
   const std::size_t n_groups = (flat.size() + group_size_ - 1) / group_size_;
-  if (rounding == Rounding::kDeterministic && !flat.empty()) {
-    // Hoisted fast path: one batched min/max scan feeds all group params,
-    // then one dispatched grouped-quantize call covers the whole tensor.
-    // Byte-identical to the per-group compute_params/quantize loop below
-    // (asserted in tests/qkernels_test.cpp).
-    std::vector<float> mins(n_groups), maxs(n_groups);
-    group_minmax(flat, group_size_, mins, maxs);
-    params_.reserve(n_groups);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      params_.push_back(params_from_range(mins[g], maxs[g], b, scheme_));
-    }
-    const auto [lo, hi] = code_range(b, scheme_);
-    quantize_grouped(flat, params_, group_size_, lo, hi, codes_);
-  } else {
-    params_.reserve(n_groups);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      const std::size_t begin = g * group_size_;
-      const std::size_t len = std::min(group_size_, flat.size() - begin);
-      const auto chunk = flat.subspan(begin, len);
-      const QuantParams p = compute_params(chunk, b, scheme_);
-      quantize(chunk, p, b, scheme_, rounding, rng,
-               std::span<std::int32_t>(codes_).subspan(begin, len));
-      params_.push_back(p);
-    }
-  }
+  params_.resize(n_groups);
+  packed_.resize(packed_size(flat.size(), b));
+  // One fused pass: per-group min/max -> params -> quantize -> bit-pack.
+  // Codes and params are byte-identical to the per-group compute_params /
+  // quantize loop (asserted in tests/qkernels_test.cpp).
+  quantize_pack(flat, group_size_, b, scheme_, rounding, rng, params_, packed_);
   if (compute_mse) {
+    // Codes come back through the one decoder in cache-sized pieces; the
+    // double accumulation runs in element order, as it always has.
+    constexpr std::size_t kPiece = 256;
+    std::int32_t codes[kPiece];
     double acc = 0.0;
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      const std::size_t begin = g * group_size_;
-      const std::size_t len = std::min(group_size_, flat.size() - begin);
-      const QuantParams& p = params_[g];
+    std::size_t g = 0;
+    std::size_t gend = group_size_;
+    for (std::size_t begin = 0; begin < flat.size(); begin += kPiece) {
+      const std::size_t len = std::min(kPiece, flat.size() - begin);
+      unpack_codes(packed_, begin, b, scheme_, std::span<std::int32_t>(codes, len));
       for (std::size_t i = 0; i < len; ++i) {
-        const double rec = p.scale * static_cast<double>(codes_[begin + i]) + p.zero;
+        if (begin + i == gend) {
+          ++g;
+          gend += group_size_;
+        }
+        const QuantParams& p = params_[g];
+        const double rec = p.scale * static_cast<double>(codes[i]) + p.zero;
         const double d = rec - flat[begin + i];
         acc += d * d;
       }
@@ -85,12 +75,7 @@ sq::tensor::Tensor QTensor::dequantize() const {
     std::copy(fp16_passthrough_.begin(), fp16_passthrough_.end(), flat.begin());
     return out;
   }
-  for (std::size_t g = 0; g < params_.size(); ++g) {
-    const std::size_t begin = g * group_size_;
-    const std::size_t len = std::min(group_size_, flat.size() - begin);
-    sq::quant::dequantize(std::span<const std::int32_t>(codes_).subspan(begin, len),
-                          params_[g], flat.subspan(begin, len));
-  }
+  dequantize_packed(packed_, 0, bitwidth_, scheme_, params_, group_size_, flat);
   return out;
 }
 
@@ -104,26 +89,20 @@ sq::tensor::Tensor QTensor::matmul(const sq::tensor::Tensor& x) const {
   }
   // The filler writes the requested weight sub-block into the packed-B
   // panel.  Runs concurrently from kernel worker threads; it only reads
-  // quantized storage, so that is safe.  The dequantization expression
-  // matches quantizer.cpp dequantize() term for term.
+  // quantized storage, and each row segment goes through the same decoder
+  // as dequantize(), so the panel holds dequantize()'s exact floats.
   const sq::tensor::BBlockFill fill = [this](std::size_t k0, std::size_t k_len,
                                              std::size_t j0, std::size_t j_len,
                                              float* dst, std::size_t ld) {
     for (std::size_t kk = 0; kk < k_len; ++kk) {
+      const std::size_t idx = (k0 + kk) * cols_ + j0;
       float* drow = dst + kk * ld;
-      std::size_t idx = (k0 + kk) * cols_ + j0;
-      const std::size_t end = idx + j_len;
       if (bitwidth_ == Bitwidth::kFp16) {
-        for (; idx < end; ++idx) *drow++ = fp16_passthrough_[idx];
-        continue;
-      }
-      while (idx < end) {
-        const std::size_t g = idx / group_size_;
-        const std::size_t gend = std::min(end, (g + 1) * group_size_);
-        const QuantParams& p = params_[g];
-        for (; idx < gend; ++idx) {
-          *drow++ = p.scale * static_cast<float>(codes_[idx]) + p.zero;
-        }
+        std::copy_n(fp16_passthrough_.begin() + static_cast<std::ptrdiff_t>(idx),
+                    j_len, drow);
+      } else {
+        dequantize_packed(packed_, idx, bitwidth_, scheme_, params_, group_size_,
+                          std::span<float>(drow, j_len));
       }
     }
   };

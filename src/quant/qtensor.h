@@ -2,6 +2,16 @@
 // (GPTQ/AWQ-style).  Weights are split into contiguous groups of
 // `group_size` elements, each with its own affine parameters — exactly the
 // format whose memory footprint the paper's memory cost model accounts for.
+//
+// Storage: the integer codes are held bit-packed at the tensor's bitwidth
+// b, row-major over the flattened [rows x cols] matrix.  Element i is the
+// unsigned offset code - lo (lo from code_range(b, scheme)) in bits
+// [i*b, i*b + b) of a little-endian bitstream: one byte per INT8 code, two
+// INT4 codes per byte (even element in the low nibble), eight INT3 codes
+// per 3 bytes, possibly straddling byte boundaries.  The code bytes are
+// therefore exactly ceil(rows*cols*b / 8), the code part of
+// storage_bytes().  qkernels.h writes (quantize_pack) and reads
+// (unpack_codes / dequantize_packed) this format.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +57,14 @@ class QTensor {
 
   /// Storage bytes of the packed representation: ceil(bits/8 per code,
   /// bit-packed) plus one fp16 scale (+ fp16 zero if asymmetric) per group.
+  /// The integer code bytes are exactly packed_codes().size(); the group
+  /// params are held as fp32 in memory.  FP16 passthrough is charged 2
+  /// bytes per weight but is still held as fp32 (one float per weight).
   std::uint64_t storage_bytes() const;
+
+  /// The bit-packed codes (format above); what a weight-only kernel
+  /// consumes.  Empty for FP16 passthrough.
+  std::span<const std::uint8_t> packed_codes() const { return packed_; }
 
   /// Mean squared error against the original weights (computed at
   /// construction when `compute_mse` was requested; the indicator
@@ -60,7 +77,7 @@ class QTensor {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t group_size_ = 0;
-  std::vector<std::int32_t> codes_;
+  std::vector<std::uint8_t> packed_;  ///< Bit-packed codes (see top).
   std::vector<QuantParams> params_;  ///< One per group.
   std::vector<float> fp16_passthrough_;  ///< Used when bitwidth == fp16.
   double mse_ = 0.0;

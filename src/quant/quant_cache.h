@@ -7,7 +7,9 @@
 // in (weight bytes, bitwidth, scheme, rounding, group size, rng seed), so
 // results are memoized in a process-wide sharded cache keyed by a content
 // fingerprint — two call sites quantizing identical weights the same way
-// share one packed QTensor, whoever got there first.
+// share one packed QTensor, whoever got there first.  A cached layer costs
+// its planned bitwidth: the QTensor holds its codes bit-packed (qtensor.h),
+// ceil(n * bits / 8) bytes plus the group params.
 //
 // Cached tensors are shared_ptr<const QTensor>: immutable after
 // construction, safe to use from any thread, alive for as long as any

@@ -18,12 +18,12 @@ namespace {
 template <typename RoundFn>
 void quantize_with(std::span<const float> values, const QuantParams& params,
                    std::int32_t lo, std::int32_t hi, RoundFn&& round,
-                   std::span<std::int32_t> codes_out) {
+                   std::span<std::int32_t> codes) {
   const float inv_scale = params.scale != 0.0f ? 1.0f / params.scale : 0.0f;
   for (std::size_t i = 0; i < values.size(); ++i) {
     const float scaled = (values[i] - params.zero) * inv_scale;
     const float rounded = round(scaled);
-    codes_out[i] = std::clamp(static_cast<std::int32_t>(rounded), lo, hi);
+    codes[i] = std::clamp(static_cast<std::int32_t>(rounded), lo, hi);
   }
 }
 
@@ -69,13 +69,13 @@ std::pair<std::int32_t, std::int32_t> code_range(Bitwidth b, Scheme scheme) {
 
 void quantize(std::span<const float> values, const QuantParams& params, Bitwidth b,
               Scheme scheme, Rounding rounding, sq::tensor::Rng* rng,
-              std::span<std::int32_t> codes_out) {
-  assert(codes_out.size() == values.size());
+              std::span<std::int32_t> codes) {
+  assert(codes.size() == values.size());
   assert((rounding != Rounding::kStochastic || rng != nullptr) &&
          "stochastic rounding needs an RNG");
   const auto [lo, hi] = code_range(b, scheme);
   if (rounding == Rounding::kDeterministic) {
-    quantize_codes(values, params, lo, hi, codes_out);
+    quantize_codes(values, params, lo, hi, codes);
     return;
   }
   // Stochastic rounding consumes one variate per element in order; it stays
@@ -86,7 +86,7 @@ void quantize(std::span<const float> values, const QuantParams& params, Bitwidth
                   const float frac = scaled - fl;
                   return fl + (rng->uniform() < frac ? 1.0f : 0.0f);
                 },
-                codes_out);
+                codes);
 }
 
 void dequantize(std::span<const std::int32_t> codes, const QuantParams& params,
@@ -97,11 +97,11 @@ void dequantize(std::span<const std::int32_t> codes, const QuantParams& params,
 
 void quantize_reference(std::span<const float> values, const QuantParams& params,
                         Bitwidth b, Scheme scheme,
-                        std::span<std::int32_t> codes_out) {
-  assert(codes_out.size() == values.size());
+                        std::span<std::int32_t> codes) {
+  assert(codes.size() == values.size());
   const auto [lo, hi] = code_range(b, scheme);
   quantize_with(values, params, lo, hi,
-                [](float scaled) { return std::nearbyint(scaled); }, codes_out);
+                [](float scaled) { return std::nearbyint(scaled); }, codes);
 }
 
 void dequantize_reference(std::span<const std::int32_t> codes,

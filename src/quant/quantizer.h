@@ -60,7 +60,7 @@ std::pair<std::int32_t, std::int32_t> code_range(Bitwidth b, Scheme scheme);
 /// rounding == kStochastic; may be null for deterministic).
 void quantize(std::span<const float> values, const QuantParams& params, Bitwidth b,
               Scheme scheme, Rounding rounding, sq::tensor::Rng* rng,
-              std::span<std::int32_t> codes_out);
+              std::span<std::int32_t> codes);
 
 /// Dequantize codes back to floats: x~ = scale * code + zero.
 void dequantize(std::span<const std::int32_t> codes, const QuantParams& params,
@@ -72,7 +72,7 @@ void dequantize(std::span<const std::int32_t> codes, const QuantParams& params,
 /// asserted bit-identical to these in tests/qkernels_test.cpp.
 void quantize_reference(std::span<const float> values, const QuantParams& params,
                         Bitwidth b, Scheme scheme,
-                        std::span<std::int32_t> codes_out);
+                        std::span<std::int32_t> codes);
 void dequantize_reference(std::span<const std::int32_t> codes,
                           const QuantParams& params,
                           std::span<float> values_out);

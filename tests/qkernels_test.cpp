@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "quant/qkernels.h"
@@ -230,6 +231,152 @@ TEST(QuantKernels, QTensorHoistedPathMatchesLegacyGroupLoop) {
                             ref.size() * sizeof(float)),
                 0)
           << isa << " g=" << g;
+    }
+  }
+}
+
+// ---- Packed storage: quantize_pack / unpack_codes / dequantize_packed ----
+
+/// Reference codes and params group by group: compute_params, then
+/// quantize_reference (deterministic) or the scalar stochastic quantize fed
+/// by Rng(seed) — what quantize_pack must reproduce.
+struct RefQuant {
+  std::vector<std::int32_t> codes;
+  std::vector<QuantParams> params;
+  std::vector<float> deq;
+};
+
+RefQuant reference_quant(const std::vector<float>& v, std::size_t group,
+                         Bitwidth b, Scheme scheme, Rounding rounding,
+                         std::uint64_t seed) {
+  RefQuant r;
+  r.codes.resize(v.size());
+  r.deq.resize(v.size());
+  sq::tensor::Rng rng(seed);
+  for (std::size_t begin = 0; begin < v.size(); begin += group) {
+    const std::size_t len = std::min(group, v.size() - begin);
+    const auto chunk = std::span<const float>(v).subspan(begin, len);
+    const auto codes = std::span<std::int32_t>(r.codes).subspan(begin, len);
+    const auto [mn, mx] = std::minmax_element(chunk.begin(), chunk.end());
+    const QuantParams p = params_from_range(*mn, *mx, b, scheme);
+    if (rounding == Rounding::kDeterministic) {
+      quantize_reference(chunk, p, b, scheme, codes);
+    } else {
+      quantize(chunk, p, b, scheme, rounding, &rng, codes);
+    }
+    dequantize_reference(codes, p, std::span<float>(r.deq).subspan(begin, len));
+    r.params.push_back(p);
+  }
+  return r;
+}
+
+template <typename T>
+bool spans_equal(std::span<const T> a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+TEST(QuantKernels, PackedRoundTripMatchesReferenceAllIsas) {
+  IsaGuard guard;
+  // Sizes straddle the 8-code units and the 16/32-lane loops; 9000 codes
+  // with 1000-code groups cross the write path's 4096-code chunks mid-group.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1},   {7, 3},   {8, 8},   {9, 4},    {17, 5},   {33, 64},
+      {64, 64}, {250, 7}, {257, 1}, {1000, 0}, {9000, 1000}, {8200, 8192}};
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
+      for (const auto rounding : {Rounding::kDeterministic, Rounding::kStochastic}) {
+        for (const auto& [n, g0] : shapes) {
+          const std::size_t g = g0 == 0 ? n : g0;  // 0: one group
+          const std::vector<float> v = random_values(n, 7 * n + g);
+          const RefQuant ref = reference_quant(v, g, b, scheme, rounding, 11);
+          std::vector<std::uint8_t> first;
+          for (const char* isa : available_isas()) {
+            ASSERT_TRUE(set_qkernel_isa(isa));
+            const std::string where = std::string(isa) + " n=" + std::to_string(n) +
+                                      " g=" + std::to_string(g) +
+                                      " bits=" + std::to_string(sq::hw::bits(b));
+            std::vector<QuantParams> params((n + g - 1) / g);
+            std::vector<std::uint8_t> packed(packed_size(n, b));
+            sq::tensor::Rng rng(11);
+            quantize_pack(v, g, b, scheme, rounding, &rng, params, packed);
+            ASSERT_EQ(params.size(), ref.params.size()) << where;
+            for (std::size_t i = 0; i < params.size(); ++i) {
+              EXPECT_EQ(std::memcmp(&params[i], &ref.params[i], sizeof(QuantParams)), 0)
+                  << where << " group " << i;
+            }
+            // Every ISA writes the same bytes.
+            if (first.empty()) first = packed;
+            EXPECT_TRUE(bytes_equal(packed, first)) << where;
+
+            std::vector<std::int32_t> codes(n);
+            unpack_codes(packed, 0, b, scheme, codes);
+            EXPECT_TRUE(bytes_equal(codes, ref.codes)) << where;
+            std::vector<float> deq(n);
+            dequantize_packed(packed, 0, b, scheme, params, g, deq);
+            EXPECT_TRUE(bytes_equal(deq, ref.deq)) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantKernels, UnpackAndDequantizeAnySubrangeAllIsas) {
+  IsaGuard guard;
+  // The matmul B-panel filler decodes row segments that start and end
+  // anywhere, including mid-unit and mid-group.
+  const std::size_t n = 203, g = 13;
+  const std::vector<float> v = random_values(n, 5);
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    const RefQuant ref =
+        reference_quant(v, g, b, Scheme::kSymmetric, Rounding::kDeterministic, 0);
+    std::vector<QuantParams> params((n + g - 1) / g);
+    std::vector<std::uint8_t> packed(packed_size(n, b));
+    quantize_pack(v, g, b, Scheme::kSymmetric, Rounding::kDeterministic, nullptr,
+                  params, packed);
+    for (const char* isa : available_isas()) {
+      ASSERT_TRUE(set_qkernel_isa(isa));
+      for (const std::size_t begin : {0u, 1u, 3u, 8u, 13u, 100u, 195u, 202u}) {
+        for (const std::size_t len : {0u, 1u, 5u, 8u, 9u, 40u, 300u}) {
+          const std::size_t m = std::min(len, n - begin);
+          std::vector<std::int32_t> codes(m);
+          unpack_codes(packed, begin, b, Scheme::kSymmetric, codes);
+          EXPECT_TRUE(spans_equal<std::int32_t>(
+              std::span<const std::int32_t>(ref.codes).subspan(begin, m), codes))
+              << isa << " begin=" << begin << " len=" << m;
+          std::vector<float> deq(m);
+          dequantize_packed(packed, begin, b, Scheme::kSymmetric, params, g, deq);
+          EXPECT_TRUE(spans_equal<float>(
+              std::span<const float>(ref.deq).subspan(begin, m), deq))
+              << isa << " begin=" << begin << " len=" << m;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantKernels, QTensorPackedCodesMatchReferenceAllIsas) {
+  IsaGuard guard;
+  sq::tensor::Rng wrng(3);
+  sq::tensor::Tensor w(19, 45);  // 855 codes: not a multiple of 8
+  w.fill_normal(wrng, 0.0f, 0.1f);
+  const std::vector<float> flat(w.data().begin(), w.data().end());
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
+      for (const auto rounding : {Rounding::kDeterministic, Rounding::kStochastic}) {
+        const RefQuant ref = reference_quant(flat, 64, b, scheme, rounding, 17);
+        for (const char* isa : available_isas()) {
+          ASSERT_TRUE(set_qkernel_isa(isa));
+          sq::tensor::Rng rng(17);
+          const QTensor q(w, b, scheme, rounding, 64, &rng);
+          std::vector<std::int32_t> codes(flat.size());
+          unpack_codes(q.packed_codes(), 0, b, scheme, codes);
+          EXPECT_TRUE(bytes_equal(codes, ref.codes)) << isa;
+          const auto deq = q.dequantize();
+          EXPECT_TRUE(spans_equal<float>(deq.data(), ref.deq)) << isa;
+        }
+      }
     }
   }
 }

@@ -1,7 +1,9 @@
 // Tests for the group-quantized tensor storage format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "quant/qtensor.h"
 #include "tensor/ops.h"
@@ -167,6 +169,131 @@ TEST(QTensor, AsymmetricStorageChargesZeroPointPerGroup) {
   };
   // Same codes footprint; asymmetric adds one fp16 zero per group (4 groups).
   EXPECT_EQ(bytes_of(Scheme::kAsymmetric), bytes_of(Scheme::kSymmetric) + 4u * 2);
+}
+
+// ---- Bit-packed code storage ---------------------------------------------
+// These tests decode packed_codes() with their own bit-by-bit reader of the
+// documented format (qtensor.h), independent of the library's decoder.
+
+/// The code of element i: bits [i*b, i*b + b) of the little-endian
+/// bitstream, plus lo.
+std::int32_t code_at(const QTensor& q, std::size_t i, Scheme scheme) {
+  const int b = sq::hw::bits(q.bitwidth());
+  const auto packed = q.packed_codes();
+  std::int32_t u = 0;
+  for (int t = 0; t < b; ++t) {
+    const std::size_t bit = i * static_cast<std::size_t>(b) + static_cast<std::size_t>(t);
+    u |= ((packed[bit / 8] >> (bit % 8)) & 1) << t;
+  }
+  return u + code_range(q.bitwidth(), scheme).first;
+}
+
+/// Codes of the scalar reference applied group by group (what QTensor
+/// stores), deterministic rounding.
+std::vector<std::int32_t> reference_codes(const Tensor& w, Bitwidth b,
+                                          Scheme scheme, std::size_t group) {
+  const auto flat = w.data();
+  const std::size_t gs = group == 0 ? w.cols() : group;
+  std::vector<std::int32_t> codes(flat.size());
+  for (std::size_t begin = 0; begin < flat.size(); begin += gs) {
+    const std::size_t len = std::min(gs, flat.size() - begin);
+    const auto chunk = flat.subspan(begin, len);
+    quantize_reference(chunk, compute_params(chunk, b, scheme), b, scheme,
+                       std::span<std::int32_t>(codes).subspan(begin, len));
+  }
+  return codes;
+}
+
+void expect_codes_round_trip(const Tensor& w, Bitwidth b, Scheme scheme,
+                             std::size_t group) {
+  const QTensor q(w, b, scheme, Rounding::kDeterministic, group);
+  const auto ref = reference_codes(w, b, scheme, group);
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(code_at(q, i, scheme), ref[i])
+        << "element " << i << " bits " << sq::hw::bits(b) << " group " << group;
+  }
+}
+
+TEST(QTensor, PackedCodeBytesAreCeilNBitsOver8) {
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
+      for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{3, 7},
+                                 {4, 9}, {5, 16}, {1, 1}, {16, 33}}) {
+        const Tensor w = random_matrix(r, c, 20 + r * c);
+        const QTensor q(w, b, scheme, Rounding::kDeterministic, 8);
+        const std::size_t n = r * c;
+        const std::size_t want = (n * static_cast<std::size_t>(sq::hw::bits(b)) + 7) / 8;
+        EXPECT_EQ(q.packed_codes().size(), want) << n << " codes";
+        // The packed bytes are the code part of storage_bytes().
+        const std::size_t per_group = scheme == Scheme::kAsymmetric ? 4 : 2;
+        EXPECT_EQ(q.storage_bytes(), want + (n + 7) / 8 * per_group);
+      }
+    }
+  }
+  const QTensor fp16(random_matrix(4, 4, 21), Bitwidth::kFp16, Scheme::kSymmetric,
+                     Rounding::kDeterministic);
+  EXPECT_TRUE(fp16.packed_codes().empty());
+}
+
+TEST(QTensor, EmptyTensorPacksNothing) {
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    const QTensor q(Tensor(0, 5), b, Scheme::kAsymmetric, Rounding::kDeterministic, 0);
+    EXPECT_TRUE(q.packed_codes().empty());
+    EXPECT_EQ(q.storage_bytes(), 0u);
+    EXPECT_EQ(q.dequantize().rows(), 0u);
+    EXPECT_EQ(q.mse_vs_original(), 0.0);
+  }
+}
+
+TEST(QTensor, Int3CodesCrossingByteBoundariesRoundTrip) {
+  // 21 and 65 codes: not multiples of 8, so the stream ends mid-unit, and
+  // codes 2, 5, 10, 13, ... straddle two bytes.
+  for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
+    expect_codes_round_trip(random_matrix(3, 7, 30), Bitwidth::kInt3, scheme, 64);
+    expect_codes_round_trip(random_matrix(5, 13, 31), Bitwidth::kInt3, scheme, 16);
+  }
+  // The unused high bits of the last byte are zero: 21 * 3 = 63 bits.
+  const QTensor q(random_matrix(3, 7, 30), Bitwidth::kInt3, Scheme::kAsymmetric,
+                  Rounding::kDeterministic, 64);
+  EXPECT_EQ(q.packed_codes().back() >> 7, 0);
+}
+
+TEST(QTensor, NonDividingAndWholeRowGroupsRoundTrip) {
+  const Tensor w = random_matrix(7, 11, 32);  // 77 codes
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
+      for (const std::size_t group : {5u, 13u, 0u, 1000u}) {
+        expect_codes_round_trip(w, b, scheme, group);
+      }
+    }
+  }
+}
+
+TEST(QTensor, ExtremeCodesRoundTrip) {
+  // One group holding the range ends plus interior values: the min and max
+  // land on lo and hi of every code range.
+  const std::vector<float> v = {-1.0f, 0.25f, 1.0f, -0.5f, 0.0f, 0.75f,
+                                -1.0f, 1.0f,  0.5f, -0.25f, 1.0f};
+  const Tensor w(1, v.size(), v);
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
+      const QTensor q(w, b, scheme, Rounding::kDeterministic, 0);
+      const auto [lo, hi] = code_range(b, scheme);
+      EXPECT_EQ(code_at(q, 0, scheme), lo);
+      EXPECT_EQ(code_at(q, 2, scheme), hi);
+      EXPECT_EQ(code_at(q, 6, scheme), lo);
+      EXPECT_EQ(code_at(q, 10, scheme), hi);
+      expect_codes_round_trip(w, b, scheme, 0);
+    }
+  }
+  const QTensor asym8(w, Bitwidth::kInt8, Scheme::kAsymmetric,
+                      Rounding::kDeterministic, 0);
+  EXPECT_EQ(code_at(asym8, 2, Scheme::kAsymmetric), 255);
+  EXPECT_EQ(asym8.packed_codes()[2], 255);
+  const QTensor sym8(w, Bitwidth::kInt8, Scheme::kSymmetric,
+                     Rounding::kDeterministic, 0);
+  EXPECT_EQ(code_at(sym8, 0, Scheme::kSymmetric), -127);
+  EXPECT_EQ(sym8.packed_codes()[0], 0);  // offset -127 - lo
 }
 
 }  // namespace
