@@ -135,6 +135,26 @@ def main() -> int:
                 want_counters=["fleet.jobs.submitted", "fleet.jobs.completed"],
                 want_spans=["fleet.job"])
 
+        # 4b. Sharded fleet serving under faults: one permanent failure in
+        # each replica group (fleet device 5 sits in group 0, whose local
+        # indices differ from the fleet ids, and device 2 in group 1), each
+        # repaired inside its own group.
+        proc = run(cli, [*BASE, "--shards", "2", "--serve", "--jobs", "a:8,b:8",
+                         "--faults", "fail:2@1.0,fail:5@0.5"], 0,
+                   "shards+serve+faults")
+        if proc is None:
+            errors += 1
+        else:
+            m = re.search(r"^fleet: .*, (\d+) repairs$", proc.stdout,
+                          re.MULTILINE)
+            if m is None or int(m.group(1)) < 1:
+                print("FAIL: shards+serve+faults: want >= 1 repair, got "
+                      f"{m.group(0) if m else 'no fleet line'!r}",
+                      file=sys.stderr)
+                errors += 1
+            else:
+                print(f"ok: shards+serve+faults repaired {m.group(1)}")
+
         # 5. Continuous-batching serving with the serve.request.* metrics
         # surface and per-request trace spans.
         cpath = tmp / "continuous_metrics.json"

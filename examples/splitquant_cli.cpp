@@ -193,6 +193,34 @@ void print_request_stats(const sq::runtime::RequestStats& rs) {
               static_cast<unsigned long long>(rs.admission_blocked));
 }
 
+/// Echo a run's event log; when the run failed structurally, also the
+/// "serve: FAILED" line.  Returns false in that case (exit code 1).
+bool print_events(const std::vector<std::string>& events, bool feasible,
+                  const std::string& failure) {
+  for (const auto& e : events) std::printf("event:    %s\n", e.c_str());
+  if (!feasible) std::printf("serve:    FAILED — %s\n", failure.c_str());
+  return feasible;
+}
+
+/// Finish a "recovery:" line with the repair counts of a run under faults
+/// (RecoveryStats or RequestStats).
+template <class Stats>
+void print_repair_counts(const Stats& s) {
+  std::printf("%llu faults, %llu retries, %llu/%llu repairs, generation %d\n",
+              static_cast<unsigned long long>(s.faults_hit),
+              static_cast<unsigned long long>(s.retries),
+              static_cast<unsigned long long>(s.repairs_succeeded),
+              static_cast<unsigned long long>(s.repairs_attempted),
+              s.final_generation);
+}
+
+/// After a repair, the plan serving ended on, over the cluster it ended on.
+template <class Stats>
+void print_repaired_plan(const Stats& s) {
+  if (s.final_generation == 0) return;
+  std::printf("plan':    %s\n", s.final_plan.summary(s.final_cluster).c_str());
+}
+
 /// Parse --faults into a schedule and echo it on a "faults:" line (0 = ok
 /// or no --faults, 2 = bad spec, diagnostics on stderr).  Shared by every
 /// serving path.
@@ -395,20 +423,14 @@ int run_sharded(const Args& args, const sq::model::LlmSpec& m,
                                         profile.planning_batch(m), cfg);
   }
   const runtime::FleetStats fs = fleet.serve(jobs, fopts);
-  if (!fs.feasible) {
-    std::printf("serve:    FAILED — %s\n", fs.failure.c_str());
-    return 1;
-  }
-  for (const auto& e : fs.events) std::printf("event:    %s\n", e.c_str());
+  if (!print_events(fs.events, fs.feasible, fs.failure)) return 1;
   for (const auto& out : fs.jobs) {
     if (out.group < 0) {
       std::printf("job %-8s %s\n", (out.job + ":").c_str(), out.failure.c_str());
     } else {
-      const double tokens = args.continuous ? out.continuous.output_tokens
-                                            : out.recovery.serve.output_tokens;
       std::printf("job %-8s group %d [%.1fs .. %.1fs] %.0f tokens%s%s\n",
                   (out.job + ":").c_str(), out.group, out.start_s, out.end_s,
-                  tokens, out.completed ? "" : " FAILED: ",
+                  out.output_tokens(), out.completed ? "" : " FAILED: ",
                   out.completed ? "" : out.failure.c_str());
     }
   }
@@ -592,7 +614,21 @@ int main(int argc, char** argv) {
   const runtime::Backend backend = args.custom_backend
                                       ? runtime::Backend::kCustom
                                       : runtime::Backend::kVllmStyle;
-  if (args.serve && args.continuous) {
+  if (!args.serve) return export_metrics(args);
+  // The parsed --faults schedule, repaired by plan repair unless
+  // --no-repair.
+  sim::FaultSchedule schedule;
+  const auto recovery_options = [&] {
+    runtime::RecoveryOptions ropts;
+    if (!schedule.empty()) ropts.faults = &schedule;
+    if (!args.faults.empty() && !args.no_repair) {
+      ropts.replan = core::make_replanner(m, latency, quality,
+                                          profile.planning_batch(m), cfg);
+    }
+    return ropts;
+  };
+
+  if (args.continuous) {
     // Continuous-batching serving: iteration-level admission over an
     // arrival timeline (fault-tolerant when --faults is given).
     workload::ArrivalSpec aspec;
@@ -613,17 +649,12 @@ int main(int argc, char** argv) {
       std::printf("elastic:  %s (migration %s)\n",
                   timeline.empty() ? "(empty)" : timeline.to_spec().c_str(),
                   elastic::to_string(migration));
-
-      sim::FaultSchedule schedule;
       if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
         return rc;
       }
 
-      runtime::ReplicaGroup rg;
-      rg.cluster = cluster;
-      rg.plan = r.plan;
-      rg.predicted_tok_s = r.predicted_throughput;
-      elastic::ElasticFleetEngine engine(m, {rg}, backend);
+      elastic::ElasticFleetEngine engine(
+          m, {{cluster, {}, r.plan, r.predicted_throughput}}, backend);
       engine.set_observe(!args.metrics.empty());
 
       elastic::ElasticOptions eopts;
@@ -632,23 +663,14 @@ int main(int argc, char** argv) {
       eopts.replan = core::make_replanner(m, latency, quality,
                                           profile.planning_batch(m), cfg);
       eopts.fleet.num_threads = args.threads;
-      if (!schedule.empty()) eopts.fleet.faults = &schedule;
-      if (!args.faults.empty() && !args.no_repair) {
-        eopts.fleet.replan = core::make_replanner(
-            m, latency, quality, profile.planning_batch(m), cfg);
-      }
+      const runtime::RecoveryOptions ropts = recovery_options();
+      eopts.fleet.faults = ropts.faults;
+      eopts.fleet.replan = ropts.replan;
 
-      runtime::FleetJob job;
-      job.name = "job-0";
-      job.arrivals = arrivals;
-      const elastic::ElasticStats es = engine.serve({job}, eopts);
-      for (const auto& e : es.events) std::printf("event:    %s\n", e.c_str());
-      if (!es.feasible) {
-        std::printf("serve:    FAILED — %s\n", es.failure.c_str());
-        return 1;
-      }
-      const runtime::RequestStats& rs = es.fleet.jobs[0].continuous;
-      print_request_stats(rs);
+      const elastic::ElasticStats es =
+          engine.serve({{"job-0", {}, arrivals}}, eopts);
+      if (!print_events(es.events, es.feasible, es.failure)) return 1;
+      print_request_stats(es.fleet.jobs[0].continuous);
       std::printf("elastic:  %llu events; joins %llu/%llu accepted, "
                   "%llu leaves, %llu repriced, %llu scale-downs; "
                   "%llu replans\n",
@@ -671,112 +693,65 @@ int main(int argc, char** argv) {
       return export_metrics(args);
     }
 
-    runtime::ContinuousOptions copts;
-    copts.num_threads = args.threads;
-    sim::FaultSchedule schedule;
     if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
       return rc;
     }
-    runtime::RecoveryOptions ropts;
-    if (!schedule.empty()) ropts.faults = &schedule;
-    if (!args.faults.empty() && !args.no_repair) {
-      ropts.replan = core::make_replanner(m, latency, quality,
-                                          profile.planning_batch(m), cfg);
-    }
     runtime::OfflineEngine engine(cluster, m, r.plan, backend);
     engine.set_observe(!args.metrics.empty());
-    const runtime::RequestStats rs =
-        engine.serve_continuous(arrivals, copts, ropts);
-
-    for (const auto& e : rs.events) std::printf("event:    %s\n", e.c_str());
-    if (!rs.feasible) {
-      std::printf("serve:    FAILED — %s\n", rs.failure.c_str());
-      return 1;
-    }
+    const runtime::RequestStats rs = engine.serve_continuous(
+        arrivals, {.num_threads = args.threads}, recovery_options());
+    if (!print_events(rs.events, rs.feasible, rs.failure)) return 1;
     print_request_stats(rs);
     std::printf("latency:  mean %.2fs, p50 %.2fs, p95 %.2fs; queue mean "
                 "%.2fs; KV peak %.0f%%\n",
                 rs.mean_latency_s, rs.p50_latency_s, rs.p95_latency_s,
                 rs.mean_queue_s, 100.0 * rs.kv_peak_utilization);
-    if (!rs.failure.empty()) {
-      std::printf("          degraded: %s\n", rs.failure.c_str());
-    }
+    if (!rs.failure.empty()) std::printf("          degraded: %s\n", rs.failure.c_str());
     if (rs.final_generation > 0) {
-      std::printf("recovery: %llu faults, %llu retries, %llu/%llu repairs, "
-                  "generation %d\n",
-                  static_cast<unsigned long long>(rs.faults_hit),
-                  static_cast<unsigned long long>(rs.retries),
-                  static_cast<unsigned long long>(rs.repairs_succeeded),
-                  static_cast<unsigned long long>(rs.repairs_attempted),
-                  rs.final_generation);
-      const auto deg =
-          hw::degrade_cluster(cluster, rs.final_plan.excluded_devices);
-      std::printf("plan':    %s\n", rs.final_plan.summary(deg.cluster).c_str());
+      std::printf("recovery: ");
+      print_repair_counts(rs);
+      print_repaired_plan(rs);
     }
     return export_metrics(args);
   }
 
-  if (args.serve) {
-    // Batch serving; with --faults, inject the schedule and repair on
-    // failures.
-    const bool faulted = !args.faults.empty();
-    sim::FaultSchedule schedule;
-    if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
-      return rc;
-    }
-    runtime::RecoveryOptions ropts;
-    if (faulted) {
-      ropts.faults = &schedule;
-      if (!args.no_repair) {
-        ropts.replan = core::make_replanner(m, latency, quality,
-                                            profile.planning_batch(m), cfg);
-      }
-    }
-    runtime::OfflineEngine engine(cluster, m, r.plan, backend);
-    engine.set_observe(!args.metrics.empty());
-    const auto rec = engine.serve_requests(requests, args.batch, ropts);
-    if (!rec.serve.feasible) {
-      std::printf("serve:    FAILED — %s\n", rec.serve.failure.c_str());
-      return 1;
-    }
-    if (!faulted) {
-      std::printf("serve:    %.1f tok/s (%.0f tokens in %.1fs, %llu waves, "
-                  "%.0f%% idle)\n",
-                  rec.serve.throughput_tok_s, rec.serve.output_tokens,
-                  rec.serve.total_seconds,
-                  static_cast<unsigned long long>(rec.serve.waves),
-                  100.0 * rec.serve.mean_bubble);
-      return export_metrics(args);
-    }
-    for (const auto& e : rec.events) std::printf("event:    %s\n", e.c_str());
-    std::printf("serve:    %.1f tok/s productive (%.0f tokens in %.1fs, "
-                "%llu waves)\n",
+  // Batch serving; with --faults, inject the schedule and repair on
+  // failures.
+  if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
+    return rc;
+  }
+  runtime::OfflineEngine engine(cluster, m, r.plan, backend);
+  engine.set_observe(!args.metrics.empty());
+  const auto rec =
+      engine.serve_requests(requests, args.batch, recovery_options());
+  if (!print_events(rec.events, rec.serve.feasible, rec.serve.failure)) {
+    return 1;
+  }
+  if (args.faults.empty()) {
+    std::printf("serve:    %.1f tok/s (%.0f tokens in %.1fs, %llu waves, "
+                "%.0f%% idle)\n",
                 rec.serve.throughput_tok_s, rec.serve.output_tokens,
                 rec.serve.total_seconds,
-                static_cast<unsigned long long>(rec.serve.waves));
-    std::printf("recovery: %.1f tok/s goodput over %.1fs wall; %llu faults, "
-                "%llu retries, %llu/%llu repairs, generation %d\n",
-                rec.goodput_tok_s, rec.wall_seconds,
-                static_cast<unsigned long long>(rec.faults_hit),
-                static_cast<unsigned long long>(rec.retries),
-                static_cast<unsigned long long>(rec.repairs_succeeded),
-                static_cast<unsigned long long>(rec.repairs_attempted),
-                rec.final_generation);
-    std::printf("          lost %.2fs, backoff %.2fs, replanning %.2fs "
-                "(wall %.2fs); %llu requests lost\n",
-                rec.lost_us * 1e-6, rec.backoff_us * 1e-6, rec.replan_us * 1e-6,
-                rec.replan_wall_s,
-                static_cast<unsigned long long>(rec.lost_requests));
-    if (!rec.serve.failure.empty()) {
-      std::printf("          degraded: %s\n", rec.serve.failure.c_str());
-    }
-    if (rec.final_generation > 0) {
-      // The repaired plan indexes the degraded cluster; rebuild it from the
-      // recorded exclusions so the summary names the right devices.
-      const auto deg = hw::degrade_cluster(cluster, rec.final_plan.excluded_devices);
-      std::printf("plan':    %s\n", rec.final_plan.summary(deg.cluster).c_str());
-    }
+                static_cast<unsigned long long>(rec.serve.waves),
+                100.0 * rec.serve.mean_bubble);
+    return export_metrics(args);
   }
-
+  std::printf("serve:    %.1f tok/s productive (%.0f tokens in %.1fs, "
+              "%llu waves)\n",
+              rec.serve.throughput_tok_s, rec.serve.output_tokens,
+              rec.serve.total_seconds,
+              static_cast<unsigned long long>(rec.serve.waves));
+  std::printf("recovery: %.1f tok/s goodput over %.1fs wall; ",
+              rec.goodput_tok_s, rec.wall_seconds);
+  print_repair_counts(rec);
+  std::printf("          lost %.2fs, backoff %.2fs, replanning %.2fs "
+              "(wall %.2fs); %llu requests lost\n",
+              rec.lost_us * 1e-6, rec.backoff_us * 1e-6, rec.replan_us * 1e-6,
+              rec.replan_wall_s,
+              static_cast<unsigned long long>(rec.lost_requests));
+  if (!rec.serve.failure.empty()) {
+    std::printf("          degraded: %s\n", rec.serve.failure.c_str());
+  }
+  print_repaired_plan(rec);
   return export_metrics(args);
 }

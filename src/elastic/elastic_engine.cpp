@@ -16,11 +16,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Deterministic seconds rendering for the event log.
-std::string fmt_s(double us) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3fs", us * 1e-6);
-  return buf;
+/// "[<t>] ": the simulated-clock stamp (`us`) opening an event-log line.
+std::string stamp(double us) {
+  return "[" + sq::runtime::format_seconds(us * 1e-6) + "] ";
 }
 
 std::string fmt_pct(double frac) {
@@ -29,43 +27,13 @@ std::string fmt_pct(double frac) {
   return buf;
 }
 
-/// Current flat index of base device `base`, -1 when not held.
-int flat_of_base(const std::vector<int>& to_base, int base) {
-  for (std::size_t i = 0; i < to_base.size(); ++i) {
-    if (to_base[i] == base) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-/// The serving state a membership change replaces atomically.
-struct MemberState {
-  sq::hw::Cluster cluster;
-  std::vector<int> to_base;  ///< Flat index -> stable base id.
-  sq::sim::ExecutionPlan plan;
-  double predicted_tok_s = 0.0;
-
-  /// Shrink to `deg` (this cluster minus some devices) under the plan `r`
-  /// made for it; surviving devices keep their base ids.
-  void shrink(const sq::hw::DegradedCluster& deg,
-              const sq::runtime::ReplanOutcome& r) {
-    std::vector<int> chained;
-    chained.reserve(deg.to_original.size());
-    for (const int i : deg.to_original) {
-      chained.push_back(to_base[static_cast<std::size_t>(i)]);
-    }
-    cluster = deg.cluster;
-    to_base = std::move(chained);
-    plan = r.plan;
-    predicted_tok_s = r.predicted_tok_s;
-  }
-};
-
 /// Changes staged by event application, adopted after the in-flight
 /// settlement (drain needs the OLD state to finish on).
 struct PendingChange {
-  MemberState next;
-  bool changed = false;  ///< Membership (not just price) changed.
-  int switches = 0;      ///< Accepted plan switches (penalty per switch).
+  sq::runtime::ReplicaGroup next;
+  /// Accepted plan switches (penalty per switch); 0 = membership did not
+  /// change (price events only).
+  int switches = 0;
 };
 
 }  // namespace
@@ -154,26 +122,22 @@ ElasticStats ElasticFleetEngine::serve(
   const MembershipTimeline& timeline = *opts.timeline;
   CostModel cost = opts.cost;
 
-  // ---- Elastic serving state. ------------------------------------------
-  MemberState ms;
-  ms.cluster = groups_[0].cluster;
-  ms.to_base = groups_[0].to_original;
-  if (ms.to_base.empty()) {
-    ms.to_base.resize(static_cast<std::size_t>(ms.cluster.device_count()));
-    std::iota(ms.to_base.begin(), ms.to_base.end(), 0);
+  // ---- Elastic serving state: the group, its devices named by stable
+  // base ids (ReplicaGroup::to_original). ---------------------------------
+  sq::runtime::ReplicaGroup ms = groups_[0];
+  if (ms.to_original.empty()) {
+    ms.to_original.resize(static_cast<std::size_t>(ms.cluster.device_count()));
+    std::iota(ms.to_original.begin(), ms.to_original.end(), 0);
   }
-  ms.plan = groups_[0].plan;
-  ms.predicted_tok_s = groups_[0].predicted_tok_s;
   // Joined devices get fresh base ids past every initial id, so fault
   // schedules (which speak initial/base ids) can never hit them.
   int next_base = 0;
-  for (const int b : ms.to_base) next_base = std::max(next_base, b + 1);
+  for (const int b : ms.to_original) next_base = std::max(next_base, b + 1);
   std::vector<std::vector<int>> join_stack;  ///< Base ids per accepted join.
   int join_seq = 0;
 
   const double eff = sq::runtime::backend_efficiency(backend_);
   const sq::sim::KernelModel km(kernel_);
-  const sq::sim::FaultSchedule* fleet_faults = opts.fleet.faults;
 
   double fc_us = 0.0;          ///< Fleet simulated clock.
   double last_charge_us = 0.0;
@@ -197,21 +161,22 @@ ElasticStats ElasticFleetEngine::serve(
                                                      "elastic.replan_wall_s"};
   const sq::runtime::LadderObs* ladder_obs = ob ? &kLadderObs : nullptr;
   const auto replan_membership = [&](const sq::hw::Cluster& c) {
-    return sq::runtime::replan_ladder(opts.replan, c, opts.max_replan_attempts,
-                                      nullptr, nullptr, ladder_obs);
-  };
-  const auto replan_repair = [&](const sq::hw::Cluster& c,
-                                 std::uint64_t* calls) {
-    return sq::runtime::replan_ladder(opts.fleet.replan, c,
-                                      opts.fleet.max_replan_attempts, calls,
+    return sq::runtime::replan_ladder(opts.replan, c,
+                                      sq::runtime::kMaxReplanAttempts, nullptr,
                                       nullptr, ladder_obs);
+  };
+  // The elastic loop keeps replaying the schedule's straggler windows, so
+  // a fault repair bakes no derates into the specs.
+  const auto repair = [&](sq::runtime::ReplicaGroup& g, int flat,
+                          std::uint64_t* calls) {
+    return sq::runtime::repair_group(g, {flat}, {}, opts.fleet.replan, calls,
+                                     ladder_obs);
   };
 
   // ---- Membership event application (stages a PendingChange). ----------
   const auto apply_due_events = [&](double now_us, std::uint64_t backlog,
                                     PendingChange* p) {
     p->next = ms;
-    p->changed = false;
     p->switches = 0;
     while (ev < timeline.events.size() && timeline.events[ev].at_us <= now_us) {
       const MembershipEvent& e = timeline.events[ev];
@@ -262,24 +227,21 @@ ElasticStats ElasticFleetEngine::serve(
           std::vector<int> fresh;
           for (int i = 0; i < e.count; ++i) fresh.push_back(next_base++);
           p->next.cluster = grown;
-          p->next.to_base.insert(p->next.to_base.end(), fresh.begin(),
-                                 fresh.end());
+          p->next.to_original.insert(p->next.to_original.end(), fresh.begin(),
+                                     fresh.end());
           p->next.plan = r.plan;
           p->next.predicted_tok_s = r.predicted_tok_s;
-          p->changed = true;
           ++p->switches;
           join_stack.push_back(std::move(fresh));
           ++join_seq;
           if (opts.autoscale.enabled) last_scale_us = e.at_us;
-          out.events.push_back("[" + fmt_s(e.at_us) + "] join accepted: " +
-                               std::to_string(e.count) + "x" +
-                               sq::hw::to_string(e.gpu) + " (" + reason + ")");
         } else {
           ++out.joins_rejected;
-          out.events.push_back("[" + fmt_s(e.at_us) + "] join rejected: " +
-                               std::to_string(e.count) + "x" +
-                               sq::hw::to_string(e.gpu) + " (" + reason + ")");
         }
+        out.events.push_back(stamp(e.at_us) + "join " +
+                             (accept ? "accepted: " : "rejected: ") +
+                             std::to_string(e.count) + "x" +
+                             sq::hw::to_string(e.gpu) + " (" + reason + ")");
       } else if (e.kind == MemberEventKind::kLeave) {
         ++out.leaves;
         std::vector<int> excl;
@@ -291,7 +253,7 @@ ElasticStats ElasticFleetEngine::serve(
           excl.push_back(e.index);
         }
         if (excl.empty()) {
-          out.events.push_back("[" + fmt_s(e.at_us) + "] leave ignored: no " +
+          out.events.push_back(stamp(e.at_us) + "leave ignored: no " +
                                (e.whole_node ? "node " : "device ") +
                                std::to_string(e.index));
           continue;
@@ -300,25 +262,24 @@ ElasticStats ElasticFleetEngine::serve(
             sq::hw::degrade_cluster(p->next.cluster, excl);
         if (!deg.feasible) {
           fatal = deg.failure;
-          out.events.push_back("[" + fmt_s(e.at_us) + "] leave: " + fatal);
+          out.events.push_back(stamp(e.at_us) + "leave: " + fatal);
           return;
         }
         const sq::runtime::ReplanOutcome r = replan_membership(deg.cluster);
         if (!r.feasible) {
           fatal = "no feasible plan after leave: " + r.failure;
-          out.events.push_back("[" + fmt_s(e.at_us) + "] " + fatal);
+          out.events.push_back(stamp(e.at_us) + fatal);
           return;
         }
         p->next.shrink(deg, r);
-        p->changed = true;
         ++p->switches;
-        out.events.push_back("[" + fmt_s(e.at_us) + "] leave: " +
+        out.events.push_back(stamp(e.at_us) + "leave: " +
                              std::to_string(excl.size()) + " device(s), now " +
                              p->next.cluster.summary());
       } else {  // kPrice
         ++out.price_events;
         cost.set_price(e.gpu, e.price);
-        out.events.push_back("[" + fmt_s(e.at_us) + "] price: " +
+        out.events.push_back(stamp(e.at_us) + "price: " +
                              std::string(sq::hw::to_string(e.gpu)) + " = $" +
                              std::to_string(e.price) + "/h");
         // Scale-to-price: release the most recent still-held join when
@@ -328,7 +289,7 @@ ElasticStats ElasticFleetEngine::serve(
           std::vector<int> excl;
           bool all_held = true;
           for (const int b : join_stack.back()) {
-            const int f = flat_of_base(p->next.to_base, b);
+            const int f = p->next.flat_of(b);
             if (f < 0) { all_held = false; break; }
             excl.push_back(f);
           }
@@ -353,12 +314,11 @@ ElasticStats ElasticFleetEngine::serve(
           }
           ++out.scale_downs;
           p->next.shrink(deg, r);
-          p->changed = true;
           ++p->switches;
           join_stack.pop_back();
           last_scale_us = e.at_us;
-          out.events.push_back("[" + fmt_s(e.at_us) +
-                               "] scale-down: released a join, tokens/$ " +
+          out.events.push_back(stamp(e.at_us) +
+                               "scale-down: released a join, tokens/$ " +
                                fmt_pct(shr_tpd / cur_tpd - 1.0) + ", now " +
                                p->next.cluster.summary());
           break;  // one release per price event (hysteresis)
@@ -367,12 +327,21 @@ ElasticStats ElasticFleetEngine::serve(
     }
   };
 
+  // Adopt a staged change: its group takes over (only layers whose bits
+  // changed re-prepare).  Returns the switch penalty, in us.
+  const auto adopt = [&](PendingChange& p) {
+    charge_to(fc_us);
+    const auto old_bits = ms.plan.layer_bits;
+    ms = std::move(p.next);
+    out.replans += p.switches;
+    if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
+    return p.switches * sq::runtime::kReplanPenaltyS * 1e6;
+  };
+
   // ---- Serve jobs LPT-sequentially on the elastic group. ---------------
   std::vector<std::size_t> order(jobs.size());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return jobs[a].work_tokens() > jobs[b].work_tokens();
-  });
+  order = sq::runtime::lpt_order(jobs, std::move(order));
   // Backlog contribution of jobs not yet started (autoscaler pressure).
   std::vector<std::uint64_t> future_work(order.size() + 1, 0);
   for (std::size_t k = order.size(); k-- > 0;) {
@@ -393,15 +362,10 @@ ElasticStats ElasticFleetEngine::serve(
     {
       PendingChange p;
       apply_due_events(fc_us, future_work[k], &p);
-      if (fatal.empty() && p.changed) {
+      if (fatal.empty() && p.switches > 0) {
         // No in-flight work between jobs: adopt directly, charge the
         // switch penalty as fleet time.
-        charge_to(fc_us);
-        const auto old_bits = ms.plan.layer_bits;
-        ms = std::move(p.next);
-        out.replans += p.switches;
-        if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
-        fc_us += p.switches * opts.replan_penalty_s * 1e6;
+        fc_us += adopt(p);
         charge_to(fc_us);
       }
     }
@@ -417,12 +381,10 @@ ElasticStats ElasticFleetEngine::serve(
 
     sq::runtime::RequestStats total = sq::runtime::pending_stats(job.arrivals);
 
-    sq::sim::FaultSchedule local_sched;
-    if (fleet_faults != nullptr && !fleet_faults->events.empty()) {
-      local_sched = sq::sim::schedule_from(*fleet_faults, fc0_us);
-    }
-    const sq::sim::FaultSchedule* sched_ptr =
-        local_sched.events.empty() ? nullptr : &local_sched;
+    const sq::sim::FaultSchedule local_sched =
+        opts.fleet.faults != nullptr
+            ? sq::sim::schedule_from(*opts.fleet.faults, fc0_us)
+            : sq::sim::FaultSchedule{};
 
     if (prep_) prep_->prepare(ms.plan.layer_bits);
 
@@ -450,13 +412,11 @@ ElasticStats ElasticFleetEngine::serve(
       sched.set_observe(observe_);
       sq::runtime::ContinuousOptions c;
       c.num_threads = opts.fleet.num_threads;
-      c.chunk_tokens = opts.chunk_tokens;
-      c.max_running = opts.max_running;
       c.start_us = jl_us;
       c.stop_us = stop_local_us;
       c.resume = &sub_resume;
-      c.faults = sched_ptr;
-      c.to_original = &ms.to_base;
+      c.faults = local_sched.empty() ? nullptr : &local_sched;
+      c.to_original = &ms.to_original;
       sq::runtime::RequestStats st = sched.serve(sub, c);
       *incomplete = sq::runtime::merge_segment(total, st, ids);
       for (std::size_t si = 0; si < ids.size(); ++si) {
@@ -474,7 +434,7 @@ ElasticStats ElasticFleetEngine::serve(
 
     const auto lose_remaining = [&](const std::string& why) {
       sq::runtime::lose_requests(total, remaining);
-      total.events.push_back("[" + fmt_s(jl_us) + "] " + why + " (" +
+      total.events.push_back(stamp(jl_us) + why + " (" +
                              std::to_string(remaining.size()) + " requests)");
       remaining.clear();
       job_failed = true;
@@ -501,43 +461,33 @@ ElasticStats ElasticFleetEngine::serve(
 
       if (st.fault_permanent) {
         // Permanent failure: the device's KV is GONE — unlike a graceful
-        // leave, in-flight work always restarts.  Repair mirrors the
-        // engine's: exclude, replan, resume.
+        // leave, in-flight work always restarts.  The engines' one repair
+        // step excludes the device and replans; serving resumes after it.
         for (const std::size_t id : remaining) {
           if (progress[id] >= 0) {
             ++out.restarts;
             progress[id] = -1;
           }
         }
-        const int flat = flat_of_base(ms.to_base, st.fault_device);
+        const int flat = ms.flat_of(st.fault_device);
         if (flat < 0) {
           lose_remaining("failed device unknown to the elastic group");
           break;
         }
-        const sq::hw::DegradedCluster deg =
-            sq::hw::degrade_cluster(ms.cluster, {flat});
-        if (!deg.feasible) {
-          fatal = deg.failure;
-          lose_remaining(fatal);
-          break;
-        }
-        const sq::runtime::ReplanOutcome r =
-            replan_repair(deg.cluster, &total.repairs_attempted);
-        if (!r.feasible) {
-          fatal = "no feasible repair plan: " + r.failure;
-          lose_remaining(fatal);
-          break;
-        }
         const auto old_bits = ms.plan.layer_bits;
-        ms.shrink(deg, r);
+        fatal = repair(ms, flat, &total.repairs_attempted);
+        if (!fatal.empty()) {
+          lose_remaining(fatal);
+          break;
+        }
         if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
         ++total.repairs_succeeded;
         ++total.final_generation;
         ++out.replans;
-        jl_us += opts.fleet.replan_penalty_s * 1e6;
+        jl_us += sq::runtime::kReplanPenaltyS * 1e6;
         fc_us = fc0_us + jl_us;
         charge_to(fc_us);
-        total.events.push_back("[" + fmt_s(jl_us) + "] repaired after device " +
+        total.events.push_back(stamp(jl_us) + "repaired after device " +
                                std::to_string(st.fault_device) + " failed: " +
                                ms.cluster.summary());
         continue;
@@ -551,7 +501,7 @@ ElasticStats ElasticFleetEngine::serve(
         lose_remaining("no serving capacity remains: " + fatal);
         break;
       }
-      if (!p.changed) continue;  // Price-only: nothing to settle.
+      if (p.switches == 0) continue;  // Price-only: nothing to settle.
 
       const MigrationPolicy policy = opts.migration;
       if (policy == MigrationPolicy::kDrain) {
@@ -580,21 +530,13 @@ ElasticStats ElasticFleetEngine::serve(
           if (ds.fault_permanent) {
             // A failure raced the drain: drop the drained progress and
             // exclude the device from the pending cluster too.
-            const int flat = flat_of_base(p.next.to_base, ds.fault_device);
+            const int flat = p.next.flat_of(ds.fault_device);
             if (flat >= 0) {
-              const sq::hw::DegradedCluster deg =
-                  sq::hw::degrade_cluster(p.next.cluster, {flat});
-              sq::runtime::ReplanOutcome r;
-              if (deg.feasible) {
-                r = replan_repair(deg.cluster, &total.repairs_attempted);
-              }
-              if (!r.feasible) {
-                fatal = !deg.feasible ? deg.failure
-                                      : "no feasible repair plan: " + r.failure;
+              fatal = repair(p.next, flat, &total.repairs_attempted);
+              if (!fatal.empty()) {
                 lose_remaining("no serving capacity remains: " + fatal);
                 break;
               }
-              p.next.shrink(deg, r);
               ++p.switches;
               ++total.repairs_succeeded;
               ++total.final_generation;
@@ -604,14 +546,9 @@ ElasticStats ElasticFleetEngine::serve(
       }
 
       // Adopt the staged membership change.
-      charge_to(fc_us);
-      const auto old_bits = ms.plan.layer_bits;
       const sq::hw::Bitwidth old_kv = ms.plan.kv_bits;
-      ms = std::move(p.next);
-      out.replans += p.switches;
+      jl_us += adopt(p);
       ++total.final_generation;
-      if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
-      jl_us += p.switches * opts.replan_penalty_s * 1e6;
 
       // Live migration: every request holding KV state re-transfers it to
       // the new layout over the inter-node fabric (restart drops it).
@@ -644,10 +581,10 @@ ElasticStats ElasticFleetEngine::serve(
           out.migration_s += moved_us * 1e-6;
           jl_us += moved_us;
           total.events.push_back(
-              "[" + fmt_s(jl_us) + "] migrated " + std::to_string(moved) +
+              stamp(jl_us) + "migrated " + std::to_string(moved) +
               " in-flight request(s), " +
               std::to_string(static_cast<long long>(moved_bytes)) +
-              " KV bytes in " + fmt_s(moved_us));
+              " KV bytes in " + runtime::format_seconds(moved_us * 1e-6));
           if (ob) {
             migration_spans.push_back(
                 {"elastic.migration",
@@ -665,6 +602,8 @@ ElasticStats ElasticFleetEngine::serve(
 
     total.total_seconds = jl_us * 1e-6;
     total.final_plan = ms.plan;
+    total.final_cluster = ms.cluster;
+    total.final_to_original = ms.to_original;
     sq::runtime::finalize_request_aggregates(total);
 
     jo.end_s = fc_us * 1e-6;
@@ -672,36 +611,15 @@ ElasticStats ElasticFleetEngine::serve(
     if (!jo.completed) {
       jo.failure = total.failure.empty() ? "serving aborted" : total.failure;
     }
-    out.fleet.events.push_back(
-        "job '" + job.name + "' [" + fmt_s(fc0_us) + " .. " + fmt_s(fc_us) +
-        "] " +
-        (jo.completed
-             ? std::to_string(static_cast<long long>(total.output_tokens)) +
-                   " tokens (" + std::to_string(total.completed) + "/" +
-                   std::to_string(total.submitted) + " requests)"
-             : "FAILED: " + jo.failure));
-    if (jo.completed) {
-      ++out.fleet.jobs_completed;
-    }
-    out.fleet.output_tokens += total.output_tokens;
-    out.fleet.faults_hit += total.faults_hit;
-    out.fleet.retries += total.retries;
-    out.fleet.repairs += total.repairs_succeeded;
     jo.continuous = std::move(total);
+    out.fleet.events.push_back(sq::runtime::job_event(job, jo));
   }
 
   charge_to(fc_us);
 
   // ---- Final aggregates. -----------------------------------------------
   out.fleet.group_busy_s = {fc_us * 1e-6};
-  out.fleet.group_jobs = {0};
-  for (const auto& jo : out.fleet.jobs) {
-    if (jo.group == 0 && jo.end_s > jo.start_s) ++out.fleet.group_jobs[0];
-  }
-  out.fleet.makespan_s = fc_us * 1e-6;
-  if (out.fleet.makespan_s > 0.0) {
-    out.fleet.aggregate_tok_s = out.fleet.output_tokens / out.fleet.makespan_s;
-  }
+  sq::runtime::finalize_fleet_stats(out.fleet);
   if (out.dollars > 0.0) {
     out.tokens_per_dollar = out.fleet.output_tokens / out.dollars;
   }

@@ -16,6 +16,9 @@
 //     content-addressed QuantCache so only layers that change bits
 //     re-quantize via WeightPrep::reprepare), and resume with per-request
 //     progress.  Segment outcomes merge through runtime::merge_segment.
+//     The group's state is one runtime::ReplicaGroup whose device map
+//     names every device by a stable base id; a permanent device failure
+//     is repaired by the engines' shared step (runtime::repair_group).
 //   * In-flight requests cross a plan switch by LIVE MIGRATION (KV state
 //     re-transferred over the inter-node fabric, charged through the
 //     kernel model's link-time), by DRAINING (finish on the old plan
@@ -94,18 +97,13 @@ struct ElasticOptions {
   MigrationPolicy migration = MigrationPolicy::kAuto;
   AutoscalerOptions autoscale;
   CostModel cost;                    ///< $/device-hour book.
-  /// Simulated seconds charged per plan switch (distribution + weight
-  /// re-sharding), on top of per-request migration transfers.
-  double replan_penalty_s = 2.0;
-  int max_replan_attempts = 3;       ///< Ladder length per change.
-  std::uint64_t chunk_tokens = 2048; ///< Chunked-prefill unit.
-  std::uint64_t max_running = 0;     ///< Extra cap on admitted requests.
-  /// Baseline fleet knobs: fault schedule + fault replanner + thread
-  /// count.  The empty-timeline path forwards this verbatim to
-  /// FleetEngine (byte-identity); the elastic path reads faults /
-  /// num_threads / replan / max_replan_attempts / replan_penalty_s from
-  /// it (a null `replan` loses the requests a permanent failure strands,
-  /// as in FleetEngine).
+  /// Baseline fleet knobs: fault schedule (base ids) + fault replanner +
+  /// thread count.  The empty-timeline path forwards this verbatim to
+  /// FleetEngine (byte-identity); the elastic path reads all three from it
+  /// (a null `replan` loses the requests a permanent failure strands, as
+  /// in FleetEngine).  Every plan switch charges
+  /// runtime::kReplanPenaltyS on top of per-request migration transfers,
+  /// and each replan ladder is runtime::kMaxReplanAttempts long.
   sq::runtime::FleetOptions fleet;
 };
 

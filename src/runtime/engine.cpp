@@ -8,97 +8,11 @@
 
 namespace sq::runtime {
 
-namespace {
-
-/// Deterministic seconds rendering for the event log ("12.345s").
-std::string fmt_s(double us) {
+std::string format_seconds(double seconds) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3fs", us * 1e-6);
+  std::snprintf(buf, sizeof(buf), "%.3fs", seconds);
   return buf;
 }
-
-/// Serving state that plan repair rewrites mid-run.  It starts as the
-/// engine's (cluster, plan) under the caller's schedule; after a repair the
-/// schedule is a filtered copy that drops windows already baked into the
-/// degraded cluster (failed devices, derated stragglers), so capability
-/// loss is never double-counted.
-struct ActiveState {
-  ActiveState(const sq::hw::Cluster& c, const sq::sim::ExecutionPlan& p,
-              const sq::sim::FaultSchedule* faults)
-      : cluster(c),
-        plan(p),
-        schedule(faults != nullptr && !faults->events.empty() ? faults
-                                                              : nullptr) {}
-
-  sq::hw::Cluster cluster;
-  sq::sim::ExecutionPlan plan;
-  const sq::sim::FaultSchedule* schedule;  ///< Null = fault-free.
-  sq::sim::FaultSchedule repaired;  ///< Owns `schedule` after a repair.
-  std::vector<int> device_map;  ///< Current flat index -> original; empty = id.
-  std::vector<int> failed;      ///< Permanent losses so far, original index.
-
-  const std::vector<int>* to_original() const {
-    return device_map.empty() ? nullptr : &device_map;
-  }
-};
-
-/// Permanent plan repair, shared by the wave and generation loops: degrade
-/// the ORIGINAL cluster by every failure seen so far plus sustained
-/// straggler deratings, re-run the planner through the escalation ladder,
-/// and swap `a` over to the repaired plan.  On success the event log gains
-/// the repair line (serving resumes at `resume_us`).  `Stats` is
-/// RecoveryStats or RequestStats; `wall_s` sums planner wall time (may be
-/// null).  Returns false when serving cannot continue.
-template <class Stats>
-bool repair(ActiveState& a, const sq::hw::Cluster& original,
-            const RecoveryOptions& opts, const WeightPrep* prep, bool ob,
-            double abort_us, double resume_us, double* wall_s, Stats& stats) {
-  if (!opts.replan) return false;
-  std::vector<sq::hw::DeviceDerate> derates;
-  for (const auto& e : opts.faults->events) {
-    if (e.permanent_slowdown()) derates.push_back({e.device, e.factor});
-  }
-  const sq::hw::DegradedCluster deg =
-      sq::hw::degrade_cluster(original, a.failed, derates);
-  if (!deg.feasible || deg.cluster.device_count() == 0) return false;
-
-  static constexpr LadderObs kObs{"fault.repairs.attempted",
-                                  "fault.replan_wall_s"};
-  ReplanOutcome outcome =
-      replan_ladder(opts.replan, deg.cluster, opts.max_replan_attempts,
-                    &stats.repairs_attempted, wall_s, ob ? &kObs : nullptr);
-  if (!outcome.feasible) return false;
-
-  ++stats.repairs_succeeded;
-  ++stats.final_generation;
-  a.cluster = deg.cluster;
-  const auto old_bits = a.plan.layer_bits;
-  a.plan = std::move(outcome.plan);
-  a.plan.repair_generation = stats.final_generation;
-  a.plan.excluded_devices = a.failed;
-  std::sort(a.plan.excluded_devices.begin(), a.plan.excluded_devices.end());
-  // Incremental re-preparation: only layers whose bit assignment changed
-  // in the repaired plan are re-quantized; the rest hit the QuantCache.
-  if (prep != nullptr) prep->reprepare(old_bits, a.plan.layer_bits);
-  a.device_map = deg.to_original;
-
-  a.repaired.events.clear();
-  for (const auto& e : opts.faults->events) {
-    const bool excluded =
-        std::find(a.failed.begin(), a.failed.end(), e.device) != a.failed.end();
-    if (!excluded && !e.permanent_slowdown()) a.repaired.events.push_back(e);
-  }
-  a.schedule = a.repaired.events.empty() ? nullptr : &a.repaired;
-
-  stats.events.push_back("[" + fmt_s(abort_us) + "] repair: generation " +
-                         std::to_string(stats.final_generation) + " on " +
-                         a.cluster.summary() + ", resume at " +
-                         fmt_s(resume_us));
-  if (ob) sq::obs::counter("fault.repairs.succeeded").add();
-  return true;
-}
-
-}  // namespace
 
 ReplanOutcome replan_ladder(const Replanner& replan,
                             const sq::hw::Cluster& cluster, int max_attempts,
@@ -123,15 +37,112 @@ ReplanOutcome replan_ladder(const Replanner& replan,
   return outcome;
 }
 
-OfflineEngine::OfflineEngine(sq::hw::Cluster cluster, sq::model::LlmSpec model,
-                             sq::sim::ExecutionPlan plan, Backend backend,
-                             sq::sim::KernelModelOptions kernel, bool memoize)
-    : cluster_(std::move(cluster)),
+int ReplicaGroup::flat_of(int id) const {
+  if (to_original.empty()) return id >= 0 && id < cluster.device_count() ? id : -1;
+  const auto it = std::find(to_original.begin(), to_original.end(), id);
+  return it == to_original.end() ? -1
+                                 : static_cast<int>(it - to_original.begin());
+}
+
+void ReplicaGroup::shrink(const sq::hw::DegradedCluster& deg, ReplanOutcome r) {
+  std::vector<int> chained = deg.to_original;
+  if (!to_original.empty()) {
+    for (int& i : chained) i = to_original[static_cast<std::size_t>(i)];
+  }
+  cluster = deg.cluster;
+  to_original = std::move(chained);
+  plan = std::move(r.plan);
+  predicted_tok_s = r.predicted_tok_s;
+}
+
+std::string repair_group(ReplicaGroup& g, const std::vector<int>& failed,
+                         const std::vector<sq::hw::DeviceDerate>& derates,
+                         const Replanner& replan, std::uint64_t* calls,
+                         const LadderObs* obs, double* wall_s) {
+  const sq::hw::DegradedCluster deg =
+      sq::hw::degrade_cluster(g.cluster, failed, derates);
+  if (!deg.feasible) return deg.failure;
+  ReplanOutcome r = replan_ladder(replan, deg.cluster, kMaxReplanAttempts,
+                                  calls, wall_s, obs);
+  if (!r.feasible) return "no feasible repair plan: " + r.failure;
+  g.shrink(deg, std::move(r));
+  return "";
+}
+
+sq::sim::FaultSchedule after_repair(const sq::sim::FaultSchedule& s,
+                                    const ReplicaGroup& g) {
+  sq::sim::FaultSchedule out;
+  for (const auto& e : s.events) {
+    if (!e.permanent_slowdown() && g.flat_of(e.device) >= 0) {
+      out.events.push_back(e);
+    }
+  }
+  return out;
+}
+
+OfflineEngine::OfflineEngine(ReplicaGroup group, sq::model::LlmSpec model,
+                             Backend backend, sq::sim::KernelModelOptions kernel,
+                             bool memoize)
+    : group_(std::move(group)),
       model_(std::move(model)),
-      plan_(std::move(plan)),
       backend_(backend),
       kernel_(kernel),
       memoize_(memoize) {}
+
+OfflineEngine::OfflineEngine(sq::hw::Cluster cluster, sq::model::LlmSpec model,
+                             sq::sim::ExecutionPlan plan, Backend backend,
+                             sq::sim::KernelModelOptions kernel, bool memoize)
+    : OfflineEngine(ReplicaGroup{std::move(cluster), {}, std::move(plan)},
+                    std::move(model), backend, kernel, memoize) {}
+
+/// Plan repair after the device with original id `id` failed: the shared
+/// repair step drops it from `g` (the first repair also bakes the
+/// schedule's sustained stragglers into the survivors' specs), then the
+/// repaired plan takes the engine's provenance (generation; excluded
+/// devices as flat indices of the bound group), `faults` keeps only what
+/// the repaired group still replays, and the event log gains the repair
+/// line (serving resumes at `resume_us`).  `Stats` is RecoveryStats or
+/// RequestStats; `wall_s` sums planner wall time (may be null).  Returns
+/// false when serving cannot continue.
+template <class Stats>
+bool OfflineEngine::repair(ReplicaGroup& g, sq::sim::FaultSchedule& faults,
+                           int id, const Replanner& replan, double abort_us,
+                           double resume_us, double* wall_s,
+                           Stats& stats) const {
+  std::vector<sq::hw::DeviceDerate> derates;  // -1: a device g does not hold
+  for (const auto& e : faults.events) {
+    if (e.permanent_slowdown()) derates.push_back({g.flat_of(e.device), e.factor});
+  }
+  const bool ob = observe_ && sq::obs::enabled();
+  static constexpr LadderObs kObs{"fault.repairs.attempted",
+                                  "fault.replan_wall_s"};
+  const auto old_bits = g.plan.layer_bits;
+  const std::string why = repair_group(g, {g.flat_of(id)}, derates, replan,
+                                      &stats.repairs_attempted,
+                                      ob ? &kObs : nullptr, wall_s);
+  if (!why.empty()) return false;
+  ++stats.repairs_succeeded;
+  ++stats.final_generation;
+  g.plan.repair_generation = stats.final_generation;
+  g.plan.excluded_devices.clear();
+  for (int d = 0; d < group_.cluster.device_count(); ++d) {
+    const int orig =
+        group_.to_original.empty() ? d : group_.to_original[static_cast<std::size_t>(d)];
+    if (g.flat_of(orig) < 0) g.plan.excluded_devices.push_back(d);
+  }
+  // Incremental re-preparation: only layers whose bit assignment changed
+  // in the repaired plan are re-quantized; the rest hit the QuantCache.
+  if (prep_ != nullptr) prep_->reprepare(old_bits, g.plan.layer_bits);
+  faults = after_repair(faults, g);
+
+  stats.events.push_back("[" + format_seconds(abort_us * 1e-6) +
+                         "] repair: generation " +
+                         std::to_string(stats.final_generation) + " on " +
+                         g.cluster.summary() + ", resume at " +
+                         format_seconds(resume_us * 1e-6));
+  if (ob) sq::obs::counter("fault.repairs.succeeded").add();
+  return true;
+}
 
 double backend_efficiency(Backend backend) {
   // The custom PyTorch-native backend trades kernel polish for hardware
@@ -148,13 +159,13 @@ RecoveryStats OfflineEngine::serve(
     const std::vector<sq::sim::BatchWorkload>& batches,
     const RecoveryOptions& opts) const {
   RecoveryStats stats;
-  const std::string err = plan_.validate(model_, cluster_);
+  const std::string err = group_.plan.validate(model_, group_.cluster);
   if (!err.empty()) {
     stats.serve.feasible = false;
     stats.serve.failure = "invalid plan: " + err;
     return stats;
   }
-  if (prep_) prep_->prepare(plan_.layer_bits);
+  if (prep_) prep_->prepare(group_.plan.layer_bits);
 
   sq::sim::PipelineOptions popts;
   popts.kernel = kernel_;
@@ -170,9 +181,13 @@ RecoveryStats OfflineEngine::serve(
   sq::obs::TraceSink sink;
   if (ob) popts.trace = &sink;
 
-  ActiveState a(cluster_, plan_, opts.faults);
-  if (ob && a.schedule != nullptr) {
-    sq::obs::counter("fault.injected").add(a.schedule->events.size());
+  // The group being served (the bound one until a repair replaces it) and
+  // the fault schedule it replays.
+  ReplicaGroup g = group_;
+  sq::sim::FaultSchedule faults =
+      opts.faults != nullptr ? *opts.faults : sq::sim::FaultSchedule{};
+  if (ob && !faults.empty()) {
+    sq::obs::counter("fault.injected").add(faults.events.size());
   }
 
   double clock_us = 0.0;   // Full timeline: productive + lost + backoff + replan.
@@ -190,7 +205,7 @@ RecoveryStats OfflineEngine::serve(
 
   for (std::size_t b = 0; b < batches.size() && !stopped; ++b) {
     const sq::sim::BatchWorkload& batch = batches[b];
-    BatchSchedule sched = schedule_batch(a.cluster, model_, a.plan, batch);
+    BatchSchedule sched = schedule_batch(g.cluster, model_, g.plan, batch);
     if (!sched.weights_fit) {
       stats.serve.feasible = false;
       stats.serve.failure = "OOM: plan weights exceed device memory";
@@ -212,18 +227,18 @@ RecoveryStats OfflineEngine::serve(
       const std::uint64_t wave = sched.waves[wi];
       sq::sim::BatchWorkload w = batch;
       w.batch_size = wave;
-      sq::sim::ExecutionPlan p = a.plan;
+      sq::sim::ExecutionPlan p = g.plan;
       p.prefill_microbatch = std::min<std::uint64_t>(sched.eta, wave);
       p.decode_microbatch = std::min<std::uint64_t>(sched.xi, wave);
 
       sq::sim::FaultView fv;
-      fv.schedule = a.schedule;
+      fv.schedule = &faults;
       fv.base_us = clock_us;
-      fv.to_original = a.to_original();
-      popts.faults = a.schedule != nullptr ? &fv : nullptr;
+      fv.to_original = g.to_original.empty() ? nullptr : &g.to_original;
+      popts.faults = faults.empty() ? nullptr : &fv;
       sink.base_us = clock_us;
 
-      const auto r = sq::sim::simulate_batch(a.cluster, model_, p, w, popts);
+      const auto r = sq::sim::simulate_batch(g.cluster, model_, p, w, popts);
       if (r.oom) {
         stats.serve.feasible = false;
         stats.serve.failure =
@@ -248,7 +263,7 @@ RecoveryStats OfflineEngine::serve(
           double kv_occ = 0.0;
           for (const auto& dm : r.memory.devices) {
             const double usable = static_cast<double>(
-                a.cluster.spec(dm.device).usable_memory_bytes());
+                g.cluster.spec(dm.device).usable_memory_bytes());
             if (usable > 0.0) {
               kv_occ = std::max(kv_occ, static_cast<double>(dm.kv_cache) / usable);
             }
@@ -273,57 +288,59 @@ RecoveryStats OfflineEngine::serve(
       const double abort_global_us = clock_us + r.total_us;
       stats.lost_us += r.total_us;
       clock_us = abort_global_us;
+      // Failures are logged by the bound group's flat index.
+      const int failed_dev = group_.flat_of(r.fault_device);
       stats.events.push_back(
-          "[" + fmt_s(abort_global_us) + "] " +
+          "[" + format_seconds(abort_global_us * 1e-6) + "] " +
           (r.fault_transient ? "transient" : "permanent") + " failure on device " +
-          std::to_string(r.fault_device) + ", wave of " + std::to_string(wave) +
-          " aborted after " + fmt_s(r.total_us));
+          std::to_string(failed_dev) + ", wave of " + std::to_string(wave) +
+          " aborted after " + format_seconds(r.total_us * 1e-6));
       if (ob) {
         sq::obs::counter("fault.aborts").add();
         sq::obs::histogram("fault.lost_us", sq::obs::BucketLayout::kTimeUs)
             .observe(r.total_us);
       }
 
-      if (r.fault_transient && wave_retries < opts.max_retries) {
+      if (r.fault_transient && wave_retries < kMaxRetries) {
         // Wait out the window plus backoff, then re-run the same wave.
         ++wave_retries;
         ++stats.retries;
         const double window_end_global = (clock_us - r.total_us) + r.fault_until_us;
         const double wait_us =
-            std::max(0.0, window_end_global - clock_us) + opts.backoff_s * 1e6;
+            std::max(0.0, window_end_global - clock_us) + kBackoffS * 1e6;
         stats.backoff_us += wait_us;
         clock_us += wait_us;
-        stats.events.push_back("[" + fmt_s(abort_global_us) + "] retry " +
-                               std::to_string(wave_retries) + " after backoff, at " +
-                               fmt_s(clock_us));
+        stats.events.push_back("[" + format_seconds(abort_global_us * 1e-6) +
+                               "] retry " + std::to_string(wave_retries) +
+                               " after backoff, at " +
+                               format_seconds(clock_us * 1e-6));
         if (ob) sq::obs::counter("fault.retries").add();
         continue;
       }
 
       // Permanent failure (or transient retry budget exhausted — the device
       // is then treated as lost for the remainder of the run).
-      a.failed.push_back(r.fault_device);
-      const double penalty_us = opts.replan_penalty_s * 1e6;
-      if (repair(a, cluster_, opts, prep_.get(), ob, abort_global_us,
+      const double penalty_us = kReplanPenaltyS * 1e6;
+      if (repair(g, faults, r.fault_device, opts.replan, abort_global_us,
                  clock_us + penalty_us, &stats.replan_wall_s, stats)) {
         stats.replan_us += penalty_us;
         clock_us += penalty_us;
         if (ob) {
           sq::obs::histogram("fault.replan_s", sq::obs::BucketLayout::kSeconds)
-              .observe(opts.replan_penalty_s);
+              .observe(kReplanPenaltyS);
           sq::obs::Span span;
           span.name = "recovery.repair";
           span.start_us = abort_global_us;
           span.end_us = clock_us;
           span.attrs = {{"generation", static_cast<double>(stats.final_generation)},
-                        {"failed_device", static_cast<double>(a.failed.back())}};
+                        {"failed_device", static_cast<double>(failed_dev)}};
           sink.base_us = 0.0;
           sink.add(std::move(span));
         }
         // Re-schedule the requests this batch still owes under the new plan.
         sq::sim::BatchWorkload rest = batch;
         rest.batch_size = batch.batch_size - done_in_batch;
-        sched = schedule_batch(a.cluster, model_, a.plan, rest);
+        sched = schedule_batch(g.cluster, model_, g.plan, rest);
         if (!sched.weights_fit) {
           stats.serve.failure = "repair infeasible: repaired plan weights OOM";
         } else {
@@ -341,7 +358,7 @@ RecoveryStats OfflineEngine::serve(
                         : "device failed with repair disabled; remaining "
                           "workload lost";
       }
-      stats.events.push_back("[" + fmt_s(abort_global_us) + "] " +
+      stats.events.push_back("[" + format_seconds(abort_global_us * 1e-6) + "] " +
                              stats.serve.failure + " (" +
                              std::to_string(stats.lost_requests) + " requests)");
       stopped = true;
@@ -360,7 +377,9 @@ RecoveryStats OfflineEngine::serve(
     }
     sq::obs::Registry::global().record_spans(sink.take());
   }
-  stats.final_plan = std::move(a.plan);
+  stats.final_plan = std::move(g.plan);
+  stats.final_cluster = std::move(g.cluster);
+  stats.final_to_original = std::move(g.to_original);
   stats.wall_seconds = clock_us * 1e-6;
   if (stats.serve.total_seconds > 0.0) {
     stats.serve.throughput_tok_s =
@@ -384,18 +403,20 @@ RecoveryStats OfflineEngine::serve_requests(
 RequestStats OfflineEngine::serve_continuous(
     const std::vector<sq::workload::TimedRequest>& arrivals,
     const ContinuousOptions& copts, const RecoveryOptions& ropts) const {
-  if (prep_) prep_->prepare(plan_.layer_bits);
+  if (prep_) prep_->prepare(group_.plan.layer_bits);
   RequestStats total = pending_stats(arrivals);
 
   const bool ob = observe_ && sq::obs::enabled();
-  ActiveState a(cluster_, plan_, ropts.faults);
-  if (ob && a.schedule != nullptr) {
-    sq::obs::counter("fault.injected").add(a.schedule->events.size());
+  ReplicaGroup g = group_;
+  sq::sim::FaultSchedule faults =
+      ropts.faults != nullptr ? *ropts.faults : sq::sim::FaultSchedule{};
+  if (ob && !faults.empty()) {
+    sq::obs::counter("fault.injected").add(faults.events.size());
   }
 
   std::vector<std::size_t> remaining(arrivals.size());
   for (std::size_t i = 0; i < arrivals.size(); ++i) remaining[i] = i;
-  double resume_us = copts.start_us;
+  ContinuousOptions c = copts;
 
   // One scheduler run per plan generation; a permanent failure ends the
   // generation, and the requests it did not finish resume on the repaired
@@ -406,13 +427,11 @@ RequestStats OfflineEngine::serve_continuous(
     sub.reserve(remaining.size());
     for (const std::size_t id : remaining) sub.push_back(arrivals[id]);
 
-    RequestScheduler sched(a.cluster, model_, a.plan, backend_efficiency(),
+    RequestScheduler sched(g.cluster, model_, g.plan, backend_efficiency(),
                            kernel_, memoize_);
     sched.set_observe(observe_);
-    ContinuousOptions c = copts;
-    c.start_us = resume_us;
-    c.faults = a.schedule;
-    c.to_original = a.to_original();
+    c.faults = faults.empty() ? nullptr : &faults;
+    c.to_original = g.to_original.empty() ? nullptr : &g.to_original;
     const RequestStats st = sched.serve(sub, c);
     std::vector<std::size_t> incomplete = merge_segment(total, st, remaining);
 
@@ -426,13 +445,16 @@ RequestStats OfflineEngine::serve_continuous(
     total.stopped = st.stopped;
     total.stop_s = st.stop_s;
     if (!st.fault_permanent) break;  // clean finish (or stop) on this plan
-
-    a.failed.push_back(st.fault_device);
     if (incomplete.empty()) break;  // the failure stranded nothing
+
     const double abort_us = st.fault_s * 1e6;
-    resume_us = abort_us + ropts.replan_penalty_s * 1e6;
-    if (!repair(a, cluster_, ropts, prep_.get(), ob, abort_us, resume_us,
-                nullptr, total)) {
+    // The next generation starts its requests fresh: `copts.resume` is
+    // index-parallel with `arrivals`, not with the stranded subset, and
+    // the KV it stood for died with the device.
+    c.start_us = abort_us + kReplanPenaltyS * 1e6;
+    c.resume = nullptr;
+    if (!repair(g, faults, st.fault_device, ropts.replan, abort_us,
+                c.start_us, nullptr, total)) {
       total.fault_permanent = true;
       total.fault_device = st.fault_device;
       total.fault_s = st.fault_s;
@@ -441,9 +463,9 @@ RequestStats OfflineEngine::serve_continuous(
                        : "device failed with repair disabled; remaining "
                          "requests lost";
       lose_requests(total, incomplete);
-      total.events.push_back("[" + fmt_s(abort_us) + "] " + total.failure +
-                             " (" + std::to_string(incomplete.size()) +
-                             " requests)");
+      total.events.push_back("[" + format_seconds(abort_us * 1e-6) + "] " +
+                             total.failure + " (" +
+                             std::to_string(incomplete.size()) + " requests)");
       if (ob) {
         sq::obs::counter("fault.lost_requests").add(incomplete.size());
       }
@@ -452,7 +474,9 @@ RequestStats OfflineEngine::serve_continuous(
     remaining = std::move(incomplete);
   }
 
-  total.final_plan = std::move(a.plan);
+  total.final_plan = std::move(g.plan);
+  total.final_cluster = std::move(g.cluster);
+  total.final_to_original = std::move(g.to_original);
   finalize_request_aggregates(total);
   return total;
 }

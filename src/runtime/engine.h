@@ -8,29 +8,32 @@
 // per-batch padding, throughput accounting — is real and is what the
 // end-to-end benchmarks (Figs. 9/10, Table IV) measure.
 //
-// The same engine serves under a fault schedule (shared heterogeneous
-// fleets where devices fail, throttle and straggle mid-batch); a
-// fault-free run is the recovery loop with an empty schedule:
+// An engine serves one replica group (ReplicaGroup: a cluster, its device
+// map into the ids a fault schedule speaks, and a plan).  The same engine
+// serves under a fault schedule (shared heterogeneous fleets where devices
+// fail, throttle and straggle mid-batch); a fault-free run is the recovery
+// loop with an empty schedule:
 //
 //   * Checkpointing.  Progress is tracked at wave granularity: a completed
 //     wave's requests are never re-executed; an aborted wave re-runs its
 //     requests from scratch, so no request is ever lost.
 //   * Transient faults retry with backoff: the engine waits out the
-//     failure window (plus a configurable backoff) and re-runs the wave,
-//     up to `max_retries` times.
-//   * Permanent faults trigger plan repair: the degraded cluster (failed
-//     devices excluded, sustained stragglers re-rated) is handed to a
-//     Replanner through the escalation ladder (replan_ladder).  Stage
-//     times of unchanged devices hit the shared memoized caches, so repair
-//     is incremental.  The repaired plan serves the remaining workload;
-//     later fault events are translated through the degraded cluster's
-//     index map.
+//     failure window (plus kBackoffS) and re-runs the wave, up to
+//     kMaxRetries times.
+//   * Permanent faults trigger plan repair (repair_group, the one repair
+//     step every engine shares): the failed device leaves the group,
+//     sustained stragglers are re-rated, and a Replanner re-plans the rest
+//     through the escalation ladder (replan_ladder).  Stage times of
+//     unchanged devices hit the shared memoized caches, so repair is
+//     incremental.  The repaired group serves the remaining workload; its
+//     device map keeps naming every survivor by its original id, so later
+//     fault events still find their device.
 //   * Graceful degradation: when no attempt of the ladder yields a plan,
 //     the remaining workload is lost and reported, never crashed on.
 //
 // Everything stays bit-deterministic for a fixed seed and thread count:
-// the serving clock is simulated, the replanning *charge* is a fixed
-// configured penalty (real planner wall time is recorded separately, for
+// the serving clock is simulated, the replanning *charge* is the fixed
+// kReplanPenaltyS (real planner wall time is recorded separately, for
 // observability only), and the planner itself picks identical plans at
 // every thread count.
 #pragma once
@@ -75,6 +78,10 @@ struct ServeStats {
   std::uint64_t capped_batches = 0;  ///< Batches that needed concurrency caps.
 };
 
+/// Event-log rendering of `seconds` ("12.345s"), shared by every engine's
+/// deterministic event log.
+std::string format_seconds(double seconds);
+
 /// Result of one replanner call: a plan for a changed cluster (degraded by
 /// faults, or grown/shrunk by membership changes).
 struct ReplanOutcome {
@@ -110,19 +117,71 @@ ReplanOutcome replan_ladder(const Replanner& replan,
                             double* wall_s = nullptr,
                             const LadderObs* obs = nullptr);
 
+/// Recovery and re-planning constants, shared by every engine.
+/// Wave re-runs per transient fault.
+inline constexpr int kMaxRetries = 3;
+/// Simulated seconds waited after a transient window, before the re-run.
+inline constexpr double kBackoffS = 0.25;
+/// Escalation ladder length per repair or membership change.
+inline constexpr int kMaxReplanAttempts = 3;
+/// Simulated seconds charged per plan switch (repair or membership
+/// change).  Stands in for plan distribution and weight re-sharding; a
+/// fixed charge keeps the timeline deterministic regardless of real
+/// planner wall time.
+inline constexpr double kReplanPenaltyS = 2.0;
+
 /// Recovery knobs.  The default is the fault-free run.
 struct RecoveryOptions {
-  const sq::sim::FaultSchedule* faults = nullptr;  ///< Null = fault-free.
+  /// Null = fault-free.  Device ids are the bound group's original ids
+  /// (ReplicaGroup::to_original).
+  const sq::sim::FaultSchedule* faults = nullptr;
   Replanner replan;            ///< Null = no-repair baseline: a permanent
                                ///< failure loses the remaining workload.
-  int max_retries = 3;         ///< Wave re-runs per transient fault.
-  double backoff_s = 0.25;     ///< Simulated wait after a transient window.
-  int max_replan_attempts = 3; ///< Escalation ladder length.
-  /// Simulated seconds charged per repair (stands in for plan distribution
-  /// and weight re-sharding; a fixed charge keeps the timeline
-  /// deterministic regardless of real planner wall time).
-  double replan_penalty_s = 2.0;
 };
+
+/// One replica group's serving state: a cluster, where its devices sit in
+/// the cluster a fault schedule speaks of, and the plan serving it.  A
+/// single-pipeline deployment is the group with an identity device map; a
+/// sharded fleet holds one group per disjoint sub-cluster.  Plan repair and
+/// membership changes replace it as a whole.
+struct ReplicaGroup {
+  sq::hw::Cluster cluster;        ///< The group's (sub-)cluster.
+  /// Flat device index -> original id (fleet flat index, or the stable
+  /// base id of an elastic member).  Identity when empty.  Fault schedules
+  /// name devices by these ids.
+  std::vector<int> to_original;
+  sq::sim::ExecutionPlan plan;    ///< Addresses `cluster`.
+  /// Planner-predicted serving rate (output tokens / s); the fleet's LPT
+  /// speed weight and the autoscaler's signal.  0 = unknown.
+  double predicted_tok_s = 0.0;
+
+  /// Flat index of the device with original id `id`; -1 when the group
+  /// does not hold it.
+  int flat_of(int id) const;
+
+  /// Adopt `r`, a plan for `deg` (this cluster minus some devices):
+  /// surviving devices keep their original ids.
+  void shrink(const sq::hw::DegradedCluster& deg, ReplanOutcome r);
+};
+
+/// The one permanent-fault repair step: drop the devices `failed` (flat
+/// indices of `g`) from the group, bake the sustained `derates` (flat
+/// indices) into the survivors' specs, re-plan the rest through
+/// replan_ladder and adopt a feasible outcome (ReplicaGroup::shrink).
+/// `calls`, `obs` and `wall_s` are replan_ladder's.  Returns "" on
+/// success, otherwise why the group could not be repaired (and `g` is
+/// unchanged).
+std::string repair_group(ReplicaGroup& g, const std::vector<int>& failed,
+                         const std::vector<sq::hw::DeviceDerate>& derates,
+                         const Replanner& replan, std::uint64_t* calls,
+                         const LadderObs* obs, double* wall_s = nullptr);
+
+/// The events of `s` that serving on `g` still replays after a repair of
+/// `g`: those on devices the group holds, minus the sustained stragglers
+/// the repair baked into its specs (replaying them would count the loss
+/// twice).
+sq::sim::FaultSchedule after_repair(const sq::sim::FaultSchedule& s,
+                                    const ReplicaGroup& g);
 
 /// Aggregate results of (possibly fault-tolerant) batch serving.
 struct RecoveryStats {
@@ -149,20 +208,34 @@ struct RecoveryStats {
   /// + replanning).
   double wall_seconds = 0.0;
   /// Deterministic human-readable fault/repair timeline ("[12.3s] fail
-  /// dev2 ...", one entry per event); identical across thread counts.
+  /// dev2 ...", one entry per event; devices by the bound cluster's flat
+  /// index); identical across thread counts.
   std::vector<std::string> events;
   /// The plan serving ended on: the bound plan when no repair happened,
-  /// otherwise the last repaired plan (stage indices address the degraded
-  /// cluster; repair_generation / excluded_devices carry the provenance).
+  /// otherwise the last repaired plan (stage indices address
+  /// `final_cluster`; repair_generation / excluded_devices carry the
+  /// provenance, excluded_devices as flat indices of the bound cluster).
   sq::sim::ExecutionPlan final_plan;
+  /// The group serving ended on, next to `final_plan`: its cluster and its
+  /// device map (see ReplicaGroup).
+  sq::hw::Cluster final_cluster;
+  std::vector<int> final_to_original;
 };
 
-/// The engine: binds (cluster, model, plan, backend).
+/// The engine: binds (replica group, model, backend).
 class OfflineEngine {
  public:
-  /// `memoize` toggles the shared stage-time cache of the simulator; it
-  /// never changes results, only wall-clock time (off = the legacy
-  /// recompute-everything path).
+  /// Serve `group`; fault schedules then name its devices by their
+  /// original ids (ReplicaGroup::to_original).  `memoize` toggles the
+  /// shared stage-time cache of the simulator; it never changes results,
+  /// only wall-clock time (off = the legacy recompute-everything path).
+  OfflineEngine(ReplicaGroup group, sq::model::LlmSpec model,
+                Backend backend = Backend::kVllmStyle,
+                sq::sim::KernelModelOptions kernel = {.ground_truth = true,
+                                                      .seed = 11},
+                bool memoize = true);
+
+  /// Serve `plan` on the whole of `cluster` (the identity device map).
   OfflineEngine(sq::hw::Cluster cluster, sq::model::LlmSpec model,
                 sq::sim::ExecutionPlan plan, Backend backend = Backend::kVllmStyle,
                 sq::sim::KernelModelOptions kernel = {.ground_truth = true,
@@ -182,14 +255,16 @@ class OfflineEngine {
 
   /// Continuous-batching mode: serve an arrival timeline through the
   /// iteration-level RequestScheduler instead of whole-batch waves.  When
-  /// a permanent failure stops the scheduler, repair the plan (the same
-  /// degrade + ladder as `serve`), charge `ropts.replan_penalty_s` on the
-  /// serving clock, and resume the still-incomplete requests on the
-  /// repaired plan; with no repair possible they are lost.  The fault
-  /// schedule speaks ORIGINAL device indices and absolute times on the
-  /// serving clock.  `copts.faults` and `copts.to_original` are managed by
-  /// the engine; the other knobs pass through.  Without faults the result
-  /// is exactly the scheduler's.  Bit-identical across thread counts.
+  /// a permanent failure stops the scheduler, repair the group (the same
+  /// repair step as `serve`), charge kReplanPenaltyS on the serving clock,
+  /// and resume the still-incomplete requests on the repaired plan; with
+  /// no repair possible they are lost.  The fault schedule speaks original
+  /// device ids and absolute times on the serving clock.  `copts.faults`
+  /// and `copts.to_original` are managed by the engine; `copts.resume`
+  /// applies to the first plan generation only (a repaired generation
+  /// starts its requests fresh: their KV died with the device); the other
+  /// knobs pass through.  Without faults the result is exactly the
+  /// scheduler's.  Bit-identical across thread counts.
   RequestStats serve_continuous(
       const std::vector<sq::workload::TimedRequest>& arrivals,
       const ContinuousOptions& copts = {},
@@ -216,15 +291,21 @@ class OfflineEngine {
   const std::shared_ptr<const WeightPrep>& weight_prep() const { return prep_; }
 
   /// The bound plan.
-  const sq::sim::ExecutionPlan& plan() const { return plan_; }
+  const sq::sim::ExecutionPlan& plan() const { return group_.plan; }
 
   /// Backend efficiency factor in effect.
   double backend_efficiency() const;
 
  private:
-  sq::hw::Cluster cluster_;
+  /// Plan repair after the device with original id `id` failed, shared by
+  /// the wave and generation loops (see engine.cpp).
+  template <class Stats>
+  bool repair(ReplicaGroup& g, sq::sim::FaultSchedule& faults, int id,
+              const Replanner& replan, double abort_us, double resume_us,
+              double* wall_s, Stats& stats) const;
+
+  ReplicaGroup group_;
   sq::model::LlmSpec model_;
-  sq::sim::ExecutionPlan plan_;
   Backend backend_;
   sq::sim::KernelModelOptions kernel_;
   bool memoize_;

@@ -1,7 +1,6 @@
 #include "runtime/fleet.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -15,22 +14,14 @@ namespace sq::runtime {
 
 namespace {
 
-/// Deterministic seconds rendering for the event log.
-std::string fmt_s(double s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3fs", s);
-  return buf;
-}
-
-/// Mutable serving state of one replica group.  Owned by exactly one
-/// scheduler worker at a time (groups are the unit of parallel execution),
-/// so no synchronization is needed.
+/// Mutable state of one replica group.  Owned by exactly one scheduler
+/// worker at a time (groups are the unit of parallel execution), so no
+/// synchronization is needed.
 struct GroupState {
-  sq::hw::Cluster cluster;
-  std::vector<int> to_original;       ///< Group-local -> fleet index.
-  sq::sim::ExecutionPlan plan;
-  sq::sim::FaultSchedule schedule;    ///< Group-local indices, fleet clock.
-  double rate_tok_s = 1.0;            ///< LPT speed weight.
+  ReplicaGroup group;                 ///< Repairs adopted as they happen.
+  /// The fleet schedule as this group replays it, on the fleet clock
+  /// (after_repair once a repair baked its stragglers in).
+  sq::sim::FaultSchedule schedule;
   double elapsed_us = 0.0;            ///< Group-local simulated clock.
   bool retired = false;
   std::vector<std::string> events;
@@ -41,10 +32,10 @@ struct GroupState {
 /// KV room for a single full-context request.  A continuous job is probed
 /// with its largest request (clamped to the model's context limit, exactly
 /// as the request scheduler clamps).
-bool can_run(const GroupState& st, const sq::model::LlmSpec& model,
+bool can_run(const ReplicaGroup& g, const sq::model::LlmSpec& model,
              const FleetJob& job) {
   for (const auto& b : job.batches) {
-    if (max_concurrency(st.cluster, model, st.plan, b) == 0) return false;
+    if (max_concurrency(g.cluster, model, g.plan, b) == 0) return false;
   }
   if (!job.arrivals.empty()) {
     std::uint64_t prompt = 1;
@@ -58,62 +49,53 @@ bool can_run(const GroupState& st, const sq::model::LlmSpec& model,
     probe.prompt_len = std::max<std::uint64_t>(1, std::min(prompt, model.pos_s - 1));
     probe.gen_tokens =
         std::max<std::uint64_t>(1, std::min(gen, model.pos_s - probe.prompt_len));
-    if (max_concurrency(st.cluster, model, st.plan, probe) == 0) return false;
+    if (max_concurrency(g.cluster, model, g.plan, probe) == 0) return false;
   }
   return true;
 }
 
-/// Fold a permanent repair performed inside a job's OfflineEngine run
-/// back into the group's standing state: degrade the group cluster by the
-/// excluded devices (permanent straggler deratings baked in, mirroring the
-/// engine's repair), adopt the repaired plan, and remap the remaining
-/// schedule to the new local indices.
-void fold_repair(GroupState* st, const sq::sim::ExecutionPlan& final_plan) {
-  std::vector<sq::hw::DeviceDerate> derates;
-  for (const auto& e : st->schedule.events) {
-    if (e.permanent_slowdown()) derates.push_back({e.device, e.factor});
-  }
-  const sq::hw::DegradedCluster deg = sq::hw::degrade_cluster(
-      st->cluster, final_plan.excluded_devices, derates);
-  if (!deg.feasible) {
-    // The repair excluded every device; nothing left to fold — the group
-    // is done for.  (The engine already reported the failure.)
-    st->retired = true;
-    return;
-  }
+}  // namespace
 
-  sq::sim::FaultSchedule remapped;
-  for (const auto& e : st->schedule.events) {
-    if (e.permanent_slowdown()) continue;  // Baked into the derated spec.
-    const int local = deg.from_original[static_cast<std::size_t>(e.device)];
-    if (local < 0) continue;  // Device excluded by the repair.
-    sq::sim::FaultEvent ev = e;
-    ev.device = local;
-    remapped.events.push_back(ev);
-  }
-  remapped.normalize();
-
-  std::vector<int> chained;
-  chained.reserve(deg.to_original.size());
-  for (const int i : deg.to_original) {
-    chained.push_back(st->to_original.empty()
-                          ? i
-                          : st->to_original[static_cast<std::size_t>(i)]);
-  }
-
-  // The repaired plan came out of a fresh planner run and therefore lost
-  // the shard stamps; re-apply them so provenance survives repair.
-  sq::sim::ExecutionPlan plan = final_plan;
-  plan.shard_index = st->plan.shard_index;
-  plan.num_shards = st->plan.num_shards;
-
-  st->cluster = deg.cluster;
-  st->to_original = std::move(chained);
-  st->plan = std::move(plan);
-  st->schedule = std::move(remapped);
+std::vector<std::size_t> lpt_order(const std::vector<FleetJob>& jobs,
+                                   std::vector<std::size_t> ids) {
+  std::stable_sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
+    return jobs[a].work_tokens() > jobs[b].work_tokens();
+  });
+  return ids;
 }
 
-}  // namespace
+std::string job_event(const FleetJob& job, const JobOutcome& out) {
+  std::string line = "job '" + job.name + "' [" + format_seconds(out.start_s) +
+                     " .. " + format_seconds(out.end_s) + "] ";
+  if (!out.completed) return line + "FAILED: " + out.failure;
+  line += std::to_string(static_cast<long long>(out.output_tokens())) + " tokens";
+  if (job.arrivals.empty()) return line;
+  return line + " (" + std::to_string(out.continuous.completed) + "/" +
+         std::to_string(out.continuous.submitted) + " requests)";
+}
+
+void finalize_fleet_stats(FleetStats& stats) {
+  stats.group_jobs.assign(stats.group_busy_s.size(), 0);
+  for (const JobOutcome& out : stats.jobs) {
+    if (out.completed) ++stats.jobs_completed;
+    // Token counts are whole numbers, so the sum is exact in any order.
+    stats.output_tokens += out.output_tokens();
+    stats.faults_hit += out.recovery.faults_hit + out.continuous.faults_hit;
+    stats.retries += out.recovery.retries + out.continuous.retries;
+    stats.repairs +=
+        out.recovery.repairs_succeeded + out.continuous.repairs_succeeded;
+    if (out.group >= 0 && out.end_s > out.start_s) {
+      ++stats.group_jobs[static_cast<std::size_t>(out.group)];
+    }
+  }
+  stats.makespan_s = 0.0;
+  for (const double b : stats.group_busy_s) {
+    stats.makespan_s = std::max(stats.makespan_s, b);
+  }
+  if (stats.makespan_s > 0.0) {
+    stats.aggregate_tok_s = stats.output_tokens / stats.makespan_s;
+  }
+}
 
 double FleetJob::work_tokens() const {
   double t = 0.0;
@@ -198,37 +180,13 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
           "group " + std::to_string(g) + " plan invalid: " + err;
       return stats;
     }
-    GroupState& st = state[g];
-    st.cluster = rg.cluster;
-    st.to_original = rg.to_original;
-    st.plan = rg.plan;
-    st.rate_tok_s = rg.predicted_tok_s > 0.0 ? rg.predicted_tok_s : 1.0;
-    // Translate the fleet-level schedule into group-local indices; events
-    // on devices outside this group are inert here (they belong to some
-    // other group or to no group at all).
-    if (opts.faults != nullptr) {
-      for (const auto& e : opts.faults->events) {
-        int local = -1;
-        if (st.to_original.empty()) {
-          if (e.device >= 0 && e.device < st.cluster.device_count()) {
-            local = e.device;
-          }
-        } else {
-          for (std::size_t i = 0; i < st.to_original.size(); ++i) {
-            if (st.to_original[i] == e.device) {
-              local = static_cast<int>(i);
-              break;
-            }
-          }
-        }
-        if (local < 0) continue;
-        sq::sim::FaultEvent ev = e;
-        ev.device = local;
-        st.schedule.events.push_back(ev);
-      }
-      st.schedule.normalize();
-    }
+    state[g].group = rg;
+    if (opts.faults != nullptr) state[g].schedule = *opts.faults;
   }
+  // LPT speed weight: the planner-predicted rate the group started with.
+  const auto rate_tok_s = [&](std::size_t g) {
+    return groups_[g].predicted_tok_s > 0.0 ? groups_[g].predicted_tok_s : 1.0;
+  };
 
   stats.jobs.resize(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) stats.jobs[j].job = jobs[j].name;
@@ -261,25 +219,18 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
       break;
     }
 
-    // LPT order: work proxy descending, input index ascending on ties.
-    std::vector<std::size_t> order = pending;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return jobs[a].work_tokens() > jobs[b].work_tokens();
-                     });
-
     // Greedy finish-time assignment over the groups' predicted rates,
     // starting from each group's already-elapsed timeline.
     std::vector<double> load_s(n_groups, 0.0);
     for (const std::size_t g : active) load_s[g] = state[g].elapsed_us * 1e-6;
     std::vector<std::vector<std::size_t>> queue(n_groups);
     std::vector<std::size_t> still_pending;
-    for (const std::size_t j : order) {
+    for (const std::size_t j : lpt_order(jobs, pending)) {
       std::size_t best = n_groups;
       double best_t = std::numeric_limits<double>::infinity();
       for (const std::size_t g : active) {
-        if (!can_run(state[g], model_, jobs[j])) continue;
-        const double t = load_s[g] + jobs[j].work_tokens() / state[g].rate_tok_s;
+        if (!can_run(state[g].group, model_, jobs[j])) continue;
+        const double t = load_s[g] + jobs[j].work_tokens() / rate_tok_s(g);
         if (t < best_t) {
           best_t = t;
           best = g;
@@ -294,7 +245,7 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
         continue;
       }
       queue[best].push_back(j);
-      load_s[best] += jobs[j].work_tokens() / state[best].rate_tok_s;
+      load_s[best] += jobs[j].work_tokens() / rate_tok_s(best);
     }
 
     // Execute every group's queue; a group's jobs run in order, groups run
@@ -312,66 +263,49 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
         RecoveryOptions ropts;
         ropts.faults = shifted.empty() ? nullptr : &shifted;
         ropts.replan = opts.replan;
-        ropts.max_retries = opts.max_retries;
-        ropts.backoff_s = opts.backoff_s;
-        ropts.max_replan_attempts = opts.max_replan_attempts;
-        ropts.replan_penalty_s = opts.replan_penalty_s;
 
-        OfflineEngine eng(st.cluster, model_, st.plan, backend_, kernel_,
-                          memoize_);
+        OfflineEngine eng(st.group, model_, backend_, kernel_, memoize_);
         if (prep_) eng.set_weight_prep(prep_);
         JobOutcome& out = stats.jobs[j];
         out.group = static_cast<int>(g);
         out.start_s = st.elapsed_us * 1e-6;
+        // After serving: account the job on the group's timeline and, when
+        // the engine repaired the group, carry on with the group serving
+        // ended on (the fresh plan lost the shard stamps; re-apply them so
+        // provenance survives repair).
+        const auto finish = [&](const auto& rs, double wall_s,
+                                const std::string& why) {
+          out.end_s = out.start_s + wall_s;
+          if (!out.completed) out.failure = why.empty() ? "serving aborted" : why;
+          st.elapsed_us += wall_s * 1e6;
+          st.events.push_back(job_event(job, out));
+          for (const auto& e : rs.events) st.events.push_back("  " + e);
+          if (rs.final_generation == 0) return;
+          sq::sim::ExecutionPlan plan = rs.final_plan;
+          plan.shard_index = st.group.plan.shard_index;
+          plan.num_shards = st.group.plan.num_shards;
+          st.group = {rs.final_cluster, rs.final_to_original, std::move(plan),
+                      st.group.predicted_tok_s};
+          st.schedule = after_repair(st.schedule, st.group);
+        };
         if (job.arrivals.empty()) {
-          RecoveryStats rec = eng.serve(job.batches, ropts);
-          out.end_s = out.start_s + rec.wall_seconds;
-          out.completed = rec.serve.feasible && rec.lost_requests == 0;
-          if (!out.completed) {
-            out.failure = rec.serve.failure.empty() ? "serving aborted"
-                                                    : rec.serve.failure;
-          }
-          st.elapsed_us += rec.wall_seconds * 1e6;
-
-          st.events.push_back(
-              "job '" + job.name + "' [" + fmt_s(out.start_s) + " .. " +
-              fmt_s(out.end_s) + "] " +
-              (out.completed
-                   ? std::to_string(static_cast<long long>(rec.serve.output_tokens)) +
-                         " tokens"
-                   : "FAILED: " + out.failure));
-          for (const auto& e : rec.events) st.events.push_back("  " + e);
-
-          if (rec.final_generation > 0) fold_repair(&st, rec.final_plan);
-          out.recovery = std::move(rec);
+          out.recovery = eng.serve(job.batches, ropts);
+          out.completed =
+              out.recovery.serve.feasible && out.recovery.lost_requests == 0;
+          finish(out.recovery, out.recovery.wall_seconds,
+                 out.recovery.serve.failure);
         } else {
-          // Continuous job: the arrival timeline starts at the job's start
-          // instant on this group; the re-based schedule speaks the same
-          // job-local clock, so the scheduler's absolute-time contract
-          // holds.  Lost requests (unservable alone) fail the job's
-          // completeness accounting but do not retire the group — only
-          // structural failures and unrepaired permanent faults do.
-          RequestStats crs = eng.serve_continuous(job.arrivals, {}, ropts);
-          out.end_s = out.start_s + crs.total_seconds;
-          out.completed = crs.feasible && !crs.fault_permanent;
-          if (!out.completed) {
-            out.failure =
-                crs.failure.empty() ? "serving aborted" : crs.failure;
-          }
-          st.elapsed_us += crs.total_seconds * 1e6;
-
-          st.events.push_back(
-              "job '" + job.name + "' [" + fmt_s(out.start_s) + " .. " +
-              fmt_s(out.end_s) + "] " +
-              (out.completed
-                   ? std::to_string(static_cast<long long>(crs.output_tokens)) +
-                         " tokens (" + std::to_string(crs.completed) + "/" +
-                         std::to_string(crs.submitted) + " requests)"
-                   : "FAILED: " + out.failure));
-          for (const auto& e : crs.events) st.events.push_back("  " + e);
-
-          if (crs.final_generation > 0) fold_repair(&st, crs.final_plan);
-          out.continuous = std::move(crs);
+          // The arrival timeline starts at the job's start instant on this
+          // group; the re-based schedule speaks the same job-local clock,
+          // so the scheduler's absolute-time contract holds.  Lost requests
+          // (unservable alone) fail the job's completeness accounting but
+          // do not retire the group — only structural failures and
+          // unrepaired permanent faults do.
+          out.continuous = eng.serve_continuous(job.arrivals, {}, ropts);
+          out.completed =
+              out.continuous.feasible && !out.continuous.fault_permanent;
+          finish(out.continuous, out.continuous.total_seconds,
+                 out.continuous.failure);
         }
         if (!out.completed) {
           st.retired = true;
@@ -391,25 +325,9 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
           still_pending.push_back(j);
           continue;
         }
-        const JobOutcome& out = stats.jobs[j];
-        if (out.completed) {
-          ++stats.jobs_completed;
-        } else {
-          // The failing job itself is consumed: its in-flight requests are
-          // lost exactly as in single-group fault-tolerant serving.
-          seen_failure = true;
-        }
-        if (jobs[j].arrivals.empty()) {
-          stats.output_tokens += out.recovery.serve.output_tokens;
-          stats.faults_hit += out.recovery.faults_hit;
-          stats.retries += out.recovery.retries;
-          stats.repairs += out.recovery.repairs_succeeded;
-        } else {
-          stats.output_tokens += out.continuous.output_tokens;
-          stats.faults_hit += out.continuous.faults_hit;
-          stats.retries += out.continuous.retries;
-          stats.repairs += out.continuous.repairs_succeeded;
-        }
+        // The failing job itself is consumed: its in-flight requests are
+        // lost exactly as in single-group fault-tolerant serving.
+        seen_failure = !stats.jobs[j].completed;
       }
       if (seen_failure) ++stats.groups_retired;
     }
@@ -420,25 +338,13 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
 
   // ---- Final aggregates (group-major, deterministic). ------------------
   stats.group_busy_s.assign(n_groups, 0.0);
-  stats.group_jobs.assign(n_groups, 0);
   for (std::size_t g = 0; g < n_groups; ++g) {
     stats.group_busy_s[g] = state[g].elapsed_us * 1e-6;
     for (const auto& line : state[g].events) {
       stats.events.push_back("group " + std::to_string(g) + ": " + line);
     }
   }
-  for (const JobOutcome& out : stats.jobs) {
-    if (out.group >= 0 && out.end_s > out.start_s) {
-      ++stats.group_jobs[static_cast<std::size_t>(out.group)];
-    }
-  }
-  stats.makespan_s = 0.0;
-  for (const double b : stats.group_busy_s) {
-    stats.makespan_s = std::max(stats.makespan_s, b);
-  }
-  if (stats.makespan_s > 0.0) {
-    stats.aggregate_tok_s = stats.output_tokens / stats.makespan_s;
-  }
+  finalize_fleet_stats(stats);
 
   if (observe_ && sq::obs::enabled()) {
     sq::obs::gauge("fleet.groups").set(static_cast<double>(n_groups));
@@ -467,12 +373,9 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
         span.name = "fleet.job";
         span.start_us = out.start_s * 1e6;
         span.end_us = out.end_s * 1e6;
-        const double tokens = jobs[j].arrivals.empty()
-                                  ? out.recovery.serve.output_tokens
-                                  : out.continuous.output_tokens;
         span.attrs = {{"group", static_cast<double>(g)},
                       {"job", static_cast<double>(j)},
-                      {"tokens", tokens},
+                      {"tokens", out.output_tokens()},
                       {"completed", out.completed ? 1.0 : 0.0}};
         sink.add(std::move(span));
       }

@@ -20,12 +20,14 @@
 //     before any serving starts, every outcome is written to its own slot,
 //     and all reductions run in (group, queue-position) order — threads
 //     only ever move wall-clock time, exactly like the planner's fan-out.
-//   * Faults stay group-local.  The fleet-level schedule (original fleet
-//     device indices) is translated into each group's local indices; each
-//     group serves through its own OfflineEngine, so a permanent
-//     device failure repairs — or, when repair is impossible, retires —
-//     only its own group.  Jobs still queued on a retired group are
-//     re-assigned to the surviving groups in the next scheduling round.
+//   * Faults stay group-local.  Every group's engine is bound to its
+//     ReplicaGroup and reads the fleet-level schedule (fleet device ids)
+//     through the group's device map, so an event only ever hits the group
+//     holding its device.  A permanent device failure repairs — or, when
+//     repair is impossible, retires — only its own group; the fleet adopts
+//     the group the engine reports serving ended on.  Jobs still queued on
+//     a retired group are re-assigned to the surviving groups in the next
+//     scheduling round.
 #pragma once
 
 #include <cstdint>
@@ -40,20 +42,6 @@
 #include "sim/plan.h"
 
 namespace sq::runtime {
-
-/// One replica group of a sharded deployment: a disjoint sub-cluster of
-/// the fleet with its own execution plan.
-struct ReplicaGroup {
-  sq::hw::Cluster cluster;        ///< The group's sub-cluster.
-  /// Group-local flat device index -> fleet flat index.  Identity when
-  /// empty; used to translate fleet-level fault schedules and to label
-  /// events with fleet device ids.
-  std::vector<int> to_original;
-  sq::sim::ExecutionPlan plan;    ///< Addresses `cluster`.
-  /// Planner-predicted serving rate (output tokens / s); the LPT
-  /// assignment's speed weight.  0 = treat all groups as equally fast.
-  double predicted_tok_s = 0.0;
-};
 
 /// One offline job: a named list of padded batches (see
 /// sq::workload::make_batches) OR a continuous-batching arrival timeline
@@ -104,13 +92,18 @@ struct JobOutcome {
   RequestStats continuous;
   double start_s = 0.0;  ///< Start on the group's simulated timeline.
   double end_s = 0.0;    ///< End (start + full recovery wall).
+
+  /// Committed output tokens (whichever of the two stats served the job).
+  double output_tokens() const {
+    return recovery.serve.output_tokens + continuous.output_tokens;
+  }
 };
 
 /// Fleet scheduling knobs.
 struct FleetOptions {
-  /// Fleet-level fault schedule speaking ORIGINAL fleet device indices;
-  /// null = fault-free.  Events are translated into each group's local
-  /// indices (events on devices outside every group are inert).
+  /// Fleet-level fault schedule speaking fleet device ids
+  /// (ReplicaGroup::to_original); null = fault-free.  Events on devices
+  /// outside every group are inert.
   const sq::sim::FaultSchedule* faults = nullptr;
   /// Per-group plan repair (RecoveryOptions::replan); null = no repair: a
   /// permanent failure retires the group.
@@ -119,11 +112,6 @@ struct FleetOptions {
   /// concurrency, 1 = sequential.  FleetStats are bit-identical across all
   /// values.
   int num_threads = 1;
-  // Forwarded per-group recovery knobs (see RecoveryOptions).
-  int max_retries = 3;
-  double backoff_s = 0.25;
-  int max_replan_attempts = 3;
-  double replan_penalty_s = 2.0;
 };
 
 /// Aggregate results of a fleet run.
@@ -153,6 +141,23 @@ struct FleetStats {
   /// with the group index and job name.
   std::vector<std::string> events;
 };
+
+// ---- Job bookkeeping shared by FleetEngine and ElasticFleetEngine. -----
+
+/// `ids` (indices into `jobs`) in longest-processing-time order: work
+/// proxy descending, `ids` order on ties.
+std::vector<std::size_t> lpt_order(const std::vector<FleetJob>& jobs,
+                                   std::vector<std::size_t> ids);
+
+/// The event-log line of a served job: "job '<name>' [<start> .. <end>]"
+/// followed by "<N> tokens" (plus " (<c>/<s> requests)" for a continuous
+/// job) or "FAILED: <why>".
+std::string job_event(const FleetJob& job, const JobOutcome& out);
+
+/// Derive the job totals of `stats` (completed jobs, output tokens,
+/// faults, retries, repairs, per-group job counts) from its jobs, then the
+/// makespan (busiest of `group_busy_s`) and the aggregate rate.
+void finalize_fleet_stats(FleetStats& stats);
 
 /// The fleet engine: binds (model, replica groups, backend) and serves
 /// multi-job workloads.

@@ -126,6 +126,10 @@ struct RequestStats {
   std::uint64_t repairs_succeeded = 0;
   int final_generation = 0;
   sq::sim::ExecutionPlan final_plan;  ///< Plan serving ended on.
+  /// The group serving ended on, next to `final_plan`: its cluster and its
+  /// flat index -> original id map (runtime::ReplicaGroup).
+  sq::hw::Cluster final_cluster;
+  std::vector<int> final_to_original;
 };
 
 /// Recompute `goodput_tok_s` and the latency/queue aggregates of `stats`

@@ -14,6 +14,7 @@
 #include "hw/cluster.h"
 #include "model/registry.h"
 #include "runtime/fleet.h"
+#include "serving_digest.h"
 #include "sim/faults.h"
 #include "workload/arrivals.h"
 
@@ -403,6 +404,43 @@ TEST_F(ElasticFixture, ElasticStatsAreBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.goodput_tok_s, b.goodput_tok_s) << threads;
     EXPECT_EQ(a.mean_latency_s, b.mean_latency_s) << threads;
   }
+}
+
+TEST_F(ElasticFixture, PermanentFaultAfterJoinMatchesPinnedGolden) {
+  // The group's devices carry base ids {4, 7}; the accepted join appends
+  // base ids {8, 9}.  Base device 4 (flat 0) then fails and repair must
+  // find it by base id and keep every survivor's id.
+  auto groups = groups_;
+  groups[0].to_original = {4, 7};
+  const MembershipTimeline t = parse_membership_spec("join:2xV100@1").timeline;
+  sq::sim::FaultSchedule faults;
+  faults.events.push_back({sq::sim::FaultKind::kDeviceFail, 4, 3e6});
+  ElasticOptions o = options(&t, MigrationPolicy::kMigrate);
+  o.fleet.faults = &faults;
+  o.fleet.replan = test_replanner(model_);
+  const ElasticStats es = ElasticFleetEngine(model_, groups).serve(one_job(burst(48)), o);
+  ASSERT_TRUE(es.feasible) << es.failure;
+  const std::string text = sq::testutil::render(es);
+  EXPECT_EQ(sq::testutil::digest(text), "532e3de51d950456") << text;
+}
+
+TEST_F(ElasticFixture, PermanentFaultRacingADrainMatchesPinnedGolden) {
+  // Base ids {4, 7} plus a joined pair {8, 9}; base 9 leaves under the
+  // drain policy and base device 4 fails while the in-flight requests
+  // drain on the old plan, so the staged cluster is repaired too.
+  auto groups = groups_;
+  groups[0].to_original = {4, 7};
+  const MembershipTimeline t =
+      parse_membership_spec("join:2xV100@1,leave:2@3").timeline;
+  sq::sim::FaultSchedule faults;
+  faults.events.push_back({sq::sim::FaultKind::kDeviceFail, 4, 3.5e6});
+  ElasticOptions o = options(&t, MigrationPolicy::kDrain);
+  o.fleet.faults = &faults;
+  o.fleet.replan = test_replanner(model_);
+  const ElasticStats es = ElasticFleetEngine(model_, groups).serve(one_job(burst(48)), o);
+  ASSERT_TRUE(es.feasible) << es.failure;
+  const std::string text = sq::testutil::render(es);
+  EXPECT_EQ(sq::testutil::digest(text), "e8c04d2db50288b8") << text;
 }
 
 }  // namespace

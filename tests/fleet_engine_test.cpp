@@ -4,6 +4,8 @@
 // across scheduler thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/repair.h"
@@ -12,6 +14,7 @@
 #include "model/registry.h"
 #include "quality/quality_model.h"
 #include "runtime/fleet.h"
+#include "serving_digest.h"
 #include "sim/faults.h"
 #include "sim/plan_io.h"
 
@@ -45,6 +48,28 @@ sq::sim::ExecutionPlan plan_for(const sq::model::LlmSpec& m, Bitwidth b) {
   p.prefill_microbatch = 4;
   p.decode_microbatch = 16;
   return p;
+}
+
+/// Deterministic synthetic replanner: an even INT8 pipeline over up to two
+/// devices of whatever cluster repair left.  Keeps the goldens below
+/// independent of the real planner.
+Replanner two_stage_replanner(const sq::model::LlmSpec& m) {
+  return [m](const sq::hw::Cluster& c, int) {
+    ReplanOutcome o;
+    const int stages = std::min(2, c.device_count());
+    const int per = m.n_layers / stages;
+    for (int s = 0; s < stages; ++s) {
+      o.plan.stages.push_back(
+          {{s}, s * per, s + 1 == stages ? m.n_layers : (s + 1) * per});
+    }
+    o.plan.layer_bits.assign(static_cast<std::size_t>(m.n_layers),
+                             Bitwidth::kInt8);
+    o.plan.prefill_microbatch = 4;
+    o.plan.decode_microbatch = 16;
+    o.predicted_tok_s = 100.0 * stages;
+    o.feasible = o.plan.validate(m, c).empty();
+    return o;
+  };
 }
 
 class FleetFixture : public ::testing::Test {
@@ -86,6 +111,33 @@ class FleetFixture : public ::testing::Test {
   }
 
   FleetEngine engine() const { return FleetEngine(model_, groups_); }
+
+  /// Two groups of three V100s over a 2x3 fleet: group 0 holds fleet
+  /// devices {0, 1, 2}, group 1 holds {3, 4, 5}, so group 1's local device
+  /// indices differ from the fleet ids a fault schedule speaks.
+  std::vector<ReplicaGroup> three_device_groups() const {
+    sq::hw::Node n;
+    n.gpu_type = sq::hw::GpuType::kV100;
+    n.gpu_count = 3;
+    n.intra_gbps = 300.0;
+    sq::hw::Node n0 = n, n1 = n;
+    n0.name = "node-v100-0";
+    n1.name = "node-v100-1";
+    const sq::hw::Cluster fleet("fleet-2x3xV100", {n0, n1}, 800.0);
+    std::vector<ReplicaGroup> groups;
+    for (const auto& excluded :
+         {std::vector<int>{3, 4, 5}, std::vector<int>{0, 1, 2}}) {
+      const auto sub = sq::hw::degrade_cluster(fleet, excluded);
+      ReplicaGroup rg;
+      rg.cluster = sub.cluster;
+      rg.to_original = sub.to_original;
+      rg.plan = plan_for(model_, Bitwidth::kInt8);
+      rg.plan.shard_index = static_cast<int>(groups.size());
+      rg.plan.num_shards = 2;
+      groups.push_back(std::move(rg));
+    }
+    return groups;
+  }
 
   sq::model::LlmSpec model_;
   std::vector<ReplicaGroup> groups_;
@@ -287,6 +339,55 @@ TEST_F(FleetFixture, RepairedGroupCarriesShardProvenanceForward) {
     }
   }
   EXPECT_GE(after_repair, 1u);
+}
+
+TEST_F(FleetFixture, RepairsOnAMappedGroupMatchPinnedGolden) {
+  // Group 1 maps local {0, 1, 2} to fleet {3, 4, 5}.  Fleet device 3 is a
+  // sustained straggler (baked into the specs by the first repair), fleet
+  // device 4 fails during group 1's first job and fleet device 5 during a
+  // later job on the repaired group, whose local indices have shifted
+  // again; a transient window on device 3 is retried in between.
+  const sq::sim::FaultParse fp =
+      sq::sim::parse_fault_spec("slow:3@0x2,fail:4@3,fail:3@8+1,fail:5@30");
+  ASSERT_TRUE(fp.ok) << fp.error;
+  FleetOptions opts;
+  opts.faults = &fp.schedule;
+  opts.replan = two_stage_replanner(model_);
+  std::vector<FleetJob> jobs = jobs4();
+  jobs.push_back({"job-e", {{16, 512, 32, 2048}}, {}});
+  jobs.push_back({"job-f", {{8, 256, 16, 2048}}, {}});
+  const FleetStats s = FleetEngine(model_, three_device_groups()).serve(jobs, opts);
+  ASSERT_TRUE(s.feasible) << s.failure;
+  EXPECT_EQ(s.jobs_completed, jobs.size());
+  EXPECT_EQ(s.repairs, 2u);
+  EXPECT_EQ(s.retries, 1u);
+  const std::string text = sq::testutil::render(s);
+  EXPECT_EQ(sq::testutil::digest(text), "ed6c409fcb72a891") << text;
+}
+
+TEST_F(FleetFixture, ContinuousRepairMatchesPinnedGolden) {
+  // Continuous jobs on group 0: fleet device 1 fails during the first job,
+  // the second job serves on the repaired group.
+  const sq::sim::FaultParse fp = sq::sim::parse_fault_spec("fail:1@2");
+  ASSERT_TRUE(fp.ok) << fp.error;
+  FleetOptions opts;
+  opts.faults = &fp.schedule;
+  opts.replan = two_stage_replanner(model_);
+  std::vector<FleetJob> jobs(2);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].name = "cont-" + std::to_string(j);
+    for (int i = 0; i < 24; ++i) {
+      sq::workload::TimedRequest tr;
+      tr.arrive_s = 0.25 * i;
+      tr.request.prompt_tokens = 256 + 32 * static_cast<std::uint64_t>(i % 5);
+      tr.request.output_tokens = 48 + 8 * static_cast<std::uint64_t>(i % 3);
+      jobs[j].arrivals.push_back(tr);
+    }
+  }
+  const FleetStats s = FleetEngine(model_, {groups_[0]}).serve(jobs, opts);
+  ASSERT_TRUE(s.feasible) << s.failure;
+  const std::string text = sq::testutil::render(s);
+  EXPECT_EQ(sq::testutil::digest(text), "edb292560b71b9ef") << text;
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -414,6 +415,38 @@ TEST(RequestScheduler, ServeContinuousRepairsAndResumes) {
   ContinuousOptions copts;
   copts.num_threads = 8;
   EXPECT_TRUE(identical(s, eng.serve_continuous(arrivals, copts, ropts)));
+}
+
+TEST(RequestScheduler, ServeContinuousRepairServesStrandedRequestsFresh) {
+  // ContinuousOptions::resume is index-parallel with the caller's arrivals
+  // and holds KV progress.  Request 0 resumes and finishes long before
+  // device 1 fails at 3 s; request 1 arrives after the failure, so only it
+  // is stranded and the repaired generation serves it alone.  That
+  // generation must not read request 0's progress for request 1 (its KV
+  // died with the device anyway): request 1 fares exactly as when nobody
+  // resumed.
+  const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);
+  const OfflineEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
+  const auto arrivals = trace_of({{0.0, 128, 8}, {5.0, 128, 64}});
+  const sq::sim::FaultParse fp = sq::sim::parse_fault_spec("fail:1@3");
+  ASSERT_TRUE(fp.ok) << fp.error;
+  RecoveryOptions ropts;
+  ropts.faults = &fp.schedule;
+  ropts.replan = single_stage_replanner(m);
+  const std::vector<std::int64_t> resume = {32, -1};
+  ContinuousOptions copts;
+  copts.resume = &resume;
+  const RequestStats s = eng.serve_continuous(arrivals, copts, ropts);
+  const RequestStats fresh = eng.serve_continuous(arrivals, {}, ropts);
+  ASSERT_TRUE(s.feasible) << s.failure;
+  ASSERT_EQ(s.final_generation, 1);
+  ASSERT_EQ(fresh.final_generation, 1);
+  ASSERT_TRUE(s.requests[0].completed);
+  ASSERT_LT(s.requests[0].finish_s, 3.0);
+  ASSERT_TRUE(s.requests[1].completed);
+  EXPECT_EQ(s.requests[1].admit_s, fresh.requests[1].admit_s);
+  EXPECT_EQ(s.requests[1].finish_s, fresh.requests[1].finish_s);
+  EXPECT_EQ(s.total_seconds, fresh.total_seconds);
 }
 
 TEST(RequestScheduler, ServeContinuousWithoutRepairLosesRemaining) {
