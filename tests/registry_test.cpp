@@ -1,6 +1,8 @@
 // Tests for the model registry (Sec. VI-A model lineup).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "model/registry.h"
 
 namespace sq::model {
@@ -18,18 +20,31 @@ TEST(Registry, AllModelsResolve) {
   }
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and
+// gtest_discover_tests names each case by that print. The four bytes after
+// `id` are therefore an explicit zero member rather than padding, whose
+// contents are unspecified and would give the cases a different name in every
+// build.
 struct SizeCase {
+  SizeCase(ModelId model, double size_billions, double tol)
+      : id(model), billions(size_billions), tolerance(tol) {}
+
   ModelId id;
+  std::int32_t zero = 0;
   double billions;
   double tolerance;
 };
+static_assert(sizeof(SizeCase) == sizeof(ModelId) + sizeof(std::int32_t) +
+                                      2 * sizeof(double),
+              "SizeCase must have no padding: its bytes name the test cases");
 
 class ParamCount : public ::testing::TestWithParam<SizeCase> {};
 
 TEST_P(ParamCount, MatchesPublishedSize) {
-  const auto [id, billions, tolerance] = GetParam();
-  const LlmSpec m = spec(id);
-  EXPECT_NEAR(static_cast<double>(m.total_params()) / 1e9, billions, tolerance)
+  const SizeCase& c = GetParam();
+  const LlmSpec m = spec(c.id);
+  EXPECT_NEAR(static_cast<double>(m.total_params()) / 1e9, c.billions,
+              c.tolerance)
       << m.name;
 }
 
