@@ -20,20 +20,31 @@
 // The bench hard-asserts two contracts (nonzero exit on violation):
 //   * continuous goodput is at least 1.2x the whole-batch baseline on
 //     this workload — the reason request-level scheduling exists;
-//   * RequestStats are bit-identical between 1 and 4 scheduler threads —
-//     the scheduler determinism contract, enforced on the bench workload.
+//   * RequestStats are bit-identical between two serves of the same
+//     timeline (one asking for 1 scheduler thread, one for 4) — the
+//     scheduler determinism contract, enforced on the bench workload.
 //
-// SQ_BENCH_SMOKE=1 shrinks the timeline with an identical output schema;
+// A second row times the scheduler itself: the OPT-30B / paper-cluster-5
+// heuristic plan under a burst + Poisson timeline near capacity, where KV
+// pressure preempts (asserted).  It pins a digest of the full
+// RequestStats rendering (`stats_fingerprint`), so any change to a
+// scheduling decision or a stage time fails the gate, and reports the
+// wall time per scheduler iteration (`us_per_iteration`, informative).
+//
+// SQ_BENCH_SMOKE=1 shrinks the timelines with an identical output schema;
 // SQ_BENCH_JSON_DIR=<dir> emits BENCH_continuous_batching.json
 // (`*_goodput_tok_s` and `continuous_speedup_x` gated as throughput
-// floors, `plan_fingerprint` gated byte-identical).
+// floors, `*_fingerprint` gated byte-identical).
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "serving_digest.h"
 #include "workload/arrivals.h"
+#include "workload/datasets.h"
 
 namespace {
 
@@ -254,6 +265,65 @@ int main() {
   row["kv_peak"] = cont.kv_peak_utilization;              // informative
   row["p95_latency_s"] = cont.p95_latency_s;              // informative
   row["batches"] = static_cast<std::int64_t>(base.batches);  // informative
+
+  // ---- Scheduler row: the OPT-30B / cluster-5 heuristic plan near
+  // capacity (the perfbench serve-poisson cell, smaller in smoke mode).
+  {
+    const sq::bench::Cell cell(
+        sq::model::ModelId::kOpt30B, 5,
+        sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 256, 1234),
+        128);
+    sq::core::PlannerConfig cfg;
+    cfg.use_heuristic = true;
+    cfg.num_threads = sq::bench::bench_threads();
+    const sq::core::PlanResult pr = cell.planner.plan(cfg);
+    if (!pr.feasible) {
+      std::fprintf(stderr, "FAIL: heuristic plan infeasible: %s\n",
+                   pr.failure.c_str());
+      return 1;
+    }
+    const std::string near_spec = smoke ? "burst:256@0,poisson:1024@0x0.24"
+                                        : "burst:1024@0,poisson:16000@0x0.24";
+    const auto np = sq::workload::parse_arrival_spec(near_spec);
+    const auto near = sq::workload::generate_arrivals(
+        np.spec, sq::workload::Dataset::kCnnDailyMail, 1234);
+    const sq::runtime::OfflineEngine big(cell.cluster, cell.model, pr.plan);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto st = big.serve_continuous(near);
+    const double wall_us = std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    const double us_per_iter =
+        st.iterations > 0 ? wall_us / static_cast<double>(st.iterations) : 0.0;
+    std::printf(
+        "scheduler: %s on %s (%s), '%s': %llu/%zu completed, %llu "
+        "preemptions, %llu iterations, %.2f us/iteration\n",
+        cell.model.name.c_str(), cell.cluster.name().c_str(),
+        pr.plan.summary(cell.cluster).c_str(), near_spec.c_str(),
+        static_cast<unsigned long long>(st.completed), near.size(),
+        static_cast<unsigned long long>(st.preemptions),
+        static_cast<unsigned long long>(st.iterations), us_per_iter);
+    if (!st.feasible || st.preemptions == 0) {
+      std::fprintf(stderr,
+                   "FAIL: scheduler row must serve with preemptions "
+                   "(feasible %d, %llu preemptions)\n",
+                   st.feasible ? 1 : 0,
+                   static_cast<unsigned long long>(st.preemptions));
+      ok = false;
+    }
+    auto& srow = report.add_row();
+    srow["scenario"] = "near-capacity";
+    srow["model"] = cell.model.name;
+    srow["cluster"] = cell.cluster.name();
+    srow["plan_fingerprint"] = sq::bench::plan_fingerprint(pr.plan);
+    srow["stats_fingerprint"] =
+        sq::testutil::digest(sq::testutil::render(st));
+    srow["continuous_goodput_tok_s"] = st.goodput_tok_s;
+    srow["completed"] = static_cast<std::int64_t>(st.completed);
+    srow["preemptions"] = static_cast<std::int64_t>(st.preemptions);
+    srow["iterations"] = static_cast<std::int64_t>(st.iterations);
+    srow["us_per_iteration"] = us_per_iter;  // informative
+  }
 
   if (!report.write()) ok = false;
   return ok ? 0 : 1;

@@ -208,6 +208,23 @@ def main() -> int:
             else:
                 print(f"ok: elastic+faults+no-repair lost {m.group(1)}")
 
+        # 6d. A fault schedule speaks base ids, and joined devices take
+        # fresh ids after every initial id: on cluster 7 (6 devices) the
+        # first joined V100 is device 6.  Its failure must show up as one
+        # of the job's event lines, not only in the lost-request count.
+        proc = run(cli, [*BASE, "--serve", "--continuous", "--elastic",
+                         "join:2xV100@1", "--faults", "fail:6@2.0",
+                         "--no-repair"], 0, "elastic+joined-device-fault")
+        if proc is None:
+            errors += 1
+        elif not re.search(r"^event: .*permanent failure on device 6\b",
+                           proc.stdout, re.MULTILINE):
+            print("FAIL: elastic+joined-device-fault: no 'permanent failure "
+                  "on device 6' event line in stdout", file=sys.stderr)
+            errors += 1
+        else:
+            print("ok: elastic+joined-device-fault printed the failure line")
+
         # 7. Usage errors must exit 2 (not 0, not a crash).
         if run(cli, [*BASE, "--shards", "0"], 2, "bad --shards") is None:
             errors += 1

@@ -670,7 +670,10 @@ int main(int argc, char** argv) {
       const elastic::ElasticStats es =
           engine.serve({{"job-0", {}, arrivals}}, eopts);
       if (!print_events(es.events, es.feasible, es.failure)) return 1;
-      print_request_stats(es.fleet.jobs[0].continuous);
+      // The job's own log: fault, retry, repair and loss lines.
+      const runtime::RequestStats& job = es.fleet.jobs[0].continuous;
+      print_events(job.events, true, "");
+      print_request_stats(job);
       std::printf("elastic:  %llu events; joins %llu/%llu accepted, "
                   "%llu leaves, %llu repriced, %llu scale-downs; "
                   "%llu replans\n",
@@ -698,8 +701,8 @@ int main(int argc, char** argv) {
     }
     runtime::OfflineEngine engine(cluster, m, r.plan, backend);
     engine.set_observe(!args.metrics.empty());
-    const runtime::RequestStats rs = engine.serve_continuous(
-        arrivals, {.num_threads = args.threads}, recovery_options());
+    const runtime::RequestStats rs =
+        engine.serve_continuous(arrivals, {}, recovery_options());
     if (!print_events(rs.events, rs.feasible, rs.failure)) return 1;
     print_request_stats(rs);
     std::printf("latency:  mean %.2fs, p50 %.2fs, p95 %.2fs; queue mean "

@@ -129,8 +129,9 @@ ElasticStats ElasticFleetEngine::serve(
     ms.to_original.resize(static_cast<std::size_t>(ms.cluster.device_count()));
     std::iota(ms.to_original.begin(), ms.to_original.end(), 0);
   }
-  // Joined devices get fresh base ids past every initial id, so fault
-  // schedules (which speak initial/base ids) can never hit them.
+  // Joined devices get fresh base ids past every initial id, in join
+  // order.  Fault schedules speak base ids, so a schedule naming one of
+  // these ids fails that joined device.
   int next_base = 0;
   for (const int b : ms.to_original) next_base = std::max(next_base, b + 1);
   std::vector<std::vector<int>> join_stack;  ///< Base ids per accepted join.
@@ -408,10 +409,9 @@ ElasticStats ElasticFleetEngine::serve(
         sub_resume.push_back(progress[id]);
       }
       sq::runtime::RequestScheduler sched(ms.cluster, model_, ms.plan, eff,
-                                          kernel_, memoize_);
+                                          kernel_);
       sched.set_observe(observe_);
       sq::runtime::ContinuousOptions c;
-      c.num_threads = opts.fleet.num_threads;
       c.start_us = jl_us;
       c.stop_us = stop_local_us;
       c.resume = &sub_resume;

@@ -19,6 +19,11 @@
 //     The group's state is one runtime::ReplicaGroup whose device map
 //     names every device by a stable base id; a permanent device failure
 //     is repaired by the engines' shared step (runtime::repair_group).
+//     Base ids: the initial devices keep their ids, and the devices of
+//     each accepted join take fresh ids after every initial id, in join
+//     order (on an n-device start, the first joined device is id n).
+//     Fault schedules speak base ids, so a schedule can name a joined
+//     device and fails it like any other.
 //   * In-flight requests cross a plan switch by LIVE MIGRATION (KV state
 //     re-transferred over the inter-node fabric, charged through the
 //     kernel model's link-time), by DRAINING (finish on the old plan
@@ -33,9 +38,10 @@
 //     keeps decisions from flapping.
 //
 // Determinism contract: ElasticStats (including the embedded FleetStats /
-// RequestStats) are bit-identical across 1..N scheduler threads and
-// repeated runs for fixed inputs — threads only fan out pure stage-time
-// computations inside the RequestScheduler, exactly as everywhere else.
+// RequestStats) are bit-identical across 1..N fleet threads and repeated
+// runs for fixed inputs.  Only the empty-timeline delegation reads the
+// thread count (FleetEngine); the elastic event loop runs on the calling
+// thread.
 #pragma once
 
 #include <cstdint>
@@ -99,7 +105,8 @@ struct ElasticOptions {
   CostModel cost;                    ///< $/device-hour book.
   /// Baseline fleet knobs: fault schedule (base ids) + fault replanner +
   /// thread count.  The empty-timeline path forwards this verbatim to
-  /// FleetEngine (byte-identity); the elastic path reads all three from it
+  /// FleetEngine (byte-identity); the elastic path reads the schedule and
+  /// the replanner from it
   /// (a null `replan` loses the requests a permanent failure strands, as
   /// in FleetEngine).  Every plan switch charges
   /// runtime::kReplanPenaltyS on top of per-request migration transfers,

@@ -428,7 +428,7 @@ RequestStats OfflineEngine::serve_continuous(
     for (const std::size_t id : remaining) sub.push_back(arrivals[id]);
 
     RequestScheduler sched(g.cluster, model_, g.plan, backend_efficiency(),
-                           kernel_, memoize_);
+                           kernel_);
     sched.set_observe(observe_);
     c.faults = faults.empty() ? nullptr : &faults;
     c.to_original = g.to_original.empty() ? nullptr : &g.to_original;

@@ -25,6 +25,7 @@ bool KvCacheAllocator::reserve(std::uint64_t req, std::uint64_t context_tokens) 
     return false;
   }
   used_blocks_ += grow;
+  if (req >= held_.size()) held_.resize(req + 1, 0);
   held_[req] = need;
   if (sq::obs::enabled()) {
     sq::obs::gauge("kv.occupancy.hwm").set(utilization());
@@ -33,15 +34,13 @@ bool KvCacheAllocator::reserve(std::uint64_t req, std::uint64_t context_tokens) 
 }
 
 void KvCacheAllocator::release(std::uint64_t req) {
-  const auto it = held_.find(req);
-  if (it == held_.end()) return;
-  used_blocks_ -= it->second;
-  held_.erase(it);
+  if (req >= held_.size()) return;
+  used_blocks_ -= held_[req];
+  held_[req] = 0;
 }
 
 std::uint64_t KvCacheAllocator::blocks_of(std::uint64_t req) const {
-  const auto it = held_.find(req);
-  return it == held_.end() ? 0 : it->second;
+  return req < held_.size() ? held_[req] : 0;
 }
 
 double KvCacheAllocator::utilization() const {

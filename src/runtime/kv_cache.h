@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "hw/gpu.h"
 #include "model/llm.h"
@@ -32,7 +32,8 @@ class KvCacheAllocator {
 
   /// Try to grow request `req` to `context_tokens` of KV; allocates any
   /// missing blocks.  Returns false (state unchanged) when the budget
-  /// would be exceeded.
+  /// would be exceeded.  Request ids index a dense block table, so they
+  /// should be small (the scheduler passes arrival-list indices).
   bool reserve(std::uint64_t req, std::uint64_t context_tokens);
 
   /// Release all blocks of request `req` (finished / evicted).
@@ -49,7 +50,8 @@ class KvCacheAllocator {
   std::uint64_t block_bytes_ = 0;
   std::uint64_t total_blocks_ = 0;
   std::uint64_t used_blocks_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> held_;
+  /// Blocks held per request id; ids past the end hold none.
+  std::vector<std::uint64_t> held_;
 };
 
 }  // namespace sq::runtime

@@ -4,11 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
-#include <unordered_map>
 
-#include "common/memo_cache.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "runtime/kv_cache.h"
 #include "sim/pipeline.h"
@@ -44,32 +40,14 @@ struct ReqState {
 
 /// One iteration's pipeline unit: the prefill group (one chunk per member,
 /// padded to the longest member chunk) or one xi-sized decode micro-batch
-/// (padded to the largest member context).
+/// (padded to the largest member context).  Its members are the slice
+/// [begin, begin + v) of the iteration's shared member list.
 struct IterGroup {
   bool prefill = false;
-  std::vector<std::size_t> members;
+  std::size_t begin = 0;
   std::uint64_t v = 0;          ///< Micro-batch size.
   std::uint64_t len = 0;        ///< Chunk length (prefill) / context (decode).
   std::uint64_t finishing = 0;  ///< Prefill members on their last chunk.
-};
-
-/// Local stage-time memo key.  The scheduler binds one (cluster, plan,
-/// kernel, efficiency) per serve, so the key only needs the query shape.
-struct TimeKey {
-  std::uint16_t phase = 0;  ///< 1 = prefill, 0 = decode.
-  std::uint16_t stage = 0;
-  std::uint64_t v = 0;
-  std::uint64_t len = 0;
-
-  bool operator==(const TimeKey&) const = default;
-};
-
-struct TimeKeyHash {
-  std::size_t operator()(const TimeKey& k) const {
-    std::uint64_t h = sq::common::hash_mix(
-        (static_cast<std::uint64_t>(k.phase) << 16) | k.stage, k.v);
-    return static_cast<std::size_t>(sq::common::hash_mix(h, k.len));
-  }
 };
 
 }  // namespace
@@ -164,14 +142,12 @@ RequestScheduler::RequestScheduler(sq::hw::Cluster cluster,
                                    sq::model::LlmSpec model,
                                    sq::sim::ExecutionPlan plan,
                                    double backend_efficiency,
-                                   sq::sim::KernelModelOptions kernel,
-                                   bool memoize)
+                                   sq::sim::KernelModelOptions kernel)
     : cluster_(std::move(cluster)),
       model_(std::move(model)),
       plan_(std::move(plan)),
       backend_efficiency_(backend_efficiency),
-      kernel_(kernel),
-      memoize_(memoize) {}
+      kernel_(kernel) {}
 
 RequestStats RequestScheduler::serve(
     const std::vector<sq::workload::TimedRequest>& arrivals,
@@ -300,16 +276,18 @@ RequestStats RequestScheduler::serve(
                            std::to_string(r) + ": " + why);
     if (ob) sq::obs::counter("serve.request.lost").add();
   };
-  // Recompute-style preemption: KV released, progress reset, back to the
-  // FIFO position its arrival instant gives it.
-  const auto evict = [&](std::size_t victim) {
+  // Recompute-style preemption of the youngest-admitted request: KV
+  // released, progress reset, back to the FIFO position its arrival
+  // instant gives it.
+  const auto evict_youngest = [&] {
+    const std::size_t victim = running.back();
+    running.pop_back();
     release_all(victim);
     ReqState& v = req[victim];
     v.next_chunk = 0;
     v.generated = 0;
     ++v.preemptions;
     ++stats.preemptions;
-    running.erase(std::find(running.begin(), running.end(), victim));
     waiting.insert(
         std::upper_bound(waiting.begin(), waiting.end(), victim, fifo_before),
         victim);
@@ -325,28 +303,21 @@ RequestStats RequestScheduler::serve(
     inter_gbps[s] = cluster_.link_gbps(plan_.stages[s - 1].devices.back(),
                                        plan_.stages[s].devices.front());
   }
-  // Per-serve stage-time memo: pure in the key, so parallel recomputation
-  // is bit-identical; the map itself is only touched sequentially.
-  std::unordered_map<TimeKey, double, TimeKeyHash> memo;
-  const auto compute_time = [&](const TimeKey& k) {
-    if (k.phase == 1) {
+  // Compute time of one group on stage `s`: a handful of kernel-model
+  // evaluations, cheaper than any cache probe or thread hand-off.
+  const auto stage_time = [&](const IterGroup& grp, std::size_t s) {
+    if (grp.prefill) {
       sq::sim::BatchWorkload w;
-      w.batch_size = k.v;
-      w.prompt_len = k.len;
+      w.batch_size = grp.v;
+      w.prompt_len = grp.len;
       w.gen_tokens = 1;
-      w.chunk_tokens = k.len;  // one chunk per iteration
-      return sq::sim::stage_prefill_time_us(cluster_, model_, plan_, k.stage,
-                                            k.v, w, km, eff);
+      w.chunk_tokens = grp.len;  // one chunk per iteration
+      return sq::sim::stage_prefill_time_us(cluster_, model_, plan_, s, grp.v,
+                                            w, km, eff);
     }
-    return sq::sim::stage_decode_time_us(cluster_, model_, plan_, k.stage, k.v,
-                                         k.len, km, eff);
+    return sq::sim::stage_decode_time_us(cluster_, model_, plan_, s, grp.v,
+                                         grp.len, km, eff);
   };
-
-  const int nt = sq::common::resolve_threads(opts.num_threads);
-  std::unique_ptr<sq::common::ThreadPool> pool;
-  if (nt > 1 && !sq::common::on_pool_worker()) {
-    pool = std::make_unique<sq::common::ThreadPool>(nt);
-  }
 
   // ---- Fault machinery -------------------------------------------------
   const bool have_faults =
@@ -359,6 +330,12 @@ RequestStats RequestScheduler::serve(
   // ---- Pipeline recurrence state (persists across iterations) ----------
   std::vector<double> stage_free(n_stages, clock);
   double last_finish = clock;
+
+  // Per-iteration scratch, reused so an iteration allocates nothing.
+  std::vector<IterGroup> groups;
+  std::vector<std::size_t> members;  // Every group's members, group by group.
+  std::vector<double> free_local;
+  std::vector<double> exits;
 
   while (finished < n) {
     // Stop horizon: no iteration starts at or past it.  One that was
@@ -379,27 +356,23 @@ RequestStats RequestScheduler::serve(
     // KV growth for this iteration's decode step: every running decode
     // request needs room for the token it is about to write.  On failure
     // the youngest-admitted request is evicted (recompute re-admission);
-    // a request that cannot grow even alone is lost.
-    const std::vector<std::size_t> sweep = running;
-    for (const std::size_t r : sweep) {
+    // a request that cannot grow even alone is lost.  Victims leave from
+    // the back of `running`, so the sweep never visits an evicted request.
+    for (std::size_t i = 0; i < running.size(); ++i) {
+      const std::size_t r = running[i];
       ReqState& rs = req[r];
-      if (rs.done || rs.next_chunk < rs.chunks || rs.generated >= rs.output) {
-        continue;
-      }
-      if (std::find(running.begin(), running.end(), r) == running.end()) {
-        continue;  // evicted as a victim earlier in this sweep
-      }
+      if (rs.next_chunk < rs.chunks || rs.generated >= rs.output) continue;
       const std::uint64_t target = rs.prompt + rs.generated + 1;
       while (!reserve_all(r, target)) {
-        const std::size_t victim = running.back();
-        if (victim == r && running.size() == 1) {
+        const bool youngest = running.back() == r;
+        if (youngest && running.size() == 1) {
           running.pop_back();
           mark_lost(r, "KV pool cannot hold context of " +
                            std::to_string(target) + " tokens");
           break;
         }
-        evict(victim);
-        if (victim == r) break;  // r itself preempted; retry via the queue
+        evict_youngest();
+        if (youngest) break;  // r itself preempted; retry via the queue
       }
     }
 
@@ -462,76 +435,44 @@ RequestStats RequestScheduler::serve(
 
     // ---- Compose the iteration: one prefill group (<= eta members, one
     // chunk each) plus xi-sized decode micro-batches, in admission order.
-    std::vector<IterGroup> groups;
+    groups.clear();
+    members.clear();
     {
-      IterGroup pre;
-      pre.prefill = true;
+      IterGroup pre{.prefill = true};
       for (const std::size_t r : running) {
         if (req[r].next_chunk >= req[r].chunks) continue;
-        pre.members.push_back(r);
+        members.push_back(r);
         pre.len = std::max(pre.len, req[r].chunk_len);
         if (req[r].next_chunk + 1 == req[r].chunks) ++pre.finishing;
       }
-      pre.v = pre.members.size();
-      if (pre.v > 0) groups.push_back(std::move(pre));
-      IterGroup dec;
+      pre.v = members.size();
+      if (pre.v > 0) groups.push_back(pre);
+      IterGroup dec{.begin = members.size()};
       for (const std::size_t r : running) {
         const ReqState& rs = req[r];
         if (rs.next_chunk < rs.chunks || rs.generated >= rs.output) continue;
-        dec.members.push_back(r);
+        members.push_back(r);
         dec.len = std::max(dec.len, rs.prompt + rs.generated);
-        if (dec.members.size() == xi) {
+        if (members.size() - dec.begin == xi) {
           dec.v = xi;
           groups.push_back(dec);
-          dec = IterGroup{};
+          dec = IterGroup{.begin = members.size()};
         }
       }
-      if (!dec.members.empty()) {
-        dec.v = dec.members.size();
-        groups.push_back(std::move(dec));
-      }
-    }
-
-    // ---- Per-(group, stage) compute times: memo probe sequentially,
-    // misses computed in parallel into index slots, inserted in order.
-    std::vector<double> times(groups.size() * n_stages, 0.0);
-    std::vector<TimeKey> miss_key;
-    std::vector<std::size_t> miss_slot;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      for (std::size_t s = 0; s < n_stages; ++s) {
-        const TimeKey key{groups[g].prefill ? std::uint16_t{1} : std::uint16_t{0},
-                          static_cast<std::uint16_t>(s), groups[g].v,
-                          groups[g].len};
-        if (memoize_) {
-          const auto it = memo.find(key);
-          if (it != memo.end()) {
-            times[g * n_stages + s] = it->second;
-            continue;
-          }
-        }
-        miss_key.push_back(key);
-        miss_slot.push_back(g * n_stages + s);
-      }
-    }
-    sq::common::parallel_for(pool.get(), miss_key.size(), [&](std::size_t i) {
-      times[miss_slot[i]] = compute_time(miss_key[i]);
-    });
-    if (memoize_) {
-      for (std::size_t i = 0; i < miss_key.size(); ++i) {
-        memo.emplace(miss_key[i], times[miss_slot[i]]);
-      }
+      dec.v = members.size() - dec.begin;
+      if (dec.v > 0) groups.push_back(dec);
     }
 
     // ---- Tentative pipeline cascade (committed only if no fault abort).
-    std::vector<double> free_local = stage_free;
-    std::vector<double> exits(groups.size(), 0.0);
+    free_local = stage_free;
+    exits.assign(groups.size(), 0.0);
     double abort_at = kInf;
     int abort_dev = -1;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const IterGroup& grp = groups[g];
       double ready = clock;
-      for (const std::size_t r : grp.members) {
-        ready = std::max(ready, req[r].ready_us);
+      for (std::size_t k = grp.begin; k < grp.begin + grp.v; ++k) {
+        ready = std::max(ready, req[members[k]].ready_us);
       }
       const std::uint64_t tokens =
           grp.prefill ? grp.v * grp.len : grp.v;  // rows entering the pipeline
@@ -548,7 +489,7 @@ RequestStats RequestScheduler::serve(
           }
         }
         const double start = std::max(free_local[s], upstream + comm);
-        const double dur = times[g * n_stages + s];
+        const double dur = stage_time(grp, s);
         double end = start + dur;
         if (have_faults) {
           end = fv.advance(plan_.stages[s].devices, start, dur);
@@ -603,11 +544,12 @@ RequestStats RequestScheduler::serve(
     }
 
     // ---- Commit the iteration.
-    stage_free = std::move(free_local);
+    stage_free.swap(free_local);
     for (std::size_t g = 0; g < groups.size(); ++g) {
-      for (const std::size_t r : groups[g].members) {
-        ReqState& rs = req[r];
-        if (groups[g].prefill) {
+      const IterGroup& grp = groups[g];
+      for (std::size_t k = grp.begin; k < grp.begin + grp.v; ++k) {
+        ReqState& rs = req[members[k]];
+        if (grp.prefill) {
           ++rs.next_chunk;
           if (rs.next_chunk == rs.chunks) {
             rs.generated = 1;  // first token at prefill exit

@@ -35,11 +35,12 @@
 //     the engine (OfflineEngine::serve_continuous) can repair the plan and
 //     resume.
 //
-// Determinism contract: RequestStats are bit-identical across 1..N
-// scheduler threads and across repeated runs with the same inputs,
-// including under fault schedules.  Threads only fan out the pure
-// per-(group, stage) time computations into index slots; every scheduling
-// decision and reduction runs sequentially in input order.
+// Determinism contract: RequestStats are bit-identical across repeated runs
+// with the same inputs, including under fault schedules.  One serve runs on
+// the calling thread: an iteration's per-(group, stage) times are a few
+// kernel-model evaluations, cheaper than a thread hand-off or a cache
+// probe, so they are computed inline, and every scheduling decision and
+// reduction runs in input order.  Independent serves may run concurrently.
 #pragma once
 
 #include <cstdint>
@@ -79,8 +80,8 @@ struct RequestOutcome {
   std::uint64_t progress_tokens = 0;
 };
 
-/// Aggregate results of continuous serving.  Bit-identical across thread
-/// counts and repeated runs for fixed inputs.
+/// Aggregate results of continuous serving.  Bit-identical across repeated
+/// runs for fixed inputs.
 struct RequestStats {
   bool feasible = true;   ///< False: plan invalid / weights never fit.
   std::string failure;    ///< Reason when not feasible, or the fault note.
@@ -117,7 +118,7 @@ struct RequestStats {
   /// The elastic engine uses this to serve up to a membership event.
   bool stopped = false;
   double stop_s = 0.0;  ///< Instant to resume from (seconds).
-  /// Deterministic event log ("[1.234s] ..."); identical across threads.
+  /// Deterministic event log ("[1.234s] ...").
   std::vector<std::string> events;
   std::vector<RequestOutcome> requests;  ///< In input order.
   // Repair provenance, filled by OfflineEngine::serve_continuous and the
@@ -160,9 +161,8 @@ void lose_requests(RequestStats& stats, const std::vector<std::size_t>& ids);
 
 /// Continuous-serving knobs.
 struct ContinuousOptions {
-  /// Scheduler threads fanning out the per-(group, stage) time
-  /// computations: 0 = hardware concurrency, 1 = sequential.  RequestStats
-  /// are bit-identical across all values.
+  /// Ignored: a serve runs on the calling thread.  Kept only so existing
+  /// callers that set it still compile; slated for removal.
   int num_threads = 1;
   std::uint64_t chunk_tokens = 2048;  ///< Chunked-prefill unit.
   /// Extra cap on concurrently admitted requests; 0 = KV-limited only.
@@ -196,8 +196,7 @@ class RequestScheduler {
   RequestScheduler(sq::hw::Cluster cluster, sq::model::LlmSpec model,
                    sq::sim::ExecutionPlan plan, double backend_efficiency = 1.0,
                    sq::sim::KernelModelOptions kernel = {.ground_truth = true,
-                                                         .seed = 11},
-                   bool memoize = true);
+                                                         .seed = 11});
 
   /// Serve an arrival timeline (sorted or not; ties break on input index).
   RequestStats serve(const std::vector<sq::workload::TimedRequest>& arrivals,
@@ -217,7 +216,6 @@ class RequestScheduler {
   sq::sim::ExecutionPlan plan_;
   double backend_efficiency_;
   sq::sim::KernelModelOptions kernel_;
-  bool memoize_;
   bool observe_ = false;
 };
 

@@ -19,6 +19,26 @@ double stage_tp_link(const sq::hw::Cluster& c, const StageSpec& s) {
   return c.nodes()[static_cast<std::size_t>(ref.node)].intra_gbps;
 }
 
+/// Sum of `layer_us(b)` over the stage's layers, in layer order.  A layer's
+/// time depends on its bitwidth, not its index, so one evaluation serves a
+/// whole run of equal-bitwidth layers; the additions stay per layer and in
+/// order, so the sum is bit-identical to evaluating every layer.
+template <class LayerUs>
+double sum_layer_times(const ExecutionPlan& plan, const StageSpec& st,
+                       LayerUs layer_us) {
+  double total = 0.0;
+  double t = 0.0;
+  for (int l = st.layer_begin; l < st.layer_end; ++l) {
+    const Bitwidth b = plan.layer_bits[static_cast<std::size_t>(l)];
+    if (l == st.layer_begin ||
+        b != plan.layer_bits[static_cast<std::size_t>(l) - 1]) {
+      t = layer_us(b);
+    }
+    total += t;
+  }
+  return total;
+}
+
 /// Link bandwidth between consecutive stages (last device of `a` to first
 /// device of `b`).
 double inter_stage_gbps(const sq::hw::Cluster& c, const StageSpec& a,
@@ -140,14 +160,15 @@ double stage_prefill_time_us(const sq::hw::Cluster& cluster,
   const auto& st = plan.stages[stage];
   const auto& spec = cluster.spec(st.devices.front());
   const double tp_link = stage_tp_link(cluster, st);
-  double total = 0.0;
-  for (int l = st.layer_begin; l < st.layer_end; ++l) {
-    const Bitwidth b = plan.layer_bits[static_cast<std::size_t>(l)];
-    total += km.layer_time_us(spec, m, Phase::kPrefill, v, w.chunk_len(), b,
-                              plan.kv_bits, st.tp(), tp_link) *
-             static_cast<double>(w.chunks());
-  }
-  return total / backend_eff;
+  const double chunks = static_cast<double>(w.chunks());
+  return sum_layer_times(plan, st,
+                         [&](Bitwidth b) {
+                           return km.layer_time_us(spec, m, Phase::kPrefill, v,
+                                                   w.chunk_len(), b, plan.kv_bits,
+                                                   st.tp(), tp_link) *
+                                  chunks;
+                         }) /
+         backend_eff;
 }
 
 double stage_decode_time_us(const sq::hw::Cluster& cluster,
@@ -157,13 +178,13 @@ double stage_decode_time_us(const sq::hw::Cluster& cluster,
   const auto& st = plan.stages[stage];
   const auto& spec = cluster.spec(st.devices.front());
   const double tp_link = stage_tp_link(cluster, st);
-  double total = 0.0;
-  for (int l = st.layer_begin; l < st.layer_end; ++l) {
-    const Bitwidth b = plan.layer_bits[static_cast<std::size_t>(l)];
-    total += km.layer_time_us(spec, m, Phase::kDecode, v, ctx, b, plan.kv_bits,
-                              st.tp(), tp_link);
-  }
-  return total / backend_eff;
+  return sum_layer_times(plan, st,
+                         [&](Bitwidth b) {
+                           return km.layer_time_us(spec, m, Phase::kDecode, v,
+                                                   ctx, b, plan.kv_bits, st.tp(),
+                                                   tp_link);
+                         }) /
+         backend_eff;
 }
 
 SimResult simulate_batch(const sq::hw::Cluster& cluster, const sq::model::LlmSpec& m,

@@ -365,6 +365,56 @@ TEST_F(ElasticFixture, PermanentFaultWithoutRepairLosesRemainingRequests) {
   EXPECT_EQ(es.fleet.jobs_completed, 0u);
 }
 
+TEST_F(ElasticFixture, FaultOnAJoinedDeviceIsRepairedOrLost) {
+  // Joined devices take base ids after every initial id, in join order:
+  // the first V100 joining the two-device group is base id 2, and a fault
+  // schedule naming id 2 fails it once it serves.
+  const sq::runtime::Replanner all_devices = [this](const sq::hw::Cluster& c,
+                                                    int) {
+    sq::runtime::ReplanOutcome o;
+    if (c.device_count() < 1) {
+      o.failure = "no devices";
+      return o;
+    }
+    o.plan = plan_over(model_, c.device_count(), Bitwidth::kInt8);
+    o.predicted_tok_s = 100.0 * c.device_count();
+    o.feasible = true;
+    return o;
+  };
+  sq::sim::FaultSchedule faults;
+  faults.events.push_back({sq::sim::FaultKind::kDeviceFail, 2, 4e6});
+  const MembershipTimeline t = parse_membership_spec("join:2xV100@1").timeline;
+  ElasticOptions o = options(&t, MigrationPolicy::kMigrate);
+  o.replan = all_devices;
+  o.fleet.faults = &faults;
+  const auto names_device_2 = [](const sq::runtime::RequestStats& rs) {
+    return std::any_of(rs.events.begin(), rs.events.end(),
+                       [](const std::string& e) {
+                         return e.find("permanent failure on device 2") !=
+                                std::string::npos;
+                       });
+  };
+
+  o.fleet.replan = all_devices;
+  const ElasticStats repaired = engine().serve(one_job(burst(48)), o);
+  ASSERT_TRUE(repaired.feasible) << repaired.failure;
+  EXPECT_EQ(repaired.joins_accepted, 1u);
+  const auto& rs = repaired.fleet.jobs[0].continuous;
+  EXPECT_TRUE(names_device_2(rs));
+  EXPECT_EQ(rs.repairs_succeeded, 1u);
+  EXPECT_EQ(rs.completed, 48u);
+  EXPECT_EQ(rs.lost, 0u);
+
+  o.fleet.replan = nullptr;  // --no-repair
+  const ElasticStats unrepaired = engine().serve(one_job(burst(48)), o);
+  ASSERT_TRUE(unrepaired.feasible) << unrepaired.failure;
+  const auto& ls = unrepaired.fleet.jobs[0].continuous;
+  EXPECT_TRUE(names_device_2(ls));
+  EXPECT_EQ(ls.repairs_succeeded, 0u);
+  EXPECT_GT(ls.lost, 0u);
+  EXPECT_EQ(ls.completed + ls.lost, 48u);
+}
+
 TEST_F(ElasticFixture, CostLedgerChargesHeldDevices) {
   const MembershipTimeline t =
       parse_membership_spec("join:2xV100@2,leave:node1@6").timeline;

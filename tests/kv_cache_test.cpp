@@ -76,5 +76,53 @@ TEST_F(KvFixture, ZeroLayerAllocatorIsInert) {
   EXPECT_DOUBLE_EQ(kv.utilization(), 1.0);  // nothing available
 }
 
+// Request ids need not be contiguous or ordered; each holds its own blocks.
+TEST_F(KvFixture, NonContiguousIdsHoldIndependentBlocks) {
+  const std::uint64_t budget = 10 * m_.layer_kv_bytes(16, Bitwidth::kFp16) * 10;
+  KvCacheAllocator kv(m_, budget, 10, Bitwidth::kFp16, 16);
+  ASSERT_TRUE(kv.reserve(0, 16));  // 1 block
+  ASSERT_TRUE(kv.reserve(7, 48));  // 3 blocks
+  ASSERT_TRUE(kv.reserve(3, 32));  // 2 blocks
+  EXPECT_EQ(kv.blocks_of(0), 1u);
+  EXPECT_EQ(kv.blocks_of(7), 3u);
+  EXPECT_EQ(kv.blocks_of(3), 2u);
+  EXPECT_EQ(kv.blocks_of(5), 0u);    // never reserved, inside the id range
+  EXPECT_EQ(kv.blocks_of(100), 0u);  // never reserved, past every id
+  EXPECT_EQ(kv.free_blocks(), 4u);
+  kv.release(7);
+  EXPECT_EQ(kv.blocks_of(7), 0u);
+  EXPECT_EQ(kv.blocks_of(0), 1u);
+  EXPECT_EQ(kv.blocks_of(3), 2u);
+  EXPECT_EQ(kv.free_blocks(), 7u);
+}
+
+// A released request reserves again from zero, like a fresh one.
+TEST_F(KvFixture, ReleaseThenReserveStartsFromZero) {
+  const std::uint64_t budget = 4 * m_.layer_kv_bytes(16, Bitwidth::kFp16) * 10;
+  KvCacheAllocator kv(m_, budget, 10, Bitwidth::kFp16, 16);
+  ASSERT_TRUE(kv.reserve(2, 64));  // 4 blocks: the whole pool
+  kv.release(2);
+  kv.release(2);  // a second release is a no-op
+  EXPECT_EQ(kv.free_blocks(), 4u);
+  EXPECT_TRUE(kv.reserve(2, 17));  // 2 blocks again, not 4
+  EXPECT_EQ(kv.blocks_of(2), 2u);
+  EXPECT_EQ(kv.free_blocks(), 2u);
+}
+
+// A denied reserve leaves every request's holding as it was, for a known
+// id and for an id never seen before.
+TEST_F(KvFixture, DeniedReserveLeavesBlocksUnchanged) {
+  const std::uint64_t budget = 4 * m_.layer_kv_bytes(16, Bitwidth::kFp16) * 10;
+  KvCacheAllocator kv(m_, budget, 10, Bitwidth::kFp16, 16);
+  ASSERT_TRUE(kv.reserve(1, 32));  // 2 blocks
+  ASSERT_TRUE(kv.reserve(0, 16));  // 1 block
+  EXPECT_FALSE(kv.reserve(1, 64));  // needs 2 more, 1 free
+  EXPECT_EQ(kv.blocks_of(1), 2u);
+  EXPECT_FALSE(kv.reserve(9, 48));  // needs 3, 1 free
+  EXPECT_EQ(kv.blocks_of(9), 0u);
+  EXPECT_EQ(kv.blocks_of(0), 1u);
+  EXPECT_EQ(kv.free_blocks(), 1u);
+}
+
 }  // namespace
 }  // namespace sq::runtime

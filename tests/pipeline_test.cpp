@@ -2,6 +2,9 @@
 // micro-batching effects, straggler behaviour, OOM propagation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
 #include "sim/pipeline.h"
@@ -189,6 +192,78 @@ TEST_F(PipelineFixture, StageCacheDistinguishesBitwidthAndShape) {
   const SimResult c =
       simulate_batch(c_, m_, even_plan(m_, 4, Bitwidth::kInt4, 4, 8), w2);
   EXPECT_NE(a.total_us, c.total_us);
+}
+
+/// Frozen oracle for stage_prefill_time_us / stage_decode_time_us: one
+/// kernel-model call per layer, summed in layer order.
+double per_layer_sum(const sq::hw::Cluster& c, const sq::model::LlmSpec& m,
+                     const ExecutionPlan& p, std::size_t stage, Phase phase,
+                     std::uint64_t v, std::uint64_t len, std::uint64_t chunks,
+                     const KernelModel& km, double eff) {
+  const auto& st = p.stages[stage];
+  const auto& spec = c.spec(st.devices.front());
+  const double tp_link =
+      c.nodes()[static_cast<std::size_t>(c.device(st.devices.front()).node)]
+          .intra_gbps;
+  double total = 0.0;
+  for (int l = st.layer_begin; l < st.layer_end; ++l) {
+    const Bitwidth b = p.layer_bits[static_cast<std::size_t>(l)];
+    const double t = km.layer_time_us(spec, m, phase, v, len, b, p.kv_bits,
+                                      st.tp(), tp_link);
+    if (phase == Phase::kPrefill) {
+      total += t * static_cast<double>(chunks);
+    } else {
+      total += t;
+    }
+  }
+  return total / eff;
+}
+
+// Stage times reuse one kernel-model value per run of equal-bitwidth
+// layers; the result must be bit-identical to the per-layer sum, with the
+// bitwidths interleaved inside a stage, a tensor-parallel stage and a
+// multi-chunk prefill.
+TEST_F(PipelineFixture, StageTimesMatchFrozenPerLayerSumBitForBit) {
+  const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);  // 24 layers
+  ExecutionPlan p;
+  p.stages.push_back({{0, 1}, 0, 5});  // tp = 2
+  p.stages.push_back({{2}, 5, 14});
+  p.stages.push_back({{3}, 14, 24});
+  const Bitwidth pattern[] = {Bitwidth::kInt4, Bitwidth::kInt4, Bitwidth::kInt8,
+                              Bitwidth::kInt4, Bitwidth::kFp16, Bitwidth::kInt3,
+                              Bitwidth::kInt8};
+  for (int l = 0; l < m.n_layers; ++l) p.layer_bits.push_back(pattern[l % 7]);
+  p.prefill_microbatch = 2;
+  p.decode_microbatch = 8;
+  ASSERT_TRUE(p.validate(m, c_).empty()) << p.validate(m, c_);
+  const auto bits_of = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  for (const bool truth : {false, true}) {
+    const KernelModel km({.ground_truth = truth, .seed = 11});
+    for (const double eff : {1.0, 0.7}) {
+      for (std::size_t s = 0; s < p.stages.size(); ++s) {
+        for (const std::uint64_t v : {1u, 3u, 16u}) {
+          // Multi-chunk prefill: 5000 tokens in 2048-token chunks -> 3.
+          const BatchWorkload multi{v, 5000, 8, 2048};
+          const BatchWorkload single{v, 700, 8, 2048};
+          for (const BatchWorkload& w : {multi, single}) {
+            EXPECT_EQ(bits_of(stage_prefill_time_us(c_, m, p, s, v, w, km, eff)),
+                      bits_of(per_layer_sum(c_, m, p, s, Phase::kPrefill, v,
+                                            w.chunk_len(), w.chunks(), km, eff)))
+                << "prefill stage " << s << " v " << v << " chunks "
+                << w.chunks();
+          }
+          for (const std::uint64_t ctx : {1u, 513u, 1900u}) {
+            EXPECT_EQ(bits_of(stage_decode_time_us(c_, m, p, s, v, ctx, km, eff)),
+                      bits_of(per_layer_sum(c_, m, p, s, Phase::kDecode, v, ctx,
+                                            1, km, eff)))
+                << "decode stage " << s << " v " << v << " ctx " << ctx;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(BatchWorkload({1, 5000, 8, 2048}).chunks(), 3u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "model/registry.h"
 #include "runtime/engine.h"
 #include "runtime/request_scheduler.h"
+#include "serving_digest.h"
 #include "workload/arrivals.h"
 
 namespace sq::runtime {
@@ -165,15 +166,50 @@ TEST(RequestScheduler, RepeatedRunsIdentical) {
   EXPECT_TRUE(identical(sched.serve(arrivals), sched.serve(arrivals)));
 }
 
-TEST(RequestScheduler, MemoizationNeverChangesResults) {
-  const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);
-  const auto plan = plan_for(m, 2, Bitwidth::kInt8);
-  const RequestScheduler memo(two_v100(), m, plan, 1.0,
-                              {.ground_truth = true, .seed = 11}, true);
-  const RequestScheduler raw(two_v100(), m, plan, 1.0,
-                             {.ground_truth = true, .seed = 11}, false);
-  const auto arrivals = burst_trace(16);
-  EXPECT_TRUE(identical(memo.serve(arrivals), raw.serve(arrivals)));
+// A golden over every path of one scheduler iteration: four
+// heterogeneous stages (cluster 5: V100 then three T4s), int4 and int8
+// interleaved inside the V100 stage, KV tight enough to preempt, chunked
+// prefill, a transient failure waited out and a permanent failure that
+// stops serving.  Pinned from the full RequestStats rendering.
+TEST(RequestScheduler, HeterogeneousTightKvFaultsMatchPinnedGolden) {
+  const auto m = sq::model::spec(sq::model::ModelId::kOpt30B);  // 48 layers
+  const sq::hw::Cluster cluster = sq::hw::paper_cluster(5);
+  sq::sim::ExecutionPlan plan;
+  plan.stages.push_back({{3}, 0, 24});
+  plan.stages.push_back({{0}, 24, 32});
+  plan.stages.push_back({{1}, 32, 40});
+  plan.stages.push_back({{2}, 40, 48});
+  for (int l = 0; l < m.n_layers; ++l) {  // V100: int4, int4, int8, ...
+    const bool int8 = l >= 24 || l % 3 == 2;
+    plan.layer_bits.push_back(int8 ? Bitwidth::kInt8 : Bitwidth::kInt4);
+  }
+  plan.prefill_microbatch = 2;
+  plan.decode_microbatch = 8;
+  ASSERT_TRUE(plan.validate(m, cluster).empty());
+  const RequestScheduler sched(cluster, m, plan);
+  std::vector<std::array<double, 3>> rows;
+  for (int i = 0; i < 32; ++i) {
+    rows.push_back({0.5 * (i % 4), static_cast<double>(800 + 37 * (i % 9)),
+                    static_cast<double>(120 + 23 * (i % 5))});
+  }
+  // Device 1 is down over [2 s, 5 s); device 2 fails for good at 65 s.
+  const sq::sim::FaultParse fp =
+      sq::sim::parse_fault_spec("fail:1@2+3,fail:2@65");
+  ASSERT_TRUE(fp.ok) << fp.error;
+  ContinuousOptions opts;
+  opts.chunk_tokens = 512;  // every prompt takes 2-3 chunks
+  opts.faults = &fp.schedule;
+  const RequestStats s = sched.serve(trace_of(rows), opts);
+  ASSERT_TRUE(s.feasible) << s.failure;
+  EXPECT_EQ(s.completed, 13u);
+  EXPECT_EQ(s.preemptions, 4u);
+  EXPECT_EQ(s.admission_blocked, 110u);
+  EXPECT_EQ(s.iterations, 176u);
+  EXPECT_EQ(s.retries, 1u);
+  EXPECT_TRUE(s.fault_permanent);
+  EXPECT_EQ(s.fault_device, 2);
+  const std::string text = sq::testutil::render(s);
+  EXPECT_EQ(sq::testutil::digest(text), "e0cb7ff29100a7e2") << text;
 }
 
 TEST(RequestScheduler, EngineForwardMatchesDirectScheduler) {
