@@ -2,9 +2,11 @@
 // scheme sweep (Uniform + Het + SplitQuant) on a few representative cells
 // at several `num_threads` settings and report wall-clock per setting.
 //
-// Each setting starts from a cold kernel-model cache and a fresh latency
-// model so the comparison is fair; the chosen plans are asserted identical
-// across settings (the planner's deterministic-reduction guarantee).
+// Each setting starts from a fresh latency model so the comparison is
+// fair; the chosen plans are asserted identical across settings (the
+// planner's deterministic-reduction guarantee).  A last `replan` row times
+// the heuristic replanner over the elastic-churn membership sequence of
+// the end-to-end benchmark (perfbench) and fingerprints its four plans.
 //
 //   SQ_SPEEDUP_THREADS="1 2 4"  override the thread settings swept
 //   SQ_BENCH_SMOKE=1            fixed {1, 2} settings for the CI gate
@@ -20,7 +22,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "sim/pipeline.h"
+#include "core/repair.h"
+#include "hw/cluster.h"
 
 namespace {
 
@@ -62,9 +65,7 @@ double sweep_once(int threads, std::vector<std::string>* plans) {
     const auto reqs = sq::workload::sample(
         sq::workload::Dataset::kCnnDailyMail, 512,
         1000 + static_cast<std::uint64_t>(c.cluster));
-    // Fresh cell + cold caches so warm-up from a previous setting cannot
-    // flatter this one.
-    sq::sim::stage_cache_clear();
+    // A fresh cell so warm-up from a previous setting cannot flatter this one.
     const sq::bench::Cell cell(c.model, c.cluster, reqs, 256);
     sq::core::PlannerConfig cfg = sq::bench::bench_config();
     cfg.num_threads = threads;
@@ -86,6 +87,44 @@ double sweep_once(int threads, std::vector<std::string>* plans) {
     }
   }
   return total;
+}
+
+/// The heuristic replanner (core::make_replanner) over perfbench's
+/// elastic-churn membership sequence: OPT-30B on paper cluster 5, then
+/// +1xV100 (join), then without device 0 (leave), then without the device
+/// that was 1 (failure).  Returns wall-clock seconds of the four plans and
+/// appends each plan's serialized form to `plans`.
+double replan_sequence(int threads, std::vector<std::string>* plans) {
+  const auto model = sq::model::spec(sq::model::ModelId::kOpt30B);
+  const auto reqs =
+      sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 256, 1234);
+  const sq::sim::BatchWorkload planning =
+      sq::workload::make_profile(reqs, 128).planning_batch(model);
+  sq::cost::LatencyCostModel latency(model);
+  const sq::quality::QualityModel quality(model, sq::bench::all_bits());
+
+  sq::hw::Node v100;
+  v100.name = "elastic-0";
+  v100.gpu_type = sq::hw::GpuType::kV100;
+  v100.gpu_count = 1;
+  v100.intra_gbps = 300.0;
+  std::vector<sq::hw::Cluster> clusters = {sq::hw::paper_cluster(5)};
+  clusters.push_back(sq::hw::grow_cluster(clusters.back(), v100));
+  clusters.push_back(sq::hw::degrade_cluster(clusters.back(), {0}).cluster);
+  clusters.push_back(sq::hw::degrade_cluster(clusters.back(), {0}).cluster);
+
+  sq::core::PlannerConfig cfg;
+  cfg.use_heuristic = true;
+  cfg.num_threads = threads;
+  const sq::runtime::Replanner replan =
+      sq::core::make_replanner(model, latency, quality, planning, cfg);
+  const auto t0 = Clock::now();
+  for (const sq::hw::Cluster& c : clusters) {
+    const sq::runtime::ReplanOutcome out = replan(c, 0);
+    plans->push_back(out.feasible ? sq::sim::plan_to_string(out.plan)
+                                  : "infeasible");
+  }
+  return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
 }  // namespace
@@ -115,22 +154,29 @@ int main() {
     } else if (plans != base_plans) {
       all_identical = false;
     }
-    const auto ks = sq::sim::stage_cache_stats();
-    const double hit_pct = ks.hits + ks.misses > 0
-                               ? 100.0 * static_cast<double>(ks.hits) /
-                                     static_cast<double>(ks.hits + ks.misses)
-                               : 0.0;
-    std::printf("%-12d %12.2f %11.2fx   stage cache %.1f%% hit\n", t, s,
-                base / s, hit_pct);
+    std::printf("%-12d %12.2f %11.2fx\n", t, s, base / s);
 
     std::string all;
     for (const auto& p : plans) all += p;
     auto& row = report.add_row();
     row["threads"] = static_cast<std::int64_t>(t);
     row["search_s"] = s;  // wall-clock: recorded, never gated
-    row["stage_cache_hit_pct"] = hit_pct;
     row["plans_fingerprint"] = sq::bench::fingerprint_text(all);
   }
+
+  std::vector<std::string> replans;
+  const double rs = replan_sequence(settings.back(), &replans);
+  std::string all;
+  for (const auto& p : replans) all += p;
+  std::printf("replan: heuristic plan over 4 elastic-churn clusters, %d threads: "
+              "%.3f s\n",
+              settings.back(), rs);
+  auto& row = report.add_row();
+  row["scenario"] = std::string("replan");
+  row["threads"] = static_cast<std::int64_t>(settings.back());
+  row["replans"] = static_cast<std::int64_t>(replans.size());
+  row["replan_s"] = rs;  // wall-clock: recorded, never gated
+  row["plans_fingerprint"] = sq::bench::fingerprint_text(all);
   std::printf("plans identical across all thread settings: %s\n",
               all_identical ? "yes" : "NO (BUG)");
   report.meta("plans_identical", static_cast<std::int64_t>(all_identical ? 1 : 0));

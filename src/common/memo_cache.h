@@ -1,10 +1,11 @@
 // Thread-safe memoization cache for pure functions.
 //
-// Backs the planner's repeated cost-model queries: pipeline stage times
-// and the latency regressions are pure in their arguments, and the
-// candidate fan-out (topologies x micro-batch pairs x bitwidths) asks for
-// the same (device, bitwidth, shape) points over and over.  Sharded
-// mutexes keep contention low under the planner's thread pool; a per-shard
+// Backs the content-addressed QuantCache (src/quant/quant_cache.h), whose
+// values — quantized layers — cost far more to compute than a lookup.
+// Cheap pure values (a stage time, a latency prediction) are computed
+// directly instead: a probe here hashes, locks a shard and bumps a shared
+// counter, which costs more than they do.  Sharded mutexes keep
+// contention low under concurrent callers; a per-shard
 // entry cap bounds memory (a full shard is dropped wholesale — values are
 // recomputed identically on the next miss, so eviction never changes
 // results).

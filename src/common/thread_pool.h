@@ -66,10 +66,10 @@ class ThreadPool {
 };
 
 /// Run `fn(i)` for every i in [0, n).  With a null `pool` (or n <= 1) the
-/// calls run inline on the caller's thread — the legacy sequential path —
-/// so sequential and parallel execution share one code path.  Blocks until
-/// every index finished; if any call threw, rethrows the exception of the
-/// lowest-indexed failing chunk (deterministic error reporting).
+/// calls run inline on the caller's thread, so sequential and parallel
+/// execution share one code path.  Blocks until every index finished; if
+/// any call threw, rethrows the exception of the lowest-indexed failing
+/// chunk (deterministic error reporting).
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 

@@ -51,13 +51,12 @@ PlanContext::PlanContext(const PlanInputs& in, Topology topo, std::uint64_t eta,
     const int tp = static_cast<int>(grp.devices.size());
     for (int bi = 0; bi < B; ++bi) {
       const Bitwidth bit = in.bits[static_cast<std::size_t>(bi)];
+      const auto& fits = lat.fits(type, bit, tp);
       const double per_layer_pre =
-          lat.predict_layer_us(type, sq::model::Phase::kPrefill, eta_, w.chunk_len(),
-                               bit, tp) *
+          fits.predict_us(sq::model::Phase::kPrefill, eta_, w.chunk_len()) *
           static_cast<double>(w.chunks()) * 1e-6;
       const double per_layer_dec =
-          lat.predict_layer_us(type, sq::model::Phase::kDecode, xi_, ctx_mid, bit, tp) *
-          1e-6;
+          fits.predict_us(sq::model::Phase::kDecode, xi_, ctx_mid) * 1e-6;
       const double per_layer_mem =
           static_cast<double>(m.layer_weight_bytes(bit)) +
           static_cast<double>(w.batch_size) *

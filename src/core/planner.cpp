@@ -1,6 +1,7 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -13,7 +14,6 @@
 #include "model/layer_stats.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
-#include "sim/pipeline.h"
 
 namespace sq::core {
 
@@ -26,12 +26,6 @@ std::unique_ptr<sq::common::ThreadPool> make_pool(int num_threads) {
   const int n = sq::common::resolve_threads(num_threads);
   return n > 1 ? std::make_unique<sq::common::ThreadPool>(n) : nullptr;
 }
-
-/// The shared stage-time cache of the validation simulator is part of the
-/// parallel search machinery; `num_threads == 1` asks for the legacy
-/// sequential path, which recomputes everything.  Either way the values —
-/// and therefore the chosen plan — are bit-for-bit identical.
-bool memoize_of(const PlannerConfig& cfg) { return cfg.num_threads != 1; }
 
 /// Per-task winner of a baseline sweep, reduced across tasks in
 /// enumeration order so ties resolve exactly as the sequential loops did.
@@ -65,32 +59,6 @@ double seconds_since(Clock::time_point t0) {
 void observe_phase_s(const char* name, double seconds) {
   if (!sq::obs::enabled()) return;
   sq::obs::histogram(name, sq::obs::BucketLayout::kSeconds).observe(seconds);
-}
-
-/// Snapshot of the shared caches, used to attribute hit/miss deltas of one
-/// planner invocation to the planner's counters.
-struct CacheMarks {
-  sq::sim::StageCacheStats stage;
-  std::uint64_t predict_hits = 0;
-  std::uint64_t predict_misses = 0;
-};
-
-CacheMarks cache_marks(const sq::cost::LatencyCostModel& latency) {
-  return {sq::sim::stage_cache_stats(), latency.predict_cache_hits(),
-          latency.predict_cache_misses()};
-}
-
-void observe_cache_deltas(const sq::cost::LatencyCostModel& latency,
-                          const CacheMarks& t0) {
-  if (!sq::obs::enabled()) return;
-  const CacheMarks t1 = cache_marks(latency);
-  sq::obs::counter("planner.stage_cache.hits").add(t1.stage.hits - t0.stage.hits);
-  sq::obs::counter("planner.stage_cache.misses")
-      .add(t1.stage.misses - t0.stage.misses);
-  sq::obs::counter("planner.predict_cache.hits")
-      .add(t1.predict_hits - t0.predict_hits);
-  sq::obs::counter("planner.predict_cache.misses")
-      .add(t1.predict_misses - t0.predict_misses);
 }
 
 /// Power-of-two micro-batch candidates up to `cap` (plus `cap` itself).
@@ -293,7 +261,6 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   // aggregate is order-independent, so totals are identical across thread
   // counts, and nothing recorded here feeds back into the search).
   const bool ob = sq::obs::enabled();
-  const CacheMarks marks = ob ? cache_marks(latency_) : CacheMarks{};
   auto phase_t0 = Clock::now();
 
   // Stage 1: greedy-score every (batch, topology, eta, xi) candidate.
@@ -364,7 +331,6 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   if (cands.empty()) {
     result.failure = "OOM: no (topology, micro-batch) candidate fits the model";
     result.solve_seconds = seconds_since(t0);
-    if (ob) observe_cache_deltas(latency_, marks);
     return result;
   }
   auto by_norm = [](const Candidate& a, const Candidate& b) {
@@ -451,13 +417,14 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   // calibration run in a real deployment) and keeping the highest
   // simulated throughput.  Scores land in per-index slots; the argmin scan
   // runs in candidate order (strict <, first wins) for determinism.
+  std::vector<double> scores;
   if (cfg.validate_top_k > 1 && cands.size() > 1) {
     std::sort(cands.begin(), cands.end(), by_norm);
     best = cands.front().seed;
     best_i = 0;
     const int check_k =
         std::min<int>(static_cast<int>(cands.size()), cfg.validate_top_k);
-    std::vector<double> scores(static_cast<std::size_t>(check_k));
+    scores.resize(static_cast<std::size_t>(check_k));
     sq::common::parallel_for(
         pool.get(), static_cast<std::size_t>(check_k), [&](std::size_t i) {
           const auto& c = cands[i];
@@ -465,8 +432,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
           const auto plan =
               ctx.to_plan(c.seed.group_stage, c.seed.group_bit, "probe");
           const std::uint64_t b = inputs[c.input].workload.batch_size;
-          scores[i] = validation_score(plan, b, cfg.theta, c.seed.eval.omega,
-                                       memoize_of(cfg));
+          scores[i] = validation_score(plan, b, cfg.theta, c.seed.eval.omega);
         });
     double best_score = std::numeric_limits<double>::infinity();
     for (int i = 0; i < check_k; ++i) {
@@ -500,18 +466,31 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   // Dominance check: the Uniform and Het configurations are points of
   // SplitQuant's own search space; if cost-model error ranked them below
   // the chosen plan but the profiling run says otherwise, adopt them.
+  // When the validation stage ran, it already scored the chosen plan (the
+  // same plan, batch and omega, so the same deterministic score).  The
+  // alternatives are scored into slots; the reduction walks them in
+  // uniform, het, adabits order.
   if (cfg.validate_top_k > 1) {
-    double chosen = validation_score(r.plan, r.planned_batch, cfg.theta,
-                                     r.total_omega, memoize_of(cfg));
-    for (const PlanResult& alt :
-         {plan_uniform(cfg), plan_het(cfg), plan_adabits(cfg)}) {
-      if (!alt.feasible) continue;
+    double chosen = scores.empty() ? validation_score(r.plan, r.planned_batch,
+                                                      cfg.theta, r.total_omega)
+                                   : scores[best_i];
+    const std::array<PlanResult, 3> alts = {plan_uniform(cfg), plan_het(cfg),
+                                            plan_adabits(cfg)};
+    std::array<double, 3> alt_scores;
+    sq::common::parallel_for(pool.get(), alts.size(), [&](std::size_t i) {
+      const PlanResult& alt = alts[i];
+      alt_scores[i] = std::numeric_limits<double>::infinity();
+      if (!alt.feasible) return;
       if (cfg.max_ppl_delta >= 0.0 &&
           alt.total_omega > cfg.max_ppl_delta * (1.0 + 1e-9)) {
-        continue;  // would violate the quality budget
+        return;  // would violate the quality budget
       }
-      const double t = validation_score(alt.plan, alt.planned_batch, cfg.theta,
-                                        alt.total_omega, memoize_of(cfg));
+      alt_scores[i] = validation_score(alt.plan, alt.planned_batch, cfg.theta,
+                                       alt.total_omega);
+    });
+    for (std::size_t i = 0; i < alts.size(); ++i) {
+      const PlanResult& alt = alts[i];
+      const double t = alt_scores[i];
       if (t < chosen * (1.0 - 1e-9)) {
         chosen = t;
         r.plan = alt.plan;
@@ -532,20 +511,19 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
     observe_phase_s("planner.time.dominance_s", seconds_since(phase_t0));
     observe_phase_s("planner.time.total_s", seconds_since(t0));
     sq::obs::counter("planner.plans").add();
-    observe_cache_deltas(latency_, marks);
   }
   return r;
 }
 
 double Planner::validation_score(const sq::sim::ExecutionPlan& plan,
-                                 std::uint64_t batch, double theta, double omega,
-                                 bool memoize) const {
+                                 std::uint64_t batch, double theta,
+                                 double omega) const {
   // Run the plan through the actual serving engine (wave capping and
   // per-wave micro-batch clamping included) on two calibration shapes:
   // the planning batch and a half-prompt variant.
   const sq::runtime::OfflineEngine engine(
       cluster_, model_, plan, sq::runtime::Backend::kVllmStyle,
-      {.ground_truth = true, .seed = 11}, memoize);
+      {.ground_truth = true, .seed = 11});
   std::vector<sq::sim::BatchWorkload> batches;
   for (const double frac : {1.5, 1.0, 0.55}) {
     sq::sim::BatchWorkload w = workload_;

@@ -2,9 +2,9 @@
 // after a permanent device failure (OfflineEngine, FleetEngine) or a
 // membership change (ElasticFleetEngine).
 //
-// Repair is just planning on the changed cluster — the same assigner, the
-// same memoized cost-model fits and stage-time caches (devices that did
-// not change hit warm entries), run through a graceful-degradation ladder
+// Repair is just planning on the changed cluster — the same assigner and
+// the same profiled cost-model fits (only device types new to the cluster
+// are profiled), run through a graceful-degradation ladder
 // (runtime::replan_ladder) when the original constraints no longer admit
 // a plan:
 //

@@ -17,8 +17,8 @@
 //      few deterministic patterns (round-robin, greedy min-memory,
 //      contiguous split); duplicates are folded by canonical key and the
 //      list is capped at `max_partitions`.
-//   2. Plan every group of every candidate with the memoized parallel
-//      planner under the caller's PlannerConfig — the per-group memory and
+//   2. Plan every group of every candidate with the parallel planner
+//      under the caller's PlannerConfig — the per-group memory and
 //      quality constraints are exactly the planner's own (a group that
 //      cannot hold the model, or cannot meet `max_ppl_delta`, makes its
 //      partition infeasible).

@@ -1,39 +1,41 @@
 #include "cost/latency_model.h"
 
+#include <array>
 #include <stdexcept>
 
 namespace sq::cost {
 
-LatencyCostModel::LatencyCostModel(const LlmSpec& m, ProfileConfig cfg)
-    : m_(m),
-      cfg_(std::move(cfg)),
-      predict_cache_(
-          std::make_unique<
-              sq::common::MemoCache<PredictKey, double, PredictKeyHash>>()) {}
+namespace {
 
-std::vector<double> LatencyCostModel::prefill_features(std::uint64_t v,
-                                                       std::uint64_t s) {
+/// Prefill regression features (FLOPs-shaped), in fit order.
+std::array<double, 5> prefill_features(std::uint64_t v, std::uint64_t s) {
   const auto vd = static_cast<double>(v);
   const auto sd = static_cast<double>(s);
   return {1.0, vd, sd, vd * sd, vd * sd * sd};
 }
 
-std::vector<double> LatencyCostModel::decode_features(std::uint64_t v,
-                                                      std::uint64_t ctx) {
+/// Decode regression features (MOPs-shaped), in fit order.
+std::array<double, 4> decode_features(std::uint64_t v, std::uint64_t ctx) {
   const auto vd = static_cast<double>(v);
   const auto cd = static_cast<double>(ctx);
   return {1.0, vd, vd * cd, cd};
 }
+
+}  // namespace
+
+LatencyCostModel::LatencyCostModel(const LlmSpec& m, ProfileConfig cfg)
+    : m_(m), cfg_(std::move(cfg)) {}
 
 void LatencyCostModel::profile_device(const GpuSpec& g,
                                       std::span<const Bitwidth> bits) {
   const sq::sim::KernelModel km(cfg_.kernel);
   for (const Bitwidth b : bits) {
     for (const int tp : cfg_.tp_degrees) {
+      const Key key{g.type, b, tp};
+      if (fits_.count(key) != 0) continue;
+      LayerFits fits;
       // Prefill fit.
       {
-        const Key key{g.type, b, Phase::kPrefill, tp};
-        if (fits_.count(key) != 0) continue;
         std::vector<double> x, y;
         for (const auto v : cfg_.batch_sizes) {
           for (const auto s : cfg_.prefill_lens) {
@@ -45,14 +47,10 @@ void LatencyCostModel::profile_device(const GpuSpec& g,
             ++samples_;
           }
         }
-        LinearRegression reg;
-        reg.fit(x, y.size(), 5, y);
-        fits_[key] = std::move(reg);
+        fits.prefill.fit(x, y.size(), 5, y);
       }
       // Decode fit.
       {
-        const Key key{g.type, b, Phase::kDecode, tp};
-        if (fits_.count(key) != 0) continue;
         std::vector<double> x, y;
         for (const auto v : cfg_.batch_sizes) {
           for (const auto ctx : cfg_.decode_ctx) {
@@ -64,46 +62,39 @@ void LatencyCostModel::profile_device(const GpuSpec& g,
             ++samples_;
           }
         }
-        LinearRegression reg;
-        reg.fit(x, y.size(), 4, y);
-        fits_[key] = std::move(reg);
+        fits.decode.fit(x, y.size(), 4, y);
       }
+      fits_[key] = std::move(fits);
     }
   }
 }
 
 bool LatencyCostModel::has_profile(GpuType t, Bitwidth b, int tp) const {
-  return fits_.count(Key{t, b, Phase::kPrefill, tp}) != 0 &&
-         fits_.count(Key{t, b, Phase::kDecode, tp}) != 0;
+  return fits_.count(Key{t, b, tp}) != 0;
+}
+
+const LatencyCostModel::LayerFits& LatencyCostModel::fits(GpuType t, Bitwidth b,
+                                                          int tp) const {
+  const auto it = fits_.find(Key{t, b, tp});
+  if (it == fits_.end()) {
+    throw std::logic_error("LatencyCostModel: device/bitwidth not profiled");
+  }
+  return it->second;
+}
+
+double LatencyCostModel::LayerFits::predict_us(Phase phase, std::uint64_t v,
+                                               std::uint64_t s_or_ctx) const {
+  const double pred = phase == Phase::kPrefill
+                          ? prefill.predict(prefill_features(v, s_or_ctx))
+                          : decode.predict(decode_features(v, s_or_ctx));
+  // Latency cannot be negative; clamp tiny extrapolations.
+  return pred > 0.0 ? pred : 0.0;
 }
 
 double LatencyCostModel::predict_layer_us(GpuType t, Phase phase, std::uint64_t v,
                                           std::uint64_t s_or_ctx, Bitwidth b,
                                           int tp) const {
-  const auto it = fits_.find(Key{t, b, phase, tp});
-  if (it == fits_.end()) {
-    throw std::logic_error("LatencyCostModel: device/bitwidth not profiled");
-  }
-  PredictKey key;
-  key.v = v;
-  key.s_or_ctx = s_or_ctx;
-  key.type_phase = (static_cast<std::uint32_t>(t) << 1) |
-                   static_cast<std::uint32_t>(phase == Phase::kPrefill);
-  key.bit_tp = (static_cast<std::uint32_t>(sq::hw::bits(b)) << 16) |
-               static_cast<std::uint32_t>(tp);
-  const LinearRegression& reg = it->second;
-  return predict_cache_->get_or_compute(
-      key, [&] { return predict_uncached(reg, phase, v, s_or_ctx); });
-}
-
-double LatencyCostModel::predict_uncached(const LinearRegression& reg, Phase phase,
-                                          std::uint64_t v,
-                                          std::uint64_t s_or_ctx) const {
-  const auto f = phase == Phase::kPrefill ? prefill_features(v, s_or_ctx)
-                                          : decode_features(v, s_or_ctx);
-  // Latency cannot be negative; clamp tiny extrapolations.
-  const double pred = reg.predict(f);
-  return pred > 0.0 ? pred : 0.0;
+  return fits(t, b, tp).predict_us(phase, v, s_or_ctx);
 }
 
 }  // namespace sq::cost

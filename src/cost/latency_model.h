@@ -10,11 +10,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/memo_cache.h"
 #include "cost/regression.h"
 #include "hw/gpu.h"
 #include "model/llm.h"
@@ -41,6 +39,17 @@ struct ProfileConfig {
 /// Fitted per-layer latency predictor for one model on profiled devices.
 class LatencyCostModel {
  public:
+  /// The prefill and decode regressions of one (device type, bitwidth, TP
+  /// degree).  A caller pricing many shapes on one device looks them up
+  /// once (fits) and evaluates them directly.
+  struct LayerFits {
+    LinearRegression prefill;
+    LinearRegression decode;
+
+    /// Predicted microseconds for one decoder layer; see predict_layer_us.
+    double predict_us(Phase phase, std::uint64_t v, std::uint64_t s_or_ctx) const;
+  };
+
   explicit LatencyCostModel(const LlmSpec& m, ProfileConfig cfg = {});
 
   /// Profile device `g` at all bitwidths in `bits` and fit regressions.
@@ -49,6 +58,10 @@ class LatencyCostModel {
 
   /// True when (device type, bitwidth) has been profiled.
   bool has_profile(GpuType t, Bitwidth b, int tp = 1) const;
+
+  /// The fits of (device type, bitwidth, TP degree); throws
+  /// std::logic_error when that combination was never profiled.
+  const LayerFits& fits(GpuType t, Bitwidth b, int tp = 1) const;
 
   /// Predicted microseconds for one decoder layer.  For kPrefill,
   /// `s_or_ctx` is the chunk length; for kDecode, the context length.
@@ -62,56 +75,28 @@ class LatencyCostModel {
   /// The model being profiled.
   const LlmSpec& model() const { return m_; }
 
-  /// Hit/miss counters of the prediction memo cache.
-  std::uint64_t predict_cache_hits() const { return predict_cache_->hits(); }
-  std::uint64_t predict_cache_misses() const { return predict_cache_->misses(); }
+  /// Prediction-cache counters.  Predictions are evaluated directly and
+  /// cached nowhere, so both read zero; kept for the frozen end-to-end
+  /// benchmark (perfbench/e2e.cpp) only.
+  std::uint64_t predict_cache_hits() const { return 0; }
+  std::uint64_t predict_cache_misses() const { return 0; }
 
  private:
   struct Key {
     GpuType type;
     Bitwidth bit;
-    Phase phase;
     int tp;
     bool operator<(const Key& o) const {
       if (type != o.type) return type < o.type;
       if (bit != o.bit) return bit < o.bit;
-      if (phase != o.phase) return phase < o.phase;
       return tp < o.tp;
     }
   };
 
-  /// Memoization key for predict_layer_us: (device, bitwidth, shape, tp).
-  struct PredictKey {
-    std::uint64_t v = 0;
-    std::uint64_t s_or_ctx = 0;
-    std::uint32_t type_phase = 0;  ///< (GpuType << 1) | prefill flag.
-    std::uint32_t bit_tp = 0;      ///< (bitwidth << 16) | tp degree.
-    bool operator==(const PredictKey&) const = default;
-  };
-  struct PredictKeyHash {
-    std::size_t operator()(const PredictKey& k) const {
-      std::uint64_t h = sq::common::hash_mix(k.v, k.s_or_ctx);
-      h = sq::common::hash_mix(h, (static_cast<std::uint64_t>(k.type_phase) << 32) |
-                                      k.bit_tp);
-      return static_cast<std::size_t>(h);
-    }
-  };
-
-  static std::vector<double> prefill_features(std::uint64_t v, std::uint64_t s);
-  static std::vector<double> decode_features(std::uint64_t v, std::uint64_t ctx);
-
-  double predict_uncached(const LinearRegression& reg, Phase phase,
-                          std::uint64_t v, std::uint64_t s_or_ctx) const;
-
   LlmSpec m_;
   ProfileConfig cfg_;
-  std::map<Key, LinearRegression> fits_;
+  std::map<Key, LayerFits> fits_;
   std::size_t samples_ = 0;
-  /// Prediction memo: queries are pure per (device, bitwidth, shape, tp)
-  /// once the fit exists, and profile_device never refits an existing key,
-  /// so entries never go stale.  unique_ptr keeps the model copyable.
-  std::unique_ptr<sq::common::MemoCache<PredictKey, double, PredictKeyHash>>
-      predict_cache_;
 };
 
 }  // namespace sq::cost

@@ -60,13 +60,11 @@ bool migration_policy_from_string(const std::string& s, MigrationPolicy* out) {
 ElasticFleetEngine::ElasticFleetEngine(sq::model::LlmSpec model,
                                        std::vector<sq::runtime::ReplicaGroup> groups,
                                        sq::runtime::Backend backend,
-                                       sq::sim::KernelModelOptions kernel,
-                                       bool memoize)
+                                       sq::sim::KernelModelOptions kernel)
     : model_(std::move(model)),
       groups_(std::move(groups)),
       backend_(backend),
-      kernel_(kernel),
-      memoize_(memoize) {}
+      kernel_(kernel) {}
 
 ElasticStats ElasticFleetEngine::serve(
     const std::vector<sq::runtime::FleetJob>& jobs,
@@ -75,7 +73,7 @@ ElasticStats ElasticFleetEngine::serve(
 
   // ---- Empty timeline: exact FleetEngine delegation (byte-identity). ---
   if (opts.timeline == nullptr || opts.timeline->empty()) {
-    sq::runtime::FleetEngine fe(model_, groups_, backend_, kernel_, memoize_);
+    sq::runtime::FleetEngine fe(model_, groups_, backend_, kernel_);
     fe.set_observe(observe_);
     if (prep_) fe.set_weight_prep(prep_);
     out.fleet = fe.serve(jobs, opts.fleet);
@@ -540,6 +538,9 @@ ElasticStats ElasticFleetEngine::serve(
               ++p.switches;
               ++total.repairs_succeeded;
               ++total.final_generation;
+              total.events.push_back(stamp(jl_us) + "repaired after device " +
+                                     std::to_string(ds.fault_device) +
+                                     " failed: " + p.next.cluster.summary());
             }
           }
         }

@@ -12,7 +12,7 @@
 //     to the next membership event (RequestScheduler's stop horizon),
 //     apply the event, re-plan incrementally on the changed cluster (the
 //     same graceful-degradation ladder as plan repair,
-//     runtime::replan_ladder, reusing memoized stage times and the
+//     runtime::replan_ladder, reusing the profiled latency fits and the
 //     content-addressed QuantCache so only layers that change bits
 //     re-quantize via WeightPrep::reprepare), and resume with per-request
 //     progress.  Segment outcomes merge through runtime::merge_segment.
@@ -151,8 +151,7 @@ class ElasticFleetEngine {
                      sq::runtime::Backend backend =
                          sq::runtime::Backend::kVllmStyle,
                      sq::sim::KernelModelOptions kernel = {.ground_truth = true,
-                                                           .seed = 11},
-                     bool memoize = true);
+                                                           .seed = 11});
 
   /// Serve `jobs`.  Empty timeline: exact FleetEngine delegation over all
   /// groups.  Non-empty timeline: requires exactly one replica group and
@@ -183,7 +182,6 @@ class ElasticFleetEngine {
   std::vector<sq::runtime::ReplicaGroup> groups_;
   sq::runtime::Backend backend_;
   sq::sim::KernelModelOptions kernel_;
-  bool memoize_;
   bool observe_ = false;
   std::shared_ptr<const sq::runtime::WeightPrep> prep_;
 };

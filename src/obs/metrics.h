@@ -27,6 +27,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -224,5 +225,36 @@ inline Gauge& gauge(std::string_view name) {
 inline Histogram& histogram(std::string_view name, BucketLayout layout) {
   return Registry::global().histogram(name, layout);
 }
+
+/// An instrument looked up by name on its first write and held after that
+/// (handles stay valid across Registry::reset()).  A hot loop writes
+/// through it without taking the registry mutex, and only instruments that
+/// are actually written get registered.  `name` must outlive the handle
+/// (callers pass string literals).
+template <class Metric>
+class LazyMetric {
+ public:
+  explicit LazyMetric(std::string_view name,
+                      BucketLayout layout = BucketLayout::kPow2)
+      : name_(name), layout_(layout) {}
+
+  Metric* operator->() {
+    if (metric_ == nullptr) {
+      if constexpr (std::is_same_v<Metric, Histogram>) {
+        metric_ = &histogram(name_, layout_);
+      } else if constexpr (std::is_same_v<Metric, Gauge>) {
+        metric_ = &gauge(name_);
+      } else {
+        metric_ = &counter(name_);
+      }
+    }
+    return metric_;
+  }
+
+ private:
+  std::string_view name_;
+  BucketLayout layout_;
+  Metric* metric_ = nullptr;
+};
 
 }  // namespace sq::obs

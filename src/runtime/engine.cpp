@@ -81,19 +81,17 @@ sq::sim::FaultSchedule after_repair(const sq::sim::FaultSchedule& s,
 }
 
 OfflineEngine::OfflineEngine(ReplicaGroup group, sq::model::LlmSpec model,
-                             Backend backend, sq::sim::KernelModelOptions kernel,
-                             bool memoize)
+                             Backend backend, sq::sim::KernelModelOptions kernel)
     : group_(std::move(group)),
       model_(std::move(model)),
       backend_(backend),
-      kernel_(kernel),
-      memoize_(memoize) {}
+      kernel_(kernel) {}
 
 OfflineEngine::OfflineEngine(sq::hw::Cluster cluster, sq::model::LlmSpec model,
                              sq::sim::ExecutionPlan plan, Backend backend,
-                             sq::sim::KernelModelOptions kernel, bool memoize)
+                             sq::sim::KernelModelOptions kernel)
     : OfflineEngine(ReplicaGroup{std::move(cluster), {}, std::move(plan)},
-                    std::move(model), backend, kernel, memoize) {}
+                    std::move(model), backend, kernel) {}
 
 /// Plan repair after the device with original id `id` failed: the shared
 /// repair step drops it from `g` (the first repair also bakes the
@@ -170,7 +168,6 @@ RecoveryStats OfflineEngine::serve(
   sq::sim::PipelineOptions popts;
   popts.kernel = kernel_;
   popts.backend_efficiency = backend_efficiency();
-  popts.memoize = memoize_;
 
   // Observability: metrics and trace spans are recorded only when this
   // engine was marked observable AND the registry is enabled; recording is

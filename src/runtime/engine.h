@@ -23,9 +23,9 @@
 //   * Permanent faults trigger plan repair (repair_group, the one repair
 //     step every engine shares): the failed device leaves the group,
 //     sustained stragglers are re-rated, and a Replanner re-plans the rest
-//     through the escalation ladder (replan_ladder).  Stage times of
-//     unchanged devices hit the shared memoized caches, so repair is
-//     incremental.  The repaired group serves the remaining workload; its
+//     through the escalation ladder (replan_ladder).  The latency fits of
+//     device types already profiled are reused, so repair only re-plans.
+//     The repaired group serves the remaining workload; its
 //     device map keeps naming every survivor by its original id, so later
 //     fault events still find their device.
 //   * Graceful degradation: when no attempt of the ladder yields a plan,
@@ -226,21 +226,17 @@ struct RecoveryStats {
 class OfflineEngine {
  public:
   /// Serve `group`; fault schedules then name its devices by their
-  /// original ids (ReplicaGroup::to_original).  `memoize` toggles the
-  /// shared stage-time cache of the simulator; it never changes results,
-  /// only wall-clock time (off = the legacy recompute-everything path).
+  /// original ids (ReplicaGroup::to_original).
   OfflineEngine(ReplicaGroup group, sq::model::LlmSpec model,
                 Backend backend = Backend::kVllmStyle,
                 sq::sim::KernelModelOptions kernel = {.ground_truth = true,
-                                                      .seed = 11},
-                bool memoize = true);
+                                                      .seed = 11});
 
   /// Serve `plan` on the whole of `cluster` (the identity device map).
   OfflineEngine(sq::hw::Cluster cluster, sq::model::LlmSpec model,
                 sq::sim::ExecutionPlan plan, Backend backend = Backend::kVllmStyle,
                 sq::sim::KernelModelOptions kernel = {.ground_truth = true,
-                                                      .seed = 11},
-                bool memoize = true);
+                                                      .seed = 11});
 
   /// Serve a list of padded batches, under the fault schedule in `opts`
   /// when one is given; returns aggregate statistics.
@@ -308,7 +304,6 @@ class OfflineEngine {
   sq::model::LlmSpec model_;
   Backend backend_;
   sq::sim::KernelModelOptions kernel_;
-  bool memoize_;
   bool observe_ = false;
   std::shared_ptr<const WeightPrep> prep_;  ///< Optional; see set_weight_prep.
 };

@@ -144,12 +144,11 @@ JobsParse parse_jobs_spec(const std::string& spec) {
 
 FleetEngine::FleetEngine(sq::model::LlmSpec model,
                          std::vector<ReplicaGroup> groups, Backend backend,
-                         sq::sim::KernelModelOptions kernel, bool memoize)
+                         sq::sim::KernelModelOptions kernel)
     : model_(std::move(model)),
       groups_(std::move(groups)),
       backend_(backend),
-      kernel_(kernel),
-      memoize_(memoize) {}
+      kernel_(kernel) {}
 
 FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
                               const FleetOptions& opts) const {
@@ -264,7 +263,7 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
         ropts.faults = shifted.empty() ? nullptr : &shifted;
         ropts.replan = opts.replan;
 
-        OfflineEngine eng(st.group, model_, backend_, kernel_, memoize_);
+        OfflineEngine eng(st.group, model_, backend_, kernel_);
         if (prep_) eng.set_weight_prep(prep_);
         JobOutcome& out = stats.jobs[j];
         out.group = static_cast<int>(g);

@@ -166,8 +166,7 @@ class FleetEngine {
   FleetEngine(sq::model::LlmSpec model, std::vector<ReplicaGroup> groups,
               Backend backend = Backend::kVllmStyle,
               sq::sim::KernelModelOptions kernel = {.ground_truth = true,
-                                                    .seed = 11},
-              bool memoize = true);
+                                                    .seed = 11});
 
   /// Serve `jobs` across the replica groups.  Deterministic for a fixed
   /// input at every `opts.num_threads`.
@@ -199,7 +198,6 @@ class FleetEngine {
   std::vector<ReplicaGroup> groups_;
   Backend backend_;
   sq::sim::KernelModelOptions kernel_;
-  bool memoize_;
   bool observe_ = false;
   std::shared_ptr<const WeightPrep> prep_;  ///< Optional; see setter.
 };

@@ -1,7 +1,5 @@
 #include "runtime/kv_cache.h"
 
-#include "obs/metrics.h"
-
 namespace sq::runtime {
 
 KvCacheAllocator::KvCacheAllocator(const sq::model::LlmSpec& m,
@@ -21,15 +19,13 @@ bool KvCacheAllocator::reserve(std::uint64_t req, std::uint64_t context_tokens) 
   if (need <= have) return true;
   const std::uint64_t grow = need - have;
   if (grow > free_blocks()) {
-    if (sq::obs::enabled()) sq::obs::counter("kv.reserve_denied").add();
+    if (metrics_ != nullptr) metrics_->reserve_denied->add();
     return false;
   }
   used_blocks_ += grow;
   if (req >= held_.size()) held_.resize(req + 1, 0);
   held_[req] = need;
-  if (sq::obs::enabled()) {
-    sq::obs::gauge("kv.occupancy.hwm").set(utilization());
-  }
+  if (metrics_ != nullptr) metrics_->occupancy_hwm->set(utilization());
   return true;
 }
 

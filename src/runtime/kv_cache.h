@@ -11,8 +11,15 @@
 
 #include "hw/gpu.h"
 #include "model/llm.h"
+#include "obs/metrics.h"
 
 namespace sq::runtime {
+
+/// The kv.* instruments an observed allocator writes.
+struct KvMetrics {
+  sq::obs::LazyMetric<sq::obs::Counter> reserve_denied{"kv.reserve_denied"};
+  sq::obs::LazyMetric<sq::obs::Gauge> occupancy_hwm{"kv.occupancy.hwm"};
+};
 
 /// Block-granular KV allocator for the layers resident on one device.
 class KvCacheAllocator {
@@ -45,6 +52,12 @@ class KvCacheAllocator {
   /// Fraction of the budget in use, [0, 1].
   double utilization() const;
 
+  /// Record denied reservations and the occupancy high-water mark into
+  /// `m`; null (the default) records nothing.  The owner passes metrics
+  /// only when its engine observes, so the allocator follows the engine's
+  /// observe switch rather than the global one.
+  void set_metrics(KvMetrics* m) { metrics_ = m; }
+
  private:
   std::uint64_t block_tokens_;
   std::uint64_t block_bytes_ = 0;
@@ -52,6 +65,7 @@ class KvCacheAllocator {
   std::uint64_t used_blocks_ = 0;
   /// Blocks held per request id; ids past the end hold none.
   std::vector<std::uint64_t> held_;
+  KvMetrics* metrics_ = nullptr;
 };
 
 }  // namespace sq::runtime

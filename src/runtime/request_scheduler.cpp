@@ -50,6 +50,29 @@ struct IterGroup {
   std::uint64_t finishing = 0;  ///< Prefill members on their last chunk.
 };
 
+/// The instruments an observed serve writes, each resolved once per serve
+/// so the iteration loop never takes the registry mutex.
+struct ServeMetrics {
+  using Counter = sq::obs::LazyMetric<sq::obs::Counter>;
+  using Histogram = sq::obs::LazyMetric<sq::obs::Histogram>;
+  Counter submitted{"serve.request.submitted"};
+  Counter lost{"serve.request.lost"};
+  Counter preempted{"serve.request.preempted"};
+  Counter blocked{"serve.request.blocked"};
+  Counter faults{"serve.request.faults"};
+  Counter retries{"serve.request.retries"};
+  Counter completed{"serve.request.completed"};
+  Counter iterations{"serve.request.iterations"};
+  sq::obs::LazyMetric<sq::obs::Gauge> kv_utilization{
+      "serve.request.kv_utilization"};
+  Histogram occupancy{"serve.request.occupancy", sq::obs::BucketLayout::kPow2};
+  Histogram latency_s{"serve.request.latency_s", sq::obs::BucketLayout::kSeconds};
+  Histogram queue_s{"serve.request.queue_s", sq::obs::BucketLayout::kSeconds};
+  Histogram output_tokens{"serve.request.output_tokens",
+                          sq::obs::BucketLayout::kPow2};
+  KvMetrics kv;
+};
+
 }  // namespace
 
 void finalize_request_aggregates(RequestStats& stats) {
@@ -166,7 +189,8 @@ RequestStats RequestScheduler::serve(
   }
 
   const bool ob = observe_ && sq::obs::enabled();
-  if (ob) sq::obs::counter("serve.request.submitted").add(n);
+  ServeMetrics met;
+  if (ob) met.submitted->add(n);
 
   // ---- Request state (lengths clamped to the model's context limit) ----
   const std::uint64_t pos_s = model_.pos_s;
@@ -233,6 +257,7 @@ RequestStats RequestScheduler::serve(
       budget = std::min(budget, usable - need);
     }
     alloc.emplace_back(model_, budget * tp, stage.layer_count(), plan_.kv_bits);
+    if (ob) alloc.back().set_metrics(&met.kv);
   }
 
   // ---- Queues (arrival order; ties on input index) ---------------------
@@ -274,7 +299,7 @@ RequestStats RequestScheduler::serve(
     ++finished;
     stats.events.push_back("[" + fmt_s(clock) + "] lost request " +
                            std::to_string(r) + ": " + why);
-    if (ob) sq::obs::counter("serve.request.lost").add();
+    if (ob) met.lost->add();
   };
   // Recompute-style preemption of the youngest-admitted request: KV
   // released, progress reset, back to the FIFO position its arrival
@@ -291,7 +316,7 @@ RequestStats RequestScheduler::serve(
     waiting.insert(
         std::upper_bound(waiting.begin(), waiting.end(), victim, fifo_before),
         victim);
-    if (ob) sq::obs::counter("serve.request.preempted").add();
+    if (ob) met.preempted->add();
   };
 
   // ---- Kernel building blocks -----------------------------------------
@@ -399,7 +424,7 @@ RequestStats RequestScheduler::serve(
           continue;
         }
         ++stats.admission_blocked;
-        if (ob) sq::obs::counter("serve.request.blocked").add();
+        if (ob) met.blocked->add();
         break;
       }
       waiting.erase(waiting.begin());
@@ -428,9 +453,8 @@ RequestStats RequestScheduler::serve(
     }
     stats.kv_peak_utilization = std::max(stats.kv_peak_utilization, util);
     if (ob) {
-      sq::obs::gauge("serve.request.kv_utilization").set(util);
-      sq::obs::histogram("serve.request.occupancy", sq::obs::BucketLayout::kPow2)
-          .observe(static_cast<double>(running.size()));
+      met.kv_utilization->set(util);
+      met.occupancy->observe(static_cast<double>(running.size()));
     }
 
     // ---- Compose the iteration: one prefill group (<= eta members, one
@@ -518,7 +542,7 @@ RequestStats RequestScheduler::serve(
     if (abort_at < kInf) {
       // The iteration touched an active failure window: discard it.
       ++stats.faults_hit;
-      if (ob) sq::obs::counter("serve.request.faults").add();
+      if (ob) met.faults->add();
       const sq::sim::FaultEvent* e = fv.failure_at(abort_dev, abort_at);
       const bool transient = e != nullptr && !e->permanent();
       stats.events.push_back(
@@ -528,7 +552,7 @@ RequestStats RequestScheduler::serve(
           std::to_string(stats.iterations) + " discarded");
       if (transient) {
         ++stats.retries;
-        if (ob) sq::obs::counter("serve.request.retries").add();
+        if (ob) met.retries->add();
         clock = std::max(clock, e->end_us() - fv.base_us);
         std::fill(stage_free.begin(), stage_free.end(), clock);
         continue;  // re-run the iteration after the window
@@ -579,23 +603,17 @@ RequestStats RequestScheduler::serve(
         out.output_tokens = rs.output;
         out.preemptions = rs.preemptions;
         if (ob) {
-          sq::obs::counter("serve.request.completed").add();
-          sq::obs::histogram("serve.request.latency_s",
-                             sq::obs::BucketLayout::kSeconds)
-              .observe(out.finish_s - out.arrive_s);
-          sq::obs::histogram("serve.request.queue_s",
-                             sq::obs::BucketLayout::kSeconds)
-              .observe(out.admit_s - out.arrive_s);
-          sq::obs::histogram("serve.request.output_tokens",
-                             sq::obs::BucketLayout::kPow2)
-              .observe(static_cast<double>(rs.output));
+          met.completed->add();
+          met.latency_s->observe(out.finish_s - out.arrive_s);
+          met.queue_s->observe(out.admit_s - out.arrive_s);
+          met.output_tokens->observe(static_cast<double>(rs.output));
         }
       } else {
         ++i;
       }
     }
     ++stats.iterations;
-    if (ob) sq::obs::counter("serve.request.iterations").add();
+    if (ob) met.iterations->add();
     clock = std::max(clock, stage_free.front());
   }
 

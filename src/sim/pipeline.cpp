@@ -1,17 +1,12 @@
 #include "sim/pipeline.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <limits>
-
-#include "common/memo_cache.h"
 
 namespace sq::sim {
 
 namespace {
-
-using sq::common::hash_mix;
 
 /// Intra-stage TP link bandwidth (GB/s) for the stage's node.
 double stage_tp_link(const sq::hw::Cluster& c, const StageSpec& s) {
@@ -46,111 +41,11 @@ double inter_stage_gbps(const sq::hw::Cluster& c, const StageSpec& a,
   return c.link_gbps(a.devices.back(), b.devices.front());
 }
 
-// ---- Stage-time memoization -------------------------------------------
-//
-// A stage's prefill/decode step time is a pure function of the stage's
-// device spec, its layer bitwidth slice, the model, the kernel options and
-// the query shape.  One stage time sums 8-24 kernel-model evaluations, so
-// unlike the individual ~40 ns layer evaluations it is expensive enough to
-// be worth a shared-cache lookup.  Reuse comes from serving waves of the
-// same capped batch, the three calibration shapes per validation, and
-// re-validation of the same plan by the dominance check.
-
-std::uint64_t mix_double(std::uint64_t h, double v) {
-  return hash_mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Fingerprint of every GpuSpec field the kernel model reads.
-std::uint64_t gpu_fingerprint(const GpuSpec& g) {
-  std::uint64_t h = hash_mix(0, static_cast<std::uint64_t>(g.type));
-  h = hash_mix(h, g.memory_bytes);
-  h = mix_double(h, g.hbm_gbps);
-  h = mix_double(h, g.fp16_tflops);
-  h = mix_double(h, g.fp32_tflops);
-  h = mix_double(h, g.int8_tops);
-  h = hash_mix(h, (static_cast<std::uint64_t>(g.has_fp16_tensor_core) << 2) |
-                      (static_cast<std::uint64_t>(g.has_int8_tensor_core) << 1) |
-                      static_cast<std::uint64_t>(g.has_fast_int8));
-  h = mix_double(h, g.prefill_eff);
-  h = mix_double(h, g.decode_eff);
-  h = mix_double(h, g.mem_eff);
-  h = mix_double(h, g.fp16_eff);
-  h = mix_double(h, g.dequant_ns_per_kelem);
-  h = mix_double(h, g.kernel_launch_us);
-  return h;
-}
-
-/// Fingerprint of every LlmSpec field the per-layer accounting reads.
-std::uint64_t model_fingerprint(const sq::model::LlmSpec& m) {
-  std::uint64_t h = hash_mix(0, m.h1);
-  h = hash_mix(h, m.h2);
-  h = hash_mix(h, static_cast<std::uint64_t>(m.n_layers));
-  h = hash_mix(h, static_cast<std::uint64_t>(m.n_heads));
-  h = hash_mix(h, m.d_t);
-  h = hash_mix(h, m.vocab_s);
-  h = hash_mix(h, m.pos_s);
-  h = hash_mix(h, m.kv_dim);
-  h = hash_mix(h, (static_cast<std::uint64_t>(m.learned_pos_emb) << 1) |
-                      static_cast<std::uint64_t>(m.mlp_gated));
-  return h;
-}
-
-/// Everything that identifies one stage's cost function, folded into one
-/// value per stage at the start of simulate_batch.
-std::uint64_t stage_fingerprint(const sq::hw::Cluster& cluster,
-                                const sq::model::LlmSpec& m,
-                                const ExecutionPlan& plan, std::size_t stage,
-                                const PipelineOptions& opts) {
-  const auto& st = plan.stages[stage];
-  std::uint64_t h = gpu_fingerprint(cluster.spec(st.devices.front()));
-  h = hash_mix(h, model_fingerprint(m));
-  h = hash_mix(h, (static_cast<std::uint64_t>(opts.kernel.ground_truth) << 32) |
-                      opts.kernel.seed);
-  h = mix_double(h, opts.backend_efficiency);
-  h = mix_double(h, stage_tp_link(cluster, st));
-  h = hash_mix(h, static_cast<std::uint64_t>(st.tp()));
-  h = hash_mix(h, static_cast<std::uint64_t>(sq::hw::bits(plan.kv_bits)));
-  for (int l = st.layer_begin; l < st.layer_end; ++l) {
-    h = hash_mix(h, static_cast<std::uint64_t>(
-                        sq::hw::bits(plan.layer_bits[static_cast<std::size_t>(l)])));
-  }
-  return h;
-}
-
-/// Cache key: stage fingerprint plus the query shape.  For prefill,
-/// (x1, x2) = (chunk length, chunk count); for decode, (context, 0).
-struct StageTimeKey {
-  std::uint64_t stage_fp = 0;
-  std::uint64_t v = 0;
-  std::uint64_t x1 = 0;
-  std::uint64_t x2 = 0;
-  std::uint16_t phase = 0;
-
-  bool operator==(const StageTimeKey&) const = default;
-};
-
-struct StageTimeKeyHash {
-  std::size_t operator()(const StageTimeKey& k) const {
-    std::uint64_t h = hash_mix(k.stage_fp, k.v);
-    h = hash_mix(h, k.x1);
-    h = hash_mix(h, (k.x2 << 16) | k.phase);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-sq::common::MemoCache<StageTimeKey, double, StageTimeKeyHash>& stage_cache() {
-  static sq::common::MemoCache<StageTimeKey, double, StageTimeKeyHash> cache;
-  return cache;
-}
-
 }  // namespace
 
-StageCacheStats stage_cache_stats() {
-  const auto& c = stage_cache();
-  return {c.hits(), c.misses(), c.size()};
-}
+StageCacheStats stage_cache_stats() { return {}; }
 
-void stage_cache_clear() { stage_cache().clear(); }
+void stage_cache_clear() {}
 
 double stage_prefill_time_us(const sq::hw::Cluster& cluster,
                              const sq::model::LlmSpec& m, const ExecutionPlan& plan,
@@ -203,37 +98,6 @@ SimResult simulate_batch(const sq::hw::Cluster& cluster, const sq::model::LlmSpe
   const std::size_t n_stages = plan.stages.size();
   const auto& master_spec = cluster.spec(plan.stages.front().devices.front());
 
-  // Stage fingerprints are folded once per simulation; each stage-time
-  // query below is then a single cache probe instead of a sum of per-layer
-  // kernel evaluations.  The uncached path calls the identical functions,
-  // so cached and uncached runs agree bit-for-bit.
-  std::vector<std::uint64_t> stage_fp;
-  if (opts.memoize) {
-    stage_fp.resize(n_stages);
-    for (std::size_t s = 0; s < n_stages; ++s) {
-      stage_fp[s] = stage_fingerprint(cluster, m, plan, s, opts);
-    }
-  }
-  const auto pre_time = [&](std::size_t s, std::uint64_t v) {
-    if (!opts.memoize) {
-      return stage_prefill_time_us(cluster, m, plan, s, v, w, km, eff);
-    }
-    const StageTimeKey key{stage_fp[s], v, w.chunk_len(),
-                           static_cast<std::uint64_t>(w.chunks()), 1};
-    return stage_cache().get_or_compute(key, [&] {
-      return stage_prefill_time_us(cluster, m, plan, s, v, w, km, eff);
-    });
-  };
-  const auto dec_time = [&](std::size_t s, std::uint64_t v, std::uint64_t ctx) {
-    if (!opts.memoize) {
-      return stage_decode_time_us(cluster, m, plan, s, v, ctx, km, eff);
-    }
-    const StageTimeKey key{stage_fp[s], v, ctx, 0, 0};
-    return stage_cache().get_or_compute(key, [&] {
-      return stage_decode_time_us(cluster, m, plan, s, v, ctx, km, eff);
-    });
-  };
-
   // ---- Prefill phase -------------------------------------------------
   const std::uint64_t eta = std::min<std::uint64_t>(plan.prefill_microbatch, w.batch_size);
   const std::uint64_t mu_pre = (w.batch_size + eta - 1) / eta;
@@ -241,7 +105,7 @@ SimResult simulate_batch(const sq::hw::Cluster& cluster, const sq::model::LlmSpe
   // Per-stage compute time for a full micro-batch (size eta).
   std::vector<double> pre_t(n_stages);
   for (std::size_t s = 0; s < n_stages; ++s) {
-    pre_t[s] = pre_time(s, eta);
+    pre_t[s] = stage_prefill_time_us(cluster, m, plan, s, eta, w, km, eff);
   }
   res.stage_prefill_us = pre_t;
 
@@ -351,7 +215,8 @@ SimResult simulate_batch(const sq::hw::Cluster& cluster, const sq::model::LlmSpe
   // Representative mid-generation decode step (for reporting).
   res.stage_decode_us.resize(n_stages);
   for (std::size_t s = 0; s < n_stages; ++s) {
-    res.stage_decode_us[s] = dec_time(s, xi, w.prompt_len + w.gen_tokens / 2);
+    res.stage_decode_us[s] = stage_decode_time_us(
+        cluster, m, plan, s, xi, w.prompt_len + w.gen_tokens / 2, km, eff);
   }
 
   std::vector<double> dec_comm(n_stages, 0.0);
@@ -367,11 +232,11 @@ SimResult simulate_batch(const sq::hw::Cluster& cluster, const sq::model::LlmSpe
   std::vector<double> token_ready(mu_dec, prefill_done_all);
   std::fill(stage_free.begin(), stage_free.end(), prefill_done_all);
 
+  std::vector<double> step_t(n_stages);
   for (std::uint64_t t = 0; t < steps; ++t) {
     const std::uint64_t ctx = w.prompt_len + 1 + t;
-    std::vector<double> step_t(n_stages);
     for (std::size_t s = 0; s < n_stages; ++s) {
-      step_t[s] = dec_time(s, xi, ctx);
+      step_t[s] = stage_decode_time_us(cluster, m, plan, s, xi, ctx, km, eff);
     }
     for (std::uint64_t mb = 0; mb < mu_dec; ++mb) {
       const std::uint64_t size = std::min(xi, w.batch_size - mb * xi);

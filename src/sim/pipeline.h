@@ -57,11 +57,6 @@ struct PipelineOptions {
   /// Efficiency discount of the custom PyTorch-native backend the paper
   /// built for legacy GPUs (Sec. V): 1.0 = vLLM-style optimized backend.
   double backend_efficiency = 1.0;
-  /// Memoize per-stage step times in a process-wide thread-safe cache.
-  /// Stage times are pure in (device, layer bitwidths, shape, options), so
-  /// caching never changes results bit-for-bit — it only removes repeated
-  /// evaluation across waves, calibration shapes and plan candidates.
-  bool memoize = true;
   /// When non-null, per-stage compute/comm/bubble spans of this batch are
   /// recorded into the sink on the simulated clock (microseconds, shifted
   /// by the sink's base_us).  Null — the default, and the only setting the
@@ -74,23 +69,24 @@ struct PipelineOptions {
   /// touching a failed device aborts the batch (SimResult::faulted).  Null
   /// — or a view over an empty schedule, or one whose windows never
   /// intersect this batch's work — reproduces the fault-free schedule
-  /// bit-for-bit.  Fault windows never enter the memoized stage times
-  /// (stretching is applied to the schedule, not the cached durations), so
-  /// the shared cache stays valid across healthy and degraded runs.
+  /// bit-for-bit.  Fault windows never enter the stage times themselves:
+  /// stretching is applied to the schedule, not to the durations.
   const FaultView* faults = nullptr;
 };
 
-/// Counters of the process-wide stage-time memoization cache.
+/// Stage-time cache counters.  The simulator computes every stage time
+/// directly and caches none, so every reading is zero; kept for the frozen
+/// end-to-end benchmark (perfbench/e2e.cpp) only.
 struct StageCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::size_t entries = 0;
 };
 
-/// Counters of the shared stage-time cache (all simulations).
+/// Always zero (see StageCacheStats); kept for perfbench only.
 StageCacheStats stage_cache_stats();
 
-/// Drop every cached stage time (test/bench isolation).
+/// No-op; kept for perfbench only.
 void stage_cache_clear();
 
 /// Simulate serving one padded batch `w` of `m` on `cluster` under `plan`.

@@ -477,7 +477,9 @@ TEST_F(ElasticFixture, PermanentFaultAfterJoinMatchesPinnedGolden) {
 TEST_F(ElasticFixture, PermanentFaultRacingADrainMatchesPinnedGolden) {
   // Base ids {4, 7} plus a joined pair {8, 9}; base 9 leaves under the
   // drain policy and base device 4 fails while the in-flight requests
-  // drain on the old plan, so the staged cluster is repaired too.
+  // drain on the old plan, so the staged cluster is repaired too, and the
+  // repair logs its "repaired after device 4 failed" line as the fault
+  // branch does.
   auto groups = groups_;
   groups[0].to_original = {4, 7};
   const MembershipTimeline t =
@@ -490,7 +492,9 @@ TEST_F(ElasticFixture, PermanentFaultRacingADrainMatchesPinnedGolden) {
   const ElasticStats es = ElasticFleetEngine(model_, groups).serve(one_job(burst(48)), o);
   ASSERT_TRUE(es.feasible) << es.failure;
   const std::string text = sq::testutil::render(es);
-  EXPECT_EQ(sq::testutil::digest(text), "e8c04d2db50288b8") << text;
+  EXPECT_NE(text.find("repaired after device 4 failed"), std::string::npos)
+      << text;
+  EXPECT_EQ(sq::testutil::digest(text), "d85cd91ddaf0ad81") << text;
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
+#include "serving_digest.h"
 #include "sim/faults.h"
+#include "workload/arrivals.h"
 #include "workload/profile.h"
 
 namespace sq::obs {
@@ -308,6 +310,65 @@ TEST_F(ObsTest, ServeStatsBitIdenticalWithMetricsOnVsOff) {
     if (c.name == "fault.repairs.succeeded") saw_repair = c.value > 0;
   }
   EXPECT_TRUE(saw_repair);
+}
+
+/// True when any kv.* or serve.request.* instrument holds a write.
+bool serve_metrics_written(const Snapshot& snap) {
+  const auto ours = [](const std::string& n) {
+    return n.rfind("kv.", 0) == 0 || n.rfind("serve.request.", 0) == 0;
+  };
+  for (const auto& c : snap.counters) {
+    if (ours(c.name) && c.value > 0) return true;
+  }
+  for (const auto& g : snap.gauges) {
+    if (ours(g.name) && g.sets > 0) return true;
+  }
+  for (const auto& h : snap.histograms) {
+    if (ours(h.name) && h.count > 0) return true;
+  }
+  return false;
+}
+
+// The request scheduler and its KV allocators follow the engine's observe
+// switch: with metrics enabled globally, an engine that does not observe
+// writes no kv.* or serve.request.* metric, and one that does writes them
+// without changing a bit of the RequestStats.
+TEST_F(ObsTest, UnobservedEngineWritesNoServeOrKvMetrics) {
+  const auto m = sq::model::spec(sq::model::ModelId::kOpt30B);
+  const auto cluster = sq::hw::paper_cluster(5);
+  sq::sim::ExecutionPlan plan;
+  plan.stages = {{{3}, 0, 24}, {{0}, 24, 32}, {{1}, 32, 40}, {{2}, 40, 48}};
+  plan.layer_bits.assign(24, sq::hw::Bitwidth::kInt4);
+  plan.layer_bits.resize(48, sq::hw::Bitwidth::kInt8);
+  plan.prefill_microbatch = 2;
+  plan.decode_microbatch = 8;
+  ASSERT_TRUE(plan.validate(m, cluster).empty());
+  const auto ap = sq::workload::parse_arrival_spec("burst:48@0");
+  ASSERT_TRUE(ap.ok) << ap.error;
+  const auto arrivals = sq::workload::generate_arrivals(
+      ap.spec, sq::workload::Dataset::kCnnDailyMail, 5);
+
+  sq::runtime::OfflineEngine engine(cluster, m, plan);
+  engine.set_observe(false);
+  const auto quiet = engine.serve_continuous(arrivals);
+  ASSERT_TRUE(quiet.feasible) << quiet.failure;
+  EXPECT_GT(quiet.admission_blocked, 0u);  // the KV pool ran full
+  EXPECT_FALSE(serve_metrics_written(Registry::global().snapshot()));
+
+  engine.set_observe(true);
+  const auto loud = engine.serve_continuous(arrivals);
+  EXPECT_EQ(sq::testutil::render(loud), sq::testutil::render(quiet));
+  const Snapshot snap = Registry::global().snapshot();
+  EXPECT_TRUE(serve_metrics_written(snap));
+  std::uint64_t denied = 0, hwm_sets = 0;
+  for (const auto& c : snap.counters) {
+    if (c.name == "kv.reserve_denied") denied = c.value;
+  }
+  for (const auto& g : snap.gauges) {
+    if (g.name == "kv.occupancy.hwm") hwm_sets = g.sets;
+  }
+  EXPECT_GT(denied, 0u);
+  EXPECT_GT(hwm_sets, 0u);
 }
 
 }  // namespace

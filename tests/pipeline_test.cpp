@@ -4,9 +4,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
+#include "serving_digest.h"
 #include "sim/pipeline.h"
 
 namespace sq::sim {
@@ -155,34 +157,8 @@ TEST_F(PipelineFixture, DeterministicAcrossRuns) {
   EXPECT_EQ(a.total_us, b.total_us);
 }
 
-TEST_F(PipelineFixture, StageTimeMemoizationIsBitExact) {
-  const auto p = even_plan(m_, 4, Bitwidth::kInt4, 4, 8);
-  BatchWorkload w{16, 512, 32, 2048};
-  PipelineOptions cached;
-  cached.kernel.ground_truth = true;
-  PipelineOptions uncached = cached;
-  uncached.memoize = false;
-
-  stage_cache_clear();
-  const SimResult a = simulate_batch(c_, m_, p, w, uncached);
-  const SimResult b = simulate_batch(c_, m_, p, w, cached);   // fills cache
-  const SimResult c = simulate_batch(c_, m_, p, w, cached);   // pure hits
-  EXPECT_EQ(stage_cache_stats().misses, stage_cache_stats().entries);
-  EXPECT_GT(stage_cache_stats().hits, 0u);
-
-  for (const SimResult* r : {&b, &c}) {
-    EXPECT_EQ(a.prefill_us, r->prefill_us);
-    EXPECT_EQ(a.decode_us, r->decode_us);
-    EXPECT_EQ(a.total_us, r->total_us);
-    EXPECT_EQ(a.throughput_tok_s, r->throughput_tok_s);
-    EXPECT_EQ(a.stage_prefill_us, r->stage_prefill_us);
-    EXPECT_EQ(a.stage_decode_us, r->stage_decode_us);
-  }
-}
-
 TEST_F(PipelineFixture, StageCacheDistinguishesBitwidthAndShape) {
   BatchWorkload w{16, 512, 32, 2048};
-  stage_cache_clear();
   const SimResult a =
       simulate_batch(c_, m_, even_plan(m_, 4, Bitwidth::kInt4, 4, 8), w);
   const SimResult b =
@@ -264,6 +240,94 @@ TEST_F(PipelineFixture, StageTimesMatchFrozenPerLayerSumBitForBit) {
     }
   }
   EXPECT_EQ(BatchWorkload({1, 5000, 8, 2048}).chunks(), 3u);
+}
+
+/// Every timing field of a SimResult (and the spans of `sink`, when given),
+/// doubles as hexfloats.
+std::string render(const SimResult& r, const sq::obs::TraceSink* sink = nullptr) {
+  using sq::testutil::hex;
+  std::string s = "oom=" + std::to_string(r.oom) +
+                  " faulted=" + std::to_string(r.faulted) +
+                  " fault_device=" + std::to_string(r.fault_device) +
+                  " fault_us=" + hex(r.fault_us) +
+                  " transient=" + std::to_string(r.fault_transient) +
+                  " until=" + hex(r.fault_until_us) +
+                  " prefill=" + hex(r.prefill_us) + " decode=" + hex(r.decode_us) +
+                  " total=" + hex(r.total_us) +
+                  " tput=" + hex(r.throughput_tok_s) +
+                  " bubble=" + hex(r.bubble_fraction) + "\n";
+  for (const double t : r.stage_prefill_us) s += " pre=" + hex(t);
+  for (const double t : r.stage_decode_us) s += " dec=" + hex(t);
+  s += "\n";
+  if (sink != nullptr) {
+    for (const sq::obs::Span& sp : sink->spans()) {
+      s += sp.name + " " + hex(sp.start_us) + " " + hex(sp.end_us);
+      for (const auto& [k, v] : sp.attrs) s += " " + k + "=" + hex(v);
+      s += "\n";
+    }
+  }
+  return s;
+}
+
+// simulate_batch, bit for bit, on a plan with a tensor-parallel stage,
+// bitwidths interleaved inside stages, a two-chunk prefill and partial
+// last micro-batches: analytic and ground-truth kernels, fault views whose
+// transient windows stretch compute and links (one also holding a
+// transient failure that aborts the batch), and a trace sink.  Digests were taken while stage
+// times still went through a process-wide memo cache, so they pin that
+// computing each stage time directly changed nothing.
+TEST_F(PipelineFixture, SimulateBatchMatchesPinnedGoldens) {
+  const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);  // 24 layers
+  ExecutionPlan p;
+  p.stages.push_back({{0, 1}, 0, 5});  // tp = 2
+  p.stages.push_back({{2}, 5, 14});
+  p.stages.push_back({{3}, 14, 24});
+  const Bitwidth pattern[] = {Bitwidth::kInt4, Bitwidth::kInt4, Bitwidth::kInt8,
+                              Bitwidth::kInt4, Bitwidth::kFp16, Bitwidth::kInt3,
+                              Bitwidth::kInt8};
+  for (int l = 0; l < m.n_layers; ++l) p.layer_bits.push_back(pattern[l % 7]);
+  p.prefill_microbatch = 2;
+  p.decode_microbatch = 8;
+  ASSERT_TRUE(p.validate(m, c_).empty()) << p.validate(m, c_);
+  const BatchWorkload w{13, 3000, 24, 2048};  // 2 chunks; 7 + 2 micro-batches
+
+  PipelineOptions analytic;
+  PipelineOptions truth;
+  truth.kernel = {.ground_truth = true, .seed = 11};
+  truth.backend_efficiency = 0.8;
+
+  const std::string a = render(simulate_batch(c_, m, p, w, analytic));
+  EXPECT_EQ(sq::testutil::digest(a), "b5096143da841e2c") << a;
+  const std::string t = render(simulate_batch(c_, m, p, w, truth));
+  EXPECT_EQ(sq::testutil::digest(t), "4a52ea2de9992a3e") << t;
+
+  // Transient straggler and link windows stretch the schedule; adding a
+  // transient failure of device 0 aborts the batch at 0.3 s.
+  const std::string windows = "slow:2@0.01+0.5x2.5,link:3@0.02+0.8x4";
+  const FaultParse stretch = parse_fault_spec(windows);
+  const FaultParse abort = parse_fault_spec(windows + ",fail:0@0.3+0.2");
+  ASSERT_TRUE(stretch.ok && abort.ok) << stretch.error << abort.error;
+  PipelineOptions faulty = truth;
+  const FaultView stretch_view{&stretch.schedule, 0.0, nullptr};
+  faulty.faults = &stretch_view;
+  const SimResult sr = simulate_batch(c_, m, p, w, faulty);
+  EXPECT_FALSE(sr.faulted);
+  const std::string f = render(sr);
+  EXPECT_EQ(sq::testutil::digest(f), "8b9354cc35d6311f") << f;
+  const FaultView abort_view{&abort.schedule, 0.0, nullptr};
+  faulty.faults = &abort_view;
+  const SimResult ar = simulate_batch(c_, m, p, w, faulty);
+  EXPECT_TRUE(ar.faulted);
+  EXPECT_TRUE(ar.fault_transient);
+  const std::string x = render(ar);
+  EXPECT_EQ(sq::testutil::digest(x), "d658d533f8cc4425") << x;
+
+  sq::obs::TraceSink sink;
+  sink.base_us = 1234.5;
+  PipelineOptions traced = truth;
+  traced.trace = &sink;
+  const std::string s = render(simulate_batch(c_, m, p, w, traced), &sink);
+  EXPECT_EQ(sq::testutil::digest(s), "f04d404a14a9ee96") << s;
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "core_test_util.h"
 #include "obs/metrics.h"
-#include "sim/pipeline.h"
 #include "sim/plan_io.h"
 
 namespace sq::core {
@@ -66,7 +65,6 @@ TEST_P(PlannerMetricsFixture, PlanBitIdenticalWithMetricsOnVsOff) {
   const Planner planner(h.model, h.cluster, h.inputs.workload, h.latency,
                         h.quality);
 
-  sq::sim::stage_cache_clear();
   const std::string off = fingerprint(planner.plan(metrics_cfg(1)));
 
   sq::obs::set_enabled(true);
@@ -93,7 +91,6 @@ TEST_P(PlannerMetricsFixture, BaselinesBitIdenticalWithMetricsOnVsOff) {
   const Planner planner(h.model, h.cluster, h.inputs.workload, h.latency,
                         h.quality);
 
-  sq::sim::stage_cache_clear();
   const std::string uni = fingerprint(planner.plan_uniform(metrics_cfg(1)));
   const std::string het = fingerprint(planner.plan_het(metrics_cfg(1)));
   const std::string ada = fingerprint(planner.plan_adabits(metrics_cfg(1)));

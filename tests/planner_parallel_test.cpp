@@ -1,14 +1,12 @@
 // Determinism contract of the parallel plan search: every thread count —
-// including the legacy sequential path (num_threads == 1, which also
-// bypasses the shared stage-time cache) — must produce the identical
-// PlanResult, bit-for-bit, on the paper clusters.
+// including num_threads == 1, which runs every task inline — must produce
+// the identical PlanResult, bit-for-bit, on the paper clusters.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "core_test_util.h"
-#include "sim/pipeline.h"
 #include "sim/plan_io.h"
 
 namespace sq::core {
@@ -59,7 +57,6 @@ TEST_P(PlannerParallelFixture, PlanIsThreadCountInvariant) {
   const Planner planner(h.model, h.cluster, h.inputs.workload, h.latency,
                         h.quality);
 
-  sq::sim::stage_cache_clear();
   const PlanResult sequential = planner.plan(parallel_cfg(1));
   const std::string want = fingerprint(sequential);
   for (const int nt : {2, 4, 8}) {
@@ -74,7 +71,6 @@ TEST_P(PlannerParallelFixture, BaselinesAreThreadCountInvariant) {
   const Planner planner(h.model, h.cluster, h.inputs.workload, h.latency,
                         h.quality);
 
-  sq::sim::stage_cache_clear();
   const std::string uni = fingerprint(planner.plan_uniform(parallel_cfg(1)));
   const std::string het = fingerprint(planner.plan_het(parallel_cfg(1)));
   const std::string ada = fingerprint(planner.plan_adabits(parallel_cfg(1)));

@@ -2,7 +2,15 @@
 // adabits baselines.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core_test_util.h"
+#include "hw/cluster.h"
+#include "serving_digest.h"
+#include "sim/plan_io.h"
+#include "workload/datasets.h"
+#include "workload/profile.h"
 
 namespace sq::core {
 namespace {
@@ -174,6 +182,71 @@ TEST(Planner, ProfileAllCoversClusterTypes) {
   Planner::profile_all(lat, c, testutil::all_bits());
   EXPECT_TRUE(lat.has_profile(sq::hw::GpuType::kT4, sq::hw::Bitwidth::kInt4));
   EXPECT_TRUE(lat.has_profile(sq::hw::GpuType::kV100, sq::hw::Bitwidth::kFp16));
+}
+
+/// Every deterministic field of a PlanResult (solve_seconds is wall time
+/// and deliberately excluded), doubles as hexfloats.
+std::string fingerprint(const PlanResult& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "feasible=%d batch=%llu lat=%a tput=%a omega=%a ppl=%a acc=%a "
+                "solves=%d topologies=%d pairs=%d\n",
+                r.feasible ? 1 : 0,
+                static_cast<unsigned long long>(r.planned_batch),
+                r.predicted_latency_s, r.predicted_throughput, r.total_omega,
+                r.est_ppl, r.est_accuracy, r.ilp_solves, r.topologies_tried,
+                r.pairs_tried);
+  std::string s = buf + r.failure + "\n" + r.topology + "\n";
+  if (r.feasible) s += sq::sim::plan_to_string(r.plan);
+  return s;
+}
+
+// The heuristic planner and its three baselines on the four clusters an
+// elastic-churn run replans over: paper cluster 5, then +1xV100 (join),
+// then without device 0 (leave), then without the device that was 1
+// (failure).  Digests were taken before the stage-time and prediction
+// memo caches were removed, so they pin that plans did not move.
+TEST(Planner, ElasticChurnClustersMatchPinnedGoldens) {
+  const auto m = sq::model::spec(sq::model::ModelId::kOpt30B);
+  const auto reqs =
+      sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 256, 1234);
+  const sq::sim::BatchWorkload planning =
+      sq::workload::make_profile(reqs, 128).planning_batch(m);
+  sq::cost::LatencyCostModel latency(m);
+  const sq::quality::QualityModel quality(m, testutil::all_bits());
+
+  sq::hw::Node v100;
+  v100.name = "elastic-0";
+  v100.gpu_type = sq::hw::GpuType::kV100;
+  v100.gpu_count = 1;
+  v100.intra_gbps = 300.0;
+  std::vector<sq::hw::Cluster> clusters = {sq::hw::paper_cluster(5)};
+  clusters.push_back(sq::hw::grow_cluster(clusters.back(), v100));
+  clusters.push_back(sq::hw::degrade_cluster(clusters.back(), {0}).cluster);
+  clusters.push_back(sq::hw::degrade_cluster(clusters.back(), {0}).cluster);
+
+  PlannerConfig cfg;
+  cfg.use_heuristic = true;
+  cfg.num_threads = 2;
+  const char* const want[4][4] = {
+      {"9eb0743069360aa8", "aa3f7678d194cae7", "80d5700a8c362c4d", "6f49f5de00f0af1b"},
+      {"fc5dca3640b0d261", "8a95ffacf08ebf87", "824f42993fa1616e", "fa2f523d31038d3e"},
+      {"ccd441825c52b36f", "c7b7003ba72bc0c5", "deeccbfe4d444438", "c36e8b2080566cef"},
+      {"aaa19f895b4eb959", "b321e1b89fa9337e", "4504e7ea3d74b4bb", "5604fcb2c593959c"},
+  };
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    Planner::profile_all(latency, clusters[i], cfg.bits);
+    const Planner planner(m, clusters[i], planning, latency, quality);
+    const PlanResult results[] = {planner.plan(cfg), planner.plan_uniform(cfg),
+                                  planner.plan_het(cfg),
+                                  planner.plan_adabits(cfg)};
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_TRUE(results[k].feasible) << "cluster " << i << " planner " << k;
+      const std::string text = fingerprint(results[k]);
+      EXPECT_EQ(sq::testutil::digest(text), want[i][k])
+          << "cluster " << i << " planner " << k << "\n" << text;
+    }
+  }
 }
 
 }  // namespace
