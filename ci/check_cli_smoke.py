@@ -225,6 +225,26 @@ def main() -> int:
         else:
             print("ok: elastic+joined-device-fault printed the failure line")
 
+        # 6e. The baseline schemes: each plans and names itself.
+        for scheme in ("uniform", "het", "adabits"):
+            proc = run(cli, [*BASE, "--scheme", scheme], 0, f"--scheme {scheme}")
+            if proc is None:
+                errors += 1
+            elif not re.search(rf"^scheme:   {scheme} \(", proc.stdout,
+                               re.MULTILINE):
+                print(f"FAIL: --scheme {scheme}: no 'scheme:   {scheme}' line "
+                      "in stdout", file=sys.stderr)
+                errors += 1
+
+        # 6f. Model names keep their '.': OPT-13B is not OPT-1.3B.
+        proc = run(cli, [*BASE, "--model", "OPT-13B"], 0, "--model OPT-13B")
+        if proc is None:
+            errors += 1
+        elif not proc.stdout.startswith("model:    OPT-13B on "):
+            print("FAIL: --model OPT-13B: first line is "
+                  f"{proc.stdout.splitlines()[:1]!r}", file=sys.stderr)
+            errors += 1
+
         # 7. Usage errors must exit 2 (not 0, not a crash).
         if run(cli, [*BASE, "--shards", "0"], 2, "bad --shards") is None:
             errors += 1
@@ -265,6 +285,15 @@ def main() -> int:
         errors += run_rejects(
             cli, [*BASE, "--serve", "--continuous", "--migration", "teleport"],
             "bad --migration")
+
+        # 9. Malformed flag values must exit 2 before planning instead of
+        # silently running something else.
+        for flag, value in (("--scheme", "unifrom"), ("--workload", "sharegtp"),
+                            ("--requests", "-5"), ("--requests", "abc"),
+                            ("--batch", "0"), ("--theta", "abc"),
+                            ("--threads", "-1")):
+            errors += run_rejects(cli, [*BASE, flag, value],
+                                  f"bad {flag} {value}")
 
     if errors:
         print(f"FAIL: {errors} CLI smoke error(s)", file=sys.stderr)

@@ -77,14 +77,17 @@
 //                       summary is printed to stdout.  Metrics never change
 //                       the chosen plan or the serving stats.
 //   --list-models       print the model registry and exit
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/spec_util.h"
 #include "core/planner.h"
 #include "core/repair.h"
 #include "core/sharding.h"
@@ -109,6 +112,7 @@ struct Args {
   std::string model = "OPT-30B";
   int cluster = 5;
   std::string workload = "cnn";
+  sq::workload::Dataset dataset = sq::workload::Dataset::kCnnDailyMail;
   std::string scheme = "splitquant";
   double theta = 10.0;
   std::uint64_t batch = 128;
@@ -131,51 +135,94 @@ struct Args {
   std::string metrics;
 };
 
+/// Strict value of an integer flag: the whole text, no sign, in [lo, hi].
+/// On a bad value, prints one diagnostic line and returns false.
+template <class T>
+bool parse_int(const char* flag, const char* text, long long lo, long long hi,
+               T* out) {
+  long long v = 0;
+  if (!sq::common::parse_spec_uint(text, &v) || v < lo || v > hi) {
+    std::fprintf(stderr, "bad %s '%s' (want an integer in %lld..%lld)\n", flag,
+                 text, lo, hi);
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+/// Strict --theta value: a finite number >= 0.  On a bad value, prints one
+/// diagnostic line and returns false.
+bool parse_theta(const char* text, double* out) {
+  double v = 0.0;
+  if (!sq::common::parse_spec_double(text, &v) || !std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr, "bad --theta '%s' (want a number >= 0)\n", text);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// Parse the command line.  Every bad value is rejected here, with one
+/// diagnostic line, before anything is planned.
 bool parse(int argc, char** argv, Args* out) {
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
+        std::fprintf(stderr, "missing value for %s\n", a.c_str());
         std::exit(2);
       }
       return argv[++i];
     };
-    if (a == "--model") out->model = next("--model");
-    else if (a == "--cluster") out->cluster = std::atoi(next("--cluster"));
-    else if (a == "--workload") out->workload = next("--workload");
-    else if (a == "--scheme") out->scheme = next("--scheme");
-    else if (a == "--theta") out->theta = std::atof(next("--theta"));
-    else if (a == "--batch") out->batch = std::strtoull(next("--batch"), nullptr, 10);
-    else if (a == "--requests") out->requests = std::atoi(next("--requests"));
-    else if (a == "--threads") out->threads = std::atoi(next("--threads"));
+    auto count = [&](long long lo, long long hi, auto* dst) {
+      return parse_int(a.c_str(), next(), lo, hi, dst);
+    };
+    bool ok = true;
+    if (a == "--model") out->model = next();
+    else if (a == "--cluster") ok = count(1, sq::hw::kPaperClusterCount, &out->cluster);
+    else if (a == "--workload") out->workload = next();
+    else if (a == "--scheme") out->scheme = next();
+    else if (a == "--theta") ok = parse_theta(next(), &out->theta);
+    else if (a == "--batch") ok = count(1, kIntMax, &out->batch);
+    else if (a == "--requests") ok = count(1, kIntMax, &out->requests);
+    else if (a == "--threads") ok = count(0, kIntMax, &out->threads);
     else if (a == "--custom-backend") out->custom_backend = true;
     else if (a == "--heuristic") out->heuristic = true;
     else if (a == "--serve") out->serve = true;
     else if (a == "--continuous") out->continuous = true;
-    else if (a == "--arrivals") out->arrivals = next("--arrivals");
-    else if (a == "--faults") out->faults = next("--faults");
+    else if (a == "--arrivals") out->arrivals = next();
+    else if (a == "--faults") out->faults = next();
     else if (a == "--no-repair") out->no_repair = true;
-    else if (a == "--elastic") out->elastic = next("--elastic");
-    else if (a == "--migration") out->migration = next("--migration");
-    else if (a == "--shards") out->shards = std::atoi(next("--shards"));
-    else if (a == "--jobs") out->jobs = next("--jobs");
-    else if (a == "--save-plan") out->save_plan = next("--save-plan");
-    else if (a == "--load-plan") out->load_plan = next("--load-plan");
-    else if (a == "--metrics") out->metrics = next("--metrics");
+    else if (a == "--elastic") out->elastic = next();
+    else if (a == "--migration") out->migration = next();
+    else if (a == "--shards") ok = count(1, kIntMax, &out->shards);
+    else if (a == "--jobs") out->jobs = next();
+    else if (a == "--save-plan") out->save_plan = next();
+    else if (a == "--load-plan") out->load_plan = next();
+    else if (a == "--metrics") out->metrics = next();
     else if (a == "--list-models") out->list_models = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
       return false;
     }
+    if (!ok) return false;
+  }
+  if (out->scheme != "splitquant" && out->scheme != "uniform" &&
+      out->scheme != "het" && out->scheme != "adabits") {
+    std::fprintf(stderr, "bad --scheme '%s' (want splitquant|uniform|het|adabits)\n",
+                 out->scheme.c_str());
+    return false;
+  }
+  if (out->workload == "cnn") out->dataset = sq::workload::Dataset::kCnnDailyMail;
+  else if (out->workload == "loogle") out->dataset = sq::workload::Dataset::kLoogle;
+  else if (out->workload == "sharegpt") out->dataset = sq::workload::Dataset::kShareGpt;
+  else {
+    std::fprintf(stderr, "bad --workload '%s' (want cnn|loogle|sharegpt)\n",
+                 out->workload.c_str());
+    return false;
   }
   return true;
-}
-
-sq::workload::Dataset dataset_of(const std::string& name) {
-  if (name == "loogle") return sq::workload::Dataset::kLoogle;
-  if (name == "sharegpt") return sq::workload::Dataset::kShareGpt;
-  return sq::workload::Dataset::kCnnDailyMail;
 }
 
 /// The "serve:" and "requests:" lines of a continuous run.
@@ -328,10 +375,10 @@ int parse_jobs(const Args& args, const sq::model::LlmSpec& m,
         return rc;
       }
       job.arrivals = sq::workload::generate_arrivals(
-          spec, dataset_of(args.workload), 1234 + i);
+          spec, args.dataset, 1234 + i);
     } else {
       const auto reqs =
-          sq::workload::sample(dataset_of(args.workload),
+          sq::workload::sample(args.dataset,
                                static_cast<int>(items[i].requests), 1234 + i);
       job.batches = sq::workload::make_batches(reqs, m, args.batch);
     }
@@ -501,16 +548,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s (try --list-models)\n", e.what());
     return 2;
   }
-  if (args.cluster < 1 || args.cluster > hw::kPaperClusterCount) {
-    std::fprintf(stderr, "--cluster must be 1..10\n");
-    return 2;
-  }
   const hw::Cluster cluster = hw::paper_cluster(args.cluster);
 
   if (!args.metrics.empty()) obs::set_enabled(true);
 
   const auto requests =
-      workload::sample(dataset_of(args.workload), args.requests, 1234);
+      workload::sample(args.dataset, args.requests, 1234);
   const auto profile = workload::make_profile(requests, args.batch);
 
   const std::vector<hw::Bitwidth> bits = {hw::Bitwidth::kFp16, hw::Bitwidth::kInt8,
@@ -530,10 +573,6 @@ int main(int argc, char** argv) {
   // at every thread count; see src/tensor/gemm.h).
   tensor::set_kernel_threads(args.threads);
 
-  if (args.shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
   if (args.shards > 1) {
     if (!args.load_plan.empty()) {
       std::fprintf(stderr, "--load-plan is not supported with --shards\n");
@@ -638,7 +677,7 @@ int main(int argc, char** argv) {
       return rc;
     }
     const auto arrivals =
-        workload::generate_arrivals(aspec, dataset_of(args.workload), 1234);
+        workload::generate_arrivals(aspec, args.dataset, 1234);
     std::printf("arrivals: %s (%llu requests)\n", aspec.to_spec().c_str(),
                 static_cast<unsigned long long>(arrivals.size()));
 

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "core/heuristics.h"
@@ -17,9 +18,30 @@
 
 namespace sq::core {
 
+/// A baseline scheme as one sweep of the search grid.  Each (batch,
+/// topology) task walks its (eta, xi) pairs at one uniform bit index at a
+/// time, widest first, and stops at the first bit that fits any pair (the
+/// paper's Uniform and Het lower precision only until the model fits); a
+/// mixed-precision scheme walks the pairs once.
+struct BaselineSweep {
+  bool per_bit;  ///< Widest-first uniform bits; false = one mixed pass.
+  /// The scheme's plan at one pair and bit index (-1 in a mixed pass), or
+  /// nullopt where it does not fit.
+  std::optional<HeuristicPlan> (*cell)(const PlanContext& ctx, int bi);
+  const char* scheme;
+  const char* failure;  ///< PlanResult::failure when no cell fits.
+};
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Planner settings no caller varies: intra-node TP meshes are always
+/// enumerated, the KV cache is held at FP16, and the Hessian and Random
+/// indicators draw from one fixed seed.
+constexpr bool kAllowTp = true;
+constexpr Bitwidth kKvBits = Bitwidth::kFp16;
+constexpr std::uint64_t kIndicatorSeed = 17;
 
 /// Pool for the candidate fan-out; null means run inline (sequential).
 std::unique_ptr<sq::common::ThreadPool> make_pool(int num_threads) {
@@ -27,27 +49,28 @@ std::unique_ptr<sq::common::ThreadPool> make_pool(int num_threads) {
   return n > 1 ? std::make_unique<sq::common::ThreadPool>(n) : nullptr;
 }
 
-/// Per-task winner of a baseline sweep, reduced across tasks in
-/// enumeration order so ties resolve exactly as the sequential loops did.
-struct SweepBest {
-  double obj = std::numeric_limits<double>::infinity();
+/// One point of the search grid: a batch candidate (index into the
+/// PlanInputs), a topology (index) and an (eta, xi) micro-batch pair.
+struct Cell {
   std::size_t input = 0;
   std::size_t topo = 0;
   std::uint64_t eta = 0;
   std::uint64_t xi = 0;
-  HeuristicPlan hp;
 };
 
-/// Widest-first permutation of the bit indices.
-std::vector<int> widest_first_order(const std::vector<sq::hw::Bitwidth>& bits) {
-  std::vector<int> order(bits.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return sq::hw::bits(bits[static_cast<std::size_t>(a)]) >
-           sq::hw::bits(bits[static_cast<std::size_t>(b)]);
-  });
-  return order;
+PlanContext context_of(const Cell& c, const std::vector<PlanInputs>& inputs,
+                       const std::vector<Topology>& topologies, int group_size) {
+  return PlanContext(inputs[c.input], topologies[c.topo], c.eta, c.xi,
+                     group_size);
 }
+
+/// Per-task winner of a baseline sweep, reduced across tasks in
+/// enumeration order so ties resolve exactly as a sequential loop would.
+struct SweepBest {
+  double obj = std::numeric_limits<double>::infinity();
+  Cell cell;
+  HeuristicPlan hp;
+};
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -61,21 +84,78 @@ void observe_phase_s(const char* name, double seconds) {
   sq::obs::histogram(name, sq::obs::BucketLayout::kSeconds).observe(seconds);
 }
 
-/// Power-of-two micro-batch candidates up to `cap` (plus `cap` itself).
-std::vector<std::uint64_t> microbatch_candidates(std::uint64_t cap) {
-  std::vector<std::uint64_t> out;
-  for (std::uint64_t v = 1; v < cap; v *= 2) out.push_back(v);
-  out.push_back(cap);
+/// The (eta, xi) pairs of one batch candidate in enumeration order: each
+/// power-of-two prefill micro-batch up to min(batch, 64) with each
+/// power-of-two decode micro-batch up to the batch (each cap included).
+std::vector<std::pair<std::uint64_t, std::uint64_t>> microbatch_pairs(
+    std::uint64_t batch) {
+  auto sizes = [](std::uint64_t cap) {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t v = 1; v < cap; v *= 2) out.push_back(v);
+    out.push_back(cap);
+    return out;
+  };
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  const auto xis = sizes(batch);
+  for (const auto eta : sizes(std::min<std::uint64_t>(batch, 64))) {
+    for (const auto xi : xis) out.emplace_back(eta, xi);
+  }
   return out;
+}
+
+/// `stage` at one uniform bit index, evaluated; nullopt when it does not fit.
+std::optional<HeuristicPlan> at_uniform_bit(const PlanContext& ctx,
+                                            std::vector<int> stage, int bi) {
+  HeuristicPlan hp;
+  hp.group_stage = std::move(stage);
+  hp.group_bit.assign(static_cast<std::size_t>(ctx.num_groups()), bi);
+  hp.eval = ctx.evaluate(hp.group_stage, hp.group_bit);
+  if (!hp.eval.feasible) return std::nullopt;
+  return hp;
+}
+
+constexpr const char* kUniformFailure =
+    "OOM: model does not fit at any uniform precision";
+
+/// Uniform: even partition at one bitwidth.
+const BaselineSweep kUniformSweep = {
+    true,
+    [](const PlanContext& ctx, int bi) {
+      return at_uniform_bit(ctx, even_partition(ctx), bi);
+    },
+    "uniform", kUniformFailure};
+
+/// Het: phase-unaware (prefill-time) balanced partition at one bitwidth.
+const BaselineSweep kHetSweep = {
+    true,
+    [](const PlanContext& ctx, int bi) -> std::optional<HeuristicPlan> {
+      auto stage = balanced_partition(ctx, bi, PartitionMetric::kPrefillOnly);
+      if (stage.empty()) return std::nullopt;
+      return at_uniform_bit(ctx, std::move(stage), bi);
+    },
+    "het", kUniformFailure};
+
+/// adabits: adaptive bitwidths over an even partition, one mixed pass.
+const BaselineSweep kAdabitsSweep = {
+    false, [](const PlanContext& ctx, int) { return adabits_plan(ctx); },
+    "adabits", "OOM: adabits found no feasible assignment"};
+
+/// The same inputs without the quality trade-off or budget: the Uniform
+/// and Het baselines plan for speed alone.
+std::vector<PlanInputs> speed_only(std::vector<PlanInputs> inputs) {
+  for (auto& in : inputs) {
+    in.theta = 0.0;
+    in.omega_budget = -1.0;
+  }
+  return inputs;
 }
 
 /// Synthetic Hessian-style indicator table for a big model: the HAWQ score
 /// lambda_max(2 X X^T) * ||Q(W) - W||^2 evaluated from the calibration
 /// statistics (lambda ~ 2 * D_X * E[X^2]; E||Q(W)-W||^2 ~ D_W * S(b)^2 / 12).
 std::vector<std::vector<double>> hessian_table(const sq::model::LlmSpec& m,
-                                               std::span<const Bitwidth> bits,
-                                               std::uint64_t seed) {
-  const auto calib = sq::model::synthetic_calibration(m, seed);
+                                               std::span<const Bitwidth> bits) {
+  const auto calib = sq::model::synthetic_calibration(m, kIndicatorSeed);
   std::vector<std::vector<double>> t(calib.size(),
                                      std::vector<double>(bits.size(), 0.0));
   for (std::size_t l = 0; l < calib.size(); ++l) {
@@ -133,14 +213,13 @@ void Planner::profile_all(sq::cost::LatencyCostModel& latency,
   }
 }
 
-PlanInputs Planner::make_inputs(const PlannerConfig& cfg, std::uint64_t batch) const {
+std::vector<PlanInputs> Planner::make_inputs(const PlannerConfig& cfg) const {
   PlanInputs in;
   in.model = &model_;
   in.cluster = &cluster_;
   in.latency = &latency_;
   in.workload = workload_;
-  in.workload.batch_size = batch;
-  in.kv_bits = cfg.kv_bits;
+  in.kv_bits = kKvBits;
   in.theta = cfg.theta;
   in.omega_budget = cfg.max_ppl_delta;
 
@@ -152,41 +231,29 @@ PlanInputs Planner::make_inputs(const PlannerConfig& cfg, std::uint64_t batch) c
 
   // Per-layer indicator in PPL units.
   const std::size_t L = static_cast<std::size_t>(model_.n_layers);
-  in.omega_ppl.assign(L, std::vector<double>(in.bits.size(), 0.0));
-  switch (cfg.indicator) {
-    case IndicatorKind::kVariance: {
-      const double k = quality_.ppl_per_omega();
-      for (std::size_t l = 0; l < L; ++l) {
-        for (std::size_t bi = 0; bi < in.bits.size(); ++bi) {
-          in.omega_ppl[l][bi] = k * quality_.indicators().at(l, in.bits[bi]);
-        }
+  if (cfg.indicator == IndicatorKind::kVariance) {
+    const double k = quality_.ppl_per_omega();
+    in.omega_ppl.assign(L, std::vector<double>(in.bits.size(), 0.0));
+    for (std::size_t l = 0; l < L; ++l) {
+      for (std::size_t bi = 0; bi < in.bits.size(); ++bi) {
+        in.omega_ppl[l][bi] = k * quality_.indicators().at(l, in.bits[bi]);
       }
-      break;
     }
-    case IndicatorKind::kHessian: {
-      in.omega_ppl = hessian_table(model_, in.bits, cfg.seed);
-      normalize_to_ppl(in.omega_ppl, in.bits);
-      break;
-    }
-    case IndicatorKind::kRandom: {
-      const auto table =
-          sq::quant::random_indicator_table(L, in.bits, cfg.seed);
-      for (std::size_t l = 0; l < L; ++l) {
-        for (std::size_t bi = 0; bi < in.bits.size(); ++bi) {
-          in.omega_ppl[l][bi] = table.values[l][bi];
-        }
-      }
-      normalize_to_ppl(in.omega_ppl, in.bits);
-      break;
-    }
+  } else {
+    in.omega_ppl =
+        cfg.indicator == IndicatorKind::kHessian
+            ? hessian_table(model_, in.bits)
+            : sq::quant::random_indicator_table(L, in.bits, kIndicatorSeed).values;
+    normalize_to_ppl(in.omega_ppl, in.bits);
   }
-  return in;
-}
 
-std::uint64_t Planner::plan_concurrency(const PlannerConfig& cfg) const {
-  // Cap the planning batch so the KV reservation is sustainable: mid-range
-  // (INT8) weights plus B requests of full-context KV must fit in ~85% of
-  // the cluster's usable memory.  The runtime scheduler enforces the exact
+  // Concurrency is itself a lever: memory-frugal plans can admit more
+  // simultaneous requests (more throughput at similar per-step latency).
+  // An analytic estimate seeds a small candidate set; memory constraints
+  // filter the over-ambitious ones per plan.  The estimate caps the
+  // planning batch so the KV reservation is sustainable: mid-range (INT8)
+  // weights plus B requests of full-context KV must fit in ~85% of the
+  // cluster's usable memory.  The runtime scheduler enforces the exact
   // per-stage cap at execution.
   const double total = static_cast<double>(cluster_.total_usable_memory()) * 0.85;
   const double weights = static_cast<double>(model_.n_layers) *
@@ -194,20 +261,30 @@ std::uint64_t Planner::plan_concurrency(const PlannerConfig& cfg) const {
   const double emb = static_cast<double>(model_.embedding_bytes());
   const double kv_per_req =
       static_cast<double>(model_.n_layers) *
-      static_cast<double>(model_.layer_kv_bytes(workload_.max_context(), cfg.kv_bits));
-  if (kv_per_req <= 0.0) return workload_.batch_size;
+      static_cast<double>(model_.layer_kv_bytes(workload_.max_context(), kKvBits));
   const double avail = total - weights - emb;
-  if (avail <= kv_per_req) return 1;
-  return std::min<std::uint64_t>(workload_.batch_size,
-                                 static_cast<std::uint64_t>(avail / kv_per_req));
+  std::uint64_t est = workload_.batch_size;
+  if (kv_per_req > 0.0) {
+    est = avail <= kv_per_req ? 1
+                              : std::min<std::uint64_t>(
+                                    est, static_cast<std::uint64_t>(avail / kv_per_req));
+  }
+  std::vector<PlanInputs> out;
+  for (const double f : {0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 4.0}) {
+    const auto b = static_cast<std::uint64_t>(static_cast<double>(est) * f);
+    const std::uint64_t clamped =
+        std::clamp<std::uint64_t>(b, 1, workload_.batch_size);
+    if (!out.empty() && out.back().workload.batch_size == clamped) continue;
+    out.push_back(in);
+    out.back().workload.batch_size = clamped;
+  }
+  return out;
 }
 
-PlanResult Planner::finalize(const PlanContext& ctx, const HeuristicPlan& hp,
-                             const std::string& scheme, double solve_s) const {
-  PlanResult r;
+void Planner::finalize(PlanResult& r, const PlanContext& ctx,
+                       const HeuristicPlan& hp, const char* scheme) const {
   r.feasible = true;
   r.plan = ctx.to_plan(hp.group_stage, hp.group_bit, scheme);
-  r.plan.solve_seconds = solve_s;
   r.plan.predicted_batch_latency_us = hp.eval.latency_s * 1e6;
   r.plan.quality_penalty = hp.eval.omega;
   r.topology = describe(ctx.topology(), cluster_);
@@ -221,40 +298,73 @@ PlanResult Planner::finalize(const PlanContext& ctx, const HeuristicPlan& hp,
   const auto est = quality_.estimate_from_ppl_delta(hp.eval.omega);
   r.est_ppl = est.ppl;
   r.est_accuracy = est.accuracy;
-  r.solve_seconds = solve_s;
-  return r;
 }
 
-std::vector<std::uint64_t> Planner::batch_candidates(const PlannerConfig& cfg) const {
-  // Concurrency is itself a lever: memory-frugal plans can admit more
-  // simultaneous requests (more throughput at similar per-step latency).
-  // The analytic estimate seeds a small candidate set; memory constraints
-  // filter the over-ambitious ones per plan.
-  const std::uint64_t est = plan_concurrency(cfg);
-  std::vector<std::uint64_t> out;
-  for (const double f : {0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 4.0}) {
-    const auto b = static_cast<std::uint64_t>(static_cast<double>(est) * f);
-    const std::uint64_t clamped =
-        std::clamp<std::uint64_t>(b, 1, workload_.batch_size);
-    if (out.empty() || out.back() != clamped) out.push_back(clamped);
+PlanResult Planner::sweep(const BaselineSweep& rule,
+                          const std::vector<PlanInputs>& inputs,
+                          const std::vector<Topology>& topologies, int group_size,
+                          sq::common::ThreadPool* pool) const {
+  const auto t0 = Clock::now();
+  // Bit indices widest first, or one mixed-precision pass (-1).
+  std::vector<int> order = {-1};
+  if (rule.per_bit) {
+    const auto& bits = inputs.front().bits;
+    order.resize(bits.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return sq::hw::bits(bits[static_cast<std::size_t>(a)]) >
+             sq::hw::bits(bits[static_cast<std::size_t>(b)]);
+    });
   }
-  return out;
+
+  // One task per (batch candidate, topology); the bit / micro-batch loops
+  // inside each task keep the sequential enumeration order, and the
+  // cross-task reduction walks tasks in that same order.
+  const std::size_t n_tasks = inputs.size() * topologies.size();
+  if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
+  std::vector<std::optional<SweepBest>> task_best(n_tasks);
+  sq::common::parallel_for(pool, n_tasks, [&](std::size_t task) {
+    Cell cell{task / topologies.size(), task % topologies.size()};
+    const std::uint64_t batch = inputs[cell.input].workload.batch_size;
+    const auto pairs = microbatch_pairs(batch);
+    std::optional<SweepBest>& local = task_best[task];
+    for (const int bi : order) {
+      bool fits_somewhere = false;
+      for (const auto& [eta, xi] : pairs) {
+        cell.eta = eta;
+        cell.xi = xi;
+        auto hp = rule.cell(context_of(cell, inputs, topologies, group_size), bi);
+        if (!hp) continue;
+        fits_somewhere = true;
+        const double obj = hp->eval.objective / static_cast<double>(batch);
+        if (!local || obj < local->obj) local = SweepBest{obj, cell, std::move(*hp)};
+      }
+      if (fits_somewhere) break;
+    }
+  });
+  std::optional<SweepBest> best;
+  for (auto& tb : task_best) {
+    if (tb && (!best || tb->obj < best->obj)) best = std::move(tb);
+  }
+  PlanResult r;
+  if (best) {
+    finalize(r, context_of(best->cell, inputs, topologies, group_size), best->hp,
+             rule.scheme);
+  } else {
+    r.failure = rule.failure;
+  }
+  r.solve_seconds = r.plan.solve_seconds = seconds_since(t0);
+  return r;
 }
 
 PlanResult Planner::plan(const PlannerConfig& cfg) const {
   const auto t0 = Clock::now();
   PlanResult result;
-  result.failure = "no feasible plan found";
-
-  const auto batches = batch_candidates(cfg);
   // One PlanInputs per batch candidate (contexts keep pointers into them).
-  std::vector<PlanInputs> inputs;
-  inputs.reserve(batches.size());
-  for (const auto b : batches) inputs.push_back(make_inputs(cfg, b));
-
+  const auto inputs = make_inputs(cfg);
   const auto topologies =
-      enumerate_topologies(cluster_, cfg.allow_tp, cfg.max_topologies);
-
+      enumerate_topologies(cluster_, kAllowTp, cfg.max_topologies);
+  // One pool for every fan-out below, the baseline sweeps included.
   const auto pool = make_pool(cfg.num_threads);
 
   // Observability marks (counters and wall-time histograms only; every
@@ -263,67 +373,50 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   const bool ob = sq::obs::enabled();
   auto phase_t0 = Clock::now();
 
-  // Stage 1: greedy-score every (batch, topology, eta, xi) candidate.
-  // Across batch sizes, objectives are compared per-request:
-  // (latency + theta * omega) / B — the throughput-fair normalization.
-  // Candidates are enumerated up front and evaluated into per-index slots,
+  // Stage 1: greedy-score every (batch, topology, eta, xi) cell, in the
+  // baseline sweeps' enumeration order.  Across batch sizes, objectives are
+  // compared per-request: (latency + theta * omega) / B — the
+  // throughput-fair normalization.  Cells are scored into per-index slots,
   // then compacted in enumeration order: `order` is the same stable index
   // the sequential loop nest would have assigned, and every later sort and
   // reduction tie-breaks on it, so the winning plan is independent of the
   // thread count.
   struct Candidate {
-    std::size_t input;
-    std::size_t topo;
-    std::uint64_t eta, xi;
+    Cell cell;
     HeuristicPlan seed;
     double norm_obj;
     std::size_t order;  ///< Stable enumeration index (tie-break key).
   };
-  auto normalized = [&](const AssignmentEval& ev, std::size_t input_i) {
-    return ev.objective /
-           static_cast<double>(inputs[input_i].workload.batch_size);
+  auto normalized = [&](const AssignmentEval& ev, const Cell& c) {
+    return ev.objective / static_cast<double>(inputs[c.input].workload.batch_size);
   };
-  auto ctx_of = [&](const Candidate& c) {
-    return PlanContext(inputs[c.input], topologies[c.topo], c.eta, c.xi,
-                       cfg.group_size);
+  auto ctx_of = [&](const Cell& c) {
+    return context_of(c, inputs, topologies, cfg.group_size);
   };
 
-  struct Desc {
-    std::size_t input, topo;
-    std::uint64_t eta, xi;
-  };
-  std::vector<Desc> descs;
+  std::vector<Cell> cells;
   for (std::size_t ii = 0; ii < inputs.size(); ++ii) {
-    const std::uint64_t batch = inputs[ii].workload.batch_size;
-    const auto etas = microbatch_candidates(std::min<std::uint64_t>(batch, 64));
-    const auto xis = microbatch_candidates(batch);
+    const auto pairs = microbatch_pairs(inputs[ii].workload.batch_size);
     for (std::size_t ti = 0; ti < topologies.size(); ++ti) {
-      for (const auto eta : etas) {
-        for (const auto xi : xis) descs.push_back({ii, ti, eta, xi});
-      }
+      for (const auto& [eta, xi] : pairs) cells.push_back({ii, ti, eta, xi});
     }
   }
-  std::vector<std::optional<HeuristicPlan>> seeds(descs.size());
-  sq::common::parallel_for(pool.get(), descs.size(), [&](std::size_t i) {
-    const Desc& d = descs[i];
-    const PlanContext ctx(inputs[d.input], topologies[d.topo], d.eta, d.xi,
-                          cfg.group_size);
-    seeds[i] = greedy_plan(ctx);
+  std::vector<std::optional<HeuristicPlan>> seeds(cells.size());
+  sq::common::parallel_for(pool.get(), cells.size(), [&](std::size_t i) {
+    seeds[i] = greedy_plan(ctx_of(cells[i]));
   });
   std::vector<Candidate> cands;
-  for (std::size_t i = 0; i < descs.size(); ++i) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
     if (!seeds[i]) continue;
-    const Desc& d = descs[i];
-    const double obj = normalized(seeds[i]->eval, d.input);
-    cands.push_back(
-        {d.input, d.topo, d.eta, d.xi, std::move(*seeds[i]), obj, cands.size()});
+    const double obj = normalized(seeds[i]->eval, cells[i]);
+    cands.push_back({cells[i], std::move(*seeds[i]), obj, cands.size()});
   }
   result.topologies_tried = static_cast<int>(topologies.size());
   if (ob) {
     sq::obs::counter("planner.topologies").add(topologies.size());
-    sq::obs::counter("planner.candidates.generated").add(descs.size());
+    sq::obs::counter("planner.candidates.generated").add(cells.size());
     sq::obs::counter("planner.candidates.pruned")
-        .add(descs.size() - cands.size());
+        .add(cells.size() - cands.size());
     sq::obs::counter("planner.candidates.evaluated").add(cands.size());
     observe_phase_s("planner.time.greedy_s", seconds_since(phase_t0));
     phase_t0 = Clock::now();
@@ -346,14 +439,14 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   sq::common::parallel_for(
       pool.get(), static_cast<std::size_t>(refine_k), [&](std::size_t i) {
         auto& c = cands[i];
-        const PlanContext ctx = ctx_of(c);
+        const PlanContext ctx = ctx_of(c.cell);
         auto a = adabits_plan(ctx);
         HeuristicPlan refined = bitwidth_transfer(
             ctx, a && a->eval.objective < c.seed.eval.objective ? *a : c.seed);
         if (refined.eval.feasible &&
-            normalized(refined.eval, c.input) < c.norm_obj) {
+            normalized(refined.eval, c.cell) < c.norm_obj) {
           c.seed = std::move(refined);
-          c.norm_obj = normalized(c.seed.eval, c.input);
+          c.norm_obj = normalized(c.seed.eval, c.cell);
         }
       });
   result.pairs_tried += refine_k;
@@ -367,9 +460,8 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
 
   // Stage 3: exact ILP on the top candidates (unless heuristic mode).
   // Solves fan out; the reduction walks the outcomes in candidate order.
+  // `best_i` is the chosen candidate, whose seed is the chosen plan.
   std::size_t best_i = 0;
-  HeuristicPlan best = cands.front().seed;
-  double best_norm = cands.front().norm_obj;
   if (!cfg.use_heuristic) {
     sq::solver::MilpOptions opts;
     opts.time_limit_s = cfg.ilp_time_limit_s;
@@ -379,8 +471,9 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
     sq::common::parallel_for(
         pool.get(), static_cast<std::size_t>(solve_k), [&](std::size_t i) {
           const auto& c = cands[i];
-          outs[i] = solve_ilp(ctx_of(c), c.seed, opts);
+          outs[i] = solve_ilp(ctx_of(c.cell), c.seed, opts);
         });
+    double best_norm = cands.front().norm_obj;
     for (int i = 0; i < solve_k; ++i) {
       auto& c = cands[static_cast<std::size_t>(i)];
       const auto& out = outs[static_cast<std::size_t>(i)];
@@ -388,12 +481,11 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
       result.ilp_nodes += out.nodes;
       result.ilp_pivots += out.pivots;
       if (out.truncated) ++result.ilp_truncated;
-      if (out.feasible && normalized(out.plan.eval, c.input) < c.norm_obj) {
+      if (out.feasible && normalized(out.plan.eval, c.cell) < c.norm_obj) {
         c.seed = out.plan;
-        c.norm_obj = normalized(out.plan.eval, c.input);
+        c.norm_obj = normalized(out.plan.eval, c.cell);
       }
       if (c.norm_obj < best_norm) {
-        best = c.seed;
         best_norm = c.norm_obj;
         best_i = static_cast<std::size_t>(i);
       }
@@ -420,28 +512,19 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   std::vector<double> scores;
   if (cfg.validate_top_k > 1 && cands.size() > 1) {
     std::sort(cands.begin(), cands.end(), by_norm);
-    best = cands.front().seed;
-    best_i = 0;
     const int check_k =
         std::min<int>(static_cast<int>(cands.size()), cfg.validate_top_k);
     scores.resize(static_cast<std::size_t>(check_k));
     sq::common::parallel_for(
         pool.get(), static_cast<std::size_t>(check_k), [&](std::size_t i) {
           const auto& c = cands[i];
-          const PlanContext ctx = ctx_of(c);
-          const auto plan =
-              ctx.to_plan(c.seed.group_stage, c.seed.group_bit, "probe");
-          const std::uint64_t b = inputs[c.input].workload.batch_size;
+          const auto plan = ctx_of(c.cell).to_plan(c.seed.group_stage,
+                                                   c.seed.group_bit, "probe");
+          const std::uint64_t b = inputs[c.cell.input].workload.batch_size;
           scores[i] = validation_score(plan, b, cfg.theta, c.seed.eval.omega);
         });
-    double best_score = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < check_k; ++i) {
-      if (scores[static_cast<std::size_t>(i)] < best_score) {
-        best_score = scores[static_cast<std::size_t>(i)];
-        best = cands[static_cast<std::size_t>(i)].seed;
-        best_i = static_cast<std::size_t>(i);
-      }
-    }
+    best_i = static_cast<std::size_t>(std::min_element(scores.begin(), scores.end()) -
+                                      scores.begin());
     if (ob) {
       sq::obs::counter("planner.candidates.validated")
           .add(static_cast<std::uint64_t>(check_k));
@@ -452,67 +535,61 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
     phase_t0 = Clock::now();
   }
 
-  const auto& c = cands[best_i];
-  const PlanContext ctx(inputs[c.input], topologies[c.topo], c.eta, c.xi,
-                        cfg.group_size);
-  PlanResult r = finalize(ctx, best, "splitquant", seconds_since(t0));
-  r.topologies_tried = result.topologies_tried;
-  r.pairs_tried = result.pairs_tried;
-  r.ilp_solves = result.ilp_solves;
-  r.ilp_nodes = result.ilp_nodes;
-  r.ilp_pivots = result.ilp_pivots;
-  r.ilp_truncated = result.ilp_truncated;
+  finalize(result, ctx_of(cands[best_i].cell), cands[best_i].seed, "splitquant");
 
   // Dominance check: the Uniform and Het configurations are points of
   // SplitQuant's own search space; if cost-model error ranked them below
   // the chosen plan but the profiling run says otherwise, adopt them.
   // When the validation stage ran, it already scored the chosen plan (the
   // same plan, batch and omega, so the same deterministic score).  The
-  // alternatives are scored into slots; the reduction walks them in
-  // uniform, het, adabits order.
+  // alternatives come from the baseline sweeps over this search's inputs,
+  // topologies and pool, are scored into slots, and the reduction walks
+  // them in uniform, het, adabits order.
   if (cfg.validate_top_k > 1) {
-    double chosen = scores.empty() ? validation_score(r.plan, r.planned_batch,
-                                                      cfg.theta, r.total_omega)
-                                   : scores[best_i];
-    const std::array<PlanResult, 3> alts = {plan_uniform(cfg), plan_het(cfg),
-                                            plan_adabits(cfg)};
+    double chosen = scores.empty()
+                        ? validation_score(result.plan, result.planned_batch,
+                                           cfg.theta, result.total_omega)
+                        : scores[best_i];
+    const auto speed_inputs = speed_only(inputs);
+    const std::array<PlanResult, 3> alts = {
+        sweep(kUniformSweep, speed_inputs, natural_topologies(cluster_, kAllowTp),
+              cfg.group_size, pool.get()),
+        sweep(kHetSweep, speed_inputs, topologies, cfg.group_size, pool.get()),
+        sweep(kAdabitsSweep, inputs, topologies, cfg.group_size, pool.get())};
     std::array<double, 3> alt_scores;
     sq::common::parallel_for(pool.get(), alts.size(), [&](std::size_t i) {
       const PlanResult& alt = alts[i];
-      alt_scores[i] = std::numeric_limits<double>::infinity();
-      if (!alt.feasible) return;
-      if (cfg.max_ppl_delta >= 0.0 &&
-          alt.total_omega > cfg.max_ppl_delta * (1.0 + 1e-9)) {
-        return;  // would violate the quality budget
-      }
-      alt_scores[i] = validation_score(alt.plan, alt.planned_batch, cfg.theta,
-                                       alt.total_omega);
+      const bool over_budget = cfg.max_ppl_delta >= 0.0 &&
+                               alt.total_omega > cfg.max_ppl_delta * (1.0 + 1e-9);
+      alt_scores[i] = !alt.feasible || over_budget
+                          ? std::numeric_limits<double>::infinity()
+                          : validation_score(alt.plan, alt.planned_batch, cfg.theta,
+                                             alt.total_omega);
     });
     for (std::size_t i = 0; i < alts.size(); ++i) {
       const PlanResult& alt = alts[i];
       const double t = alt_scores[i];
       if (t < chosen * (1.0 - 1e-9)) {
         chosen = t;
-        r.plan = alt.plan;
-        r.plan.scheme = "splitquant";
-        r.topology = alt.topology;
-        r.planned_batch = alt.planned_batch;
-        r.predicted_latency_s = alt.predicted_latency_s;
-        r.predicted_throughput = alt.predicted_throughput;
-        r.total_omega = alt.total_omega;
-        r.est_ppl = alt.est_ppl;
-        r.est_accuracy = alt.est_accuracy;
+        result.plan = alt.plan;
+        result.plan.scheme = "splitquant";
+        result.topology = alt.topology;
+        result.planned_batch = alt.planned_batch;
+        result.predicted_latency_s = alt.predicted_latency_s;
+        result.predicted_throughput = alt.predicted_throughput;
+        result.total_omega = alt.total_omega;
+        result.est_ppl = alt.est_ppl;
+        result.est_accuracy = alt.est_accuracy;
       }
     }
-    r.solve_seconds = seconds_since(t0);
-    r.plan.solve_seconds = r.solve_seconds;
   }
+  result.solve_seconds = result.plan.solve_seconds = seconds_since(t0);
   if (ob) {
     observe_phase_s("planner.time.dominance_s", seconds_since(phase_t0));
     observe_phase_s("planner.time.total_s", seconds_since(t0));
     sq::obs::counter("planner.plans").add();
   }
-  return r;
+  return result;
 }
 
 double Planner::validation_score(const sq::sim::ExecutionPlan& plan,
@@ -548,181 +625,23 @@ double Planner::validation_score(const sq::sim::ExecutionPlan& plan,
 }
 
 PlanResult Planner::plan_uniform(const PlannerConfig& cfg) const {
-  const auto t0 = Clock::now();
-  PlanResult result;
-  result.failure = "OOM: model does not fit at any uniform precision";
-
-  PlannerConfig base = cfg;
-  base.theta = 0.0;           // Baselines do not trade quality for speed.
-  base.max_ppl_delta = -1.0;  // ... nor are they quality-constrained.
-  const auto batches = batch_candidates(base);
-  std::vector<PlanInputs> inputs;
-  for (const auto b : batches) inputs.push_back(make_inputs(base, b));
-  const auto topologies = natural_topologies(cluster_, cfg.allow_tp);
-
-  const auto order = widest_first_order(inputs.front().bits);
-
-  // One task per (batch candidate, topology); the bit / micro-batch loops
-  // inside each task keep the sequential enumeration order, and the
-  // cross-task reduction walks tasks in that same order.
-  const std::size_t n_tasks = inputs.size() * topologies.size();
-  if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
-  std::vector<std::optional<SweepBest>> task_best(n_tasks);
   const auto pool = make_pool(cfg.num_threads);
-  sq::common::parallel_for(pool.get(), n_tasks, [&](std::size_t task) {
-    const std::size_t ii = task / topologies.size();
-    const std::size_t ti = task % topologies.size();
-    const auto& in = inputs[ii];
-    const std::uint64_t batch = in.workload.batch_size;
-    const auto etas = microbatch_candidates(std::min<std::uint64_t>(batch, 64));
-    const auto xis = microbatch_candidates(batch);
-    std::optional<SweepBest> local;
-    for (const int bi : order) {
-      bool fits_somewhere = false;
-      for (const auto eta : etas) {
-        for (const auto xi : xis) {
-          const PlanContext ctx(in, topologies[ti], eta, xi, cfg.group_size);
-          HeuristicPlan hp;
-          hp.group_stage = even_partition(ctx);
-          hp.group_bit.assign(static_cast<std::size_t>(ctx.num_groups()), bi);
-          hp.eval = ctx.evaluate(hp.group_stage, hp.group_bit);
-          if (!hp.eval.feasible) continue;
-          fits_somewhere = true;
-          const double obj = hp.eval.objective / static_cast<double>(batch);
-          if (!local || obj < local->obj) {
-            local = SweepBest{obj, ii, ti, eta, xi, std::move(hp)};
-          }
-        }
-      }
-      // The paper's Uniform lowers precision only until the model fits.
-      if (fits_somewhere) break;
-    }
-    task_best[task] = std::move(local);
-  });
-  std::optional<SweepBest> best;
-  for (auto& tb : task_best) {
-    if (tb && (!best || tb->obj < best->obj)) best = std::move(*tb);
-  }
-  if (best) {
-    const PlanContext ctx(inputs[best->input], topologies[best->topo], best->eta,
-                          best->xi, cfg.group_size);
-    result = finalize(ctx, best->hp, "uniform", seconds_since(t0));
-  }
-  result.solve_seconds = seconds_since(t0);
-  return result;
+  return sweep(kUniformSweep, speed_only(make_inputs(cfg)),
+               natural_topologies(cluster_, kAllowTp), cfg.group_size, pool.get());
 }
 
 PlanResult Planner::plan_het(const PlannerConfig& cfg) const {
-  const auto t0 = Clock::now();
-  PlanResult result;
-  result.failure = "OOM: model does not fit at any uniform precision";
-
-  PlannerConfig base = cfg;
-  base.theta = 0.0;
-  base.max_ppl_delta = -1.0;
-  const auto batches = batch_candidates(base);
-  std::vector<PlanInputs> inputs;
-  for (const auto b : batches) inputs.push_back(make_inputs(base, b));
-  const auto topologies =
-      enumerate_topologies(cluster_, cfg.allow_tp, cfg.max_topologies);
-
-  const auto order = widest_first_order(inputs.front().bits);
-
-  const std::size_t n_tasks = inputs.size() * topologies.size();
-  if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
-  std::vector<std::optional<SweepBest>> task_best(n_tasks);
   const auto pool = make_pool(cfg.num_threads);
-  sq::common::parallel_for(pool.get(), n_tasks, [&](std::size_t task) {
-    const std::size_t ii = task / topologies.size();
-    const std::size_t ti = task % topologies.size();
-    const auto& in = inputs[ii];
-    const std::uint64_t batch = in.workload.batch_size;
-    const auto etas = microbatch_candidates(std::min<std::uint64_t>(batch, 64));
-    const auto xis = microbatch_candidates(batch);
-    std::optional<SweepBest> local;
-    for (const int bi : order) {
-      bool fits_somewhere = false;
-      for (const auto eta : etas) {
-        for (const auto xi : xis) {
-          const PlanContext ctx(in, topologies[ti], eta, xi, cfg.group_size);
-          HeuristicPlan hp;
-          hp.group_stage =
-              balanced_partition(ctx, bi, PartitionMetric::kPrefillOnly);
-          if (hp.group_stage.empty()) continue;
-          hp.group_bit.assign(static_cast<std::size_t>(ctx.num_groups()), bi);
-          hp.eval = ctx.evaluate(hp.group_stage, hp.group_bit);
-          if (!hp.eval.feasible) continue;
-          fits_somewhere = true;
-          const double obj = hp.eval.objective / static_cast<double>(batch);
-          if (!local || obj < local->obj) {
-            local = SweepBest{obj, ii, ti, eta, xi, std::move(hp)};
-          }
-        }
-      }
-      if (fits_somewhere) break;
-    }
-    task_best[task] = std::move(local);
-  });
-  std::optional<SweepBest> best;
-  for (auto& tb : task_best) {
-    if (tb && (!best || tb->obj < best->obj)) best = std::move(*tb);
-  }
-  if (best) {
-    const PlanContext ctx(inputs[best->input], topologies[best->topo], best->eta,
-                          best->xi, cfg.group_size);
-    result = finalize(ctx, best->hp, "het", seconds_since(t0));
-  }
-  result.solve_seconds = seconds_since(t0);
-  return result;
+  return sweep(kHetSweep, speed_only(make_inputs(cfg)),
+               enumerate_topologies(cluster_, kAllowTp, cfg.max_topologies),
+               cfg.group_size, pool.get());
 }
 
 PlanResult Planner::plan_adabits(const PlannerConfig& cfg) const {
-  const auto t0 = Clock::now();
-  PlanResult result;
-  result.failure = "OOM: adabits found no feasible assignment";
-
-  const auto batches = batch_candidates(cfg);
-  std::vector<PlanInputs> inputs;
-  for (const auto b : batches) inputs.push_back(make_inputs(cfg, b));
-  const auto topologies =
-      enumerate_topologies(cluster_, cfg.allow_tp, cfg.max_topologies);
-
-  const std::size_t n_tasks = inputs.size() * topologies.size();
-  if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
-  std::vector<std::optional<SweepBest>> task_best(n_tasks);
   const auto pool = make_pool(cfg.num_threads);
-  sq::common::parallel_for(pool.get(), n_tasks, [&](std::size_t task) {
-    const std::size_t ii = task / topologies.size();
-    const std::size_t ti = task % topologies.size();
-    const auto& in = inputs[ii];
-    const std::uint64_t batch = in.workload.batch_size;
-    const auto etas = microbatch_candidates(std::min<std::uint64_t>(batch, 64));
-    const auto xis = microbatch_candidates(batch);
-    std::optional<SweepBest> local;
-    for (const auto eta : etas) {
-      for (const auto xi : xis) {
-        const PlanContext ctx(in, topologies[ti], eta, xi, cfg.group_size);
-        const auto a = adabits_plan(ctx);
-        if (!a) continue;
-        const double obj = a->eval.objective / static_cast<double>(batch);
-        if (!local || obj < local->obj) {
-          local = SweepBest{obj, ii, ti, eta, xi, *a};
-        }
-      }
-    }
-    task_best[task] = std::move(local);
-  });
-  std::optional<SweepBest> best;
-  for (auto& tb : task_best) {
-    if (tb && (!best || tb->obj < best->obj)) best = std::move(*tb);
-  }
-  if (best) {
-    const PlanContext ctx(inputs[best->input], topologies[best->topo], best->eta,
-                          best->xi, cfg.group_size);
-    result = finalize(ctx, best->hp, "adabits", seconds_since(t0));
-  }
-  result.solve_seconds = seconds_since(t0);
-  return result;
+  return sweep(kAdabitsSweep, make_inputs(cfg),
+               enumerate_topologies(cluster_, kAllowTp, cfg.max_topologies),
+               cfg.group_size, pool.get());
 }
 
 }  // namespace sq::core

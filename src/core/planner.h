@@ -18,7 +18,13 @@
 #include "quality/quality_model.h"
 #include "sim/plan.h"
 
+namespace sq::common {
+class ThreadPool;
+}
+
 namespace sq::core {
+
+struct BaselineSweep;  // one baseline scheme's per-cell rule (planner.cpp)
 
 /// Which layer-sensitivity indicator drives bitwidth selection (Table V).
 enum class IndicatorKind {
@@ -28,6 +34,9 @@ enum class IndicatorKind {
 };
 
 /// Planner configuration (paper "Input Configuration" + solver knobs).
+/// Fixed rather than configurable: intra-node TP meshes are always
+/// enumerated, the KV cache is planned at FP16, and the Hessian and Random
+/// indicators use one fixed seed.
 struct PlannerConfig {
   /// Candidate bitwidths.  INT3 is only usable on the custom backend
   /// (paper Sec. VI-A); it is filtered out unless `custom_backend`.
@@ -48,16 +57,13 @@ struct PlannerConfig {
   /// simulation of the planning batch) before the final pick; settles
   /// cost-model near-ties.  <= 1 disables.
   int validate_top_k = 6;
-  bool allow_tp = true;           ///< Enumerate intra-node TP meshes.
-  Bitwidth kv_bits = Bitwidth::kFp16;
   IndicatorKind indicator = IndicatorKind::kVariance;
-  std::uint64_t seed = 17;
   /// Worker threads for the candidate search (greedy scoring, refinement,
-  /// ILP solves, validation runs): 0 = hardware concurrency, 1 = run every
-  /// task inline on the caller's thread.  The chosen plan is identical
-  /// bit-for-bit for every thread count — candidates carry a stable
-  /// enumeration index and all reductions tie-break on it, never on
-  /// completion order.
+  /// ILP solves, validation runs, baseline sweeps; one pool per call):
+  /// 0 = hardware concurrency, 1 = run every task inline on the caller's
+  /// thread.  The chosen plan is identical bit-for-bit for every thread
+  /// count — candidates carry a stable enumeration index and all
+  /// reductions tie-break on it, never on completion order.
   int num_threads = 0;
 };
 
@@ -103,26 +109,39 @@ class Planner {
   PlanResult plan(const PlannerConfig& cfg) const;
 
   /// Uniform baseline: natural device order, even partition, one uniform
-  /// bitwidth lowered until the model fits.
+  /// bitwidth lowered until the model fits.  Plans for speed alone
+  /// (theta = 0, no quality budget).
   PlanResult plan_uniform(const PlannerConfig& cfg) const;
 
   /// Het baseline: enumerated parallelism, workload-aware (prefill-time)
-  /// balancing, uniform quantization lowered until feasible.
+  /// balancing, uniform quantization lowered until feasible.  Plans for
+  /// speed alone, like Uniform.
   PlanResult plan_het(const PlannerConfig& cfg) const;
 
   /// `adabits` ablation: pure adaptive quantization on an even partition
   /// (Sec. VI-H / Fig. 12).
+  ///
+  /// All three baselines are one sweep over the (batch, topology, eta,
+  /// xi) cells of `plan()`'s search grid with a per-cell rule each.
   PlanResult plan_adabits(const PlannerConfig& cfg) const;
 
   /// The planning workload (batch size possibly capped to fit memory).
   const sq::sim::BatchWorkload& workload() const { return workload_; }
 
  private:
-  PlanInputs make_inputs(const PlannerConfig& cfg, std::uint64_t batch) const;
-  std::uint64_t plan_concurrency(const PlannerConfig& cfg) const;
-  std::vector<std::uint64_t> batch_candidates(const PlannerConfig& cfg) const;
-  PlanResult finalize(const PlanContext& ctx, const HeuristicPlan& hp,
-                      const std::string& scheme, double solve_s) const;
+  /// One PlanInputs per batch candidate, in candidate order.
+  std::vector<PlanInputs> make_inputs(const PlannerConfig& cfg) const;
+  /// Write the plan `hp` over `ctx` into `r` (every field but the counters
+  /// and solve_seconds).
+  void finalize(PlanResult& r, const PlanContext& ctx, const HeuristicPlan& hp,
+                const char* scheme) const;
+  /// The one search behind plan_uniform, plan_het and plan_adabits, and
+  /// behind plan()'s dominance check: one task per (batch, topology) on
+  /// `pool` (null = inline), reduced in task order with strict-< first
+  /// minima.
+  PlanResult sweep(const BaselineSweep& rule, const std::vector<PlanInputs>& inputs,
+                   const std::vector<Topology>& topologies, int group_size,
+                   sq::common::ThreadPool* pool) const;
   /// Profiling-run score of a plan on calibration shapes: measured
   /// per-request latency plus the theta-weighted quality penalty (lower is
   /// better); infinity on OOM.

@@ -106,10 +106,12 @@ LlmSpec spec(ModelId id) {
 }
 
 LlmSpec spec_by_name(std::string_view name) {
+  // Separators and case are ignored; '.' is kept, because it is part of a
+  // size ("OPT-1.3B" and "OPT-13B" are different models).
   auto norm = [](std::string_view s) {
     std::string out;
     for (char c : s) {
-      if (c == '-' || c == '_' || c == '.' || c == ' ') continue;
+      if (c == '-' || c == '_' || c == ' ') continue;
       out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
     }
     return out;

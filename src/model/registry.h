@@ -29,8 +29,9 @@ enum class ModelId {
 /// Architecture spec for `id`.
 LlmSpec spec(ModelId id);
 
-/// Spec by canonical name (e.g. "OPT-30B", case-insensitive); throws
-/// std::invalid_argument for unknown names.
+/// Spec by canonical name (e.g. "OPT-30B"), ignoring case and '-', '_' and
+/// ' ' separators ("opt30b"); '.' must match.  Throws std::invalid_argument
+/// for unknown names.
 LlmSpec spec_by_name(std::string_view name);
 
 /// All registered model ids.

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "core_test_util.h"
 #include "hw/cluster.h"
@@ -246,6 +247,79 @@ TEST(Planner, ElasticChurnClustersMatchPinnedGoldens) {
       EXPECT_EQ(sq::testutil::digest(text), want[i][k])
           << "cluster " << i << " planner " << k << "\n" << text;
     }
+  }
+}
+
+// The paths the Uniform / Het / adabits sweeps and the shared planner pool
+// serve, beyond the heuristic path above.  Digests were taken before the
+// three baseline sweeps were folded into one, so they pin that no plan,
+// counter or failure text moved.
+TEST_F(PlannerFixture, ExactIlpPlanUnderUniformBudgetMatchesPinnedGolden) {
+  PlannerConfig cfg = fast_cfg();
+  cfg.ilp_time_limit_s = 1e9;  // every solve runs to its proof
+  cfg.custom_backend = true;
+  const PlanResult uni = planner_.plan_uniform(cfg);
+  ASSERT_TRUE(uni.feasible) << uni.failure;
+  EXPECT_EQ(sq::testutil::digest(fingerprint(uni)), "abd0190b8dffc2eb")
+      << fingerprint(uni);
+
+  // The Uniform plan's omega as the budget: the dominance check weighs every
+  // alternative against it.  Then a budget below the Uniform and Het plans'
+  // omega, so the check skips both.  No solve may stop at a cap, so nothing
+  // here depends on host speed.
+  cfg.max_ppl_delta = uni.total_omega;
+  const PlanResult r = planner_.plan(cfg);
+  ASSERT_TRUE(r.feasible) << r.failure;
+  EXPECT_EQ(r.ilp_truncated, 0);
+  EXPECT_EQ(r.ilp_nodes, 1128);
+  EXPECT_EQ(r.ilp_pivots, 63192);
+  EXPECT_EQ(sq::testutil::digest(fingerprint(r)), "822f6b686f003c02")
+      << fingerprint(r);
+
+  cfg.max_ppl_delta = r.total_omega;
+  ASSERT_LT(cfg.max_ppl_delta, uni.total_omega);
+  const PlanResult tight = planner_.plan(cfg);
+  ASSERT_TRUE(tight.feasible) << tight.failure;
+  EXPECT_EQ(tight.ilp_truncated, 0);
+  EXPECT_EQ(tight.ilp_nodes, 1246);
+  EXPECT_EQ(tight.ilp_pivots, 69161);
+  EXPECT_EQ(sq::testutil::digest(fingerprint(tight)), "28d9135c44d6af0c")
+      << fingerprint(tight);
+}
+
+TEST_F(PlannerFixture, HessianAndRandomIndicatorPlansMatchPinnedGoldens) {
+  PlannerConfig cfg = fast_cfg();
+  cfg.use_heuristic = true;
+  const std::pair<IndicatorKind, const char*> cases[] = {
+      {IndicatorKind::kHessian, "863ddbd9a9b192da"},
+      {IndicatorKind::kRandom, "8982db7281761130"},
+  };
+  for (const auto& [kind, want] : cases) {
+    cfg.indicator = kind;
+    const PlanResult r = planner_.plan(cfg);
+    ASSERT_TRUE(r.feasible) << r.failure;
+    EXPECT_EQ(sq::testutil::digest(fingerprint(r)), want) << fingerprint(r);
+  }
+}
+
+TEST(Planner, OomCellBaselinesMatchPinnedGoldens) {
+  // Llama-3.3-70B on one V100: every scheme fails, each with its own text.
+  Harness h(sq::model::ModelId::kLlama33_70B, 1, {8, 1024, 64, 2048});
+  const Planner planner(h.model, h.cluster, h.inputs.workload, h.latency, h.quality);
+  const PlanResult results[] = {planner.plan_uniform(fast_cfg()),
+                                planner.plan_het(fast_cfg()),
+                                planner.plan_adabits(fast_cfg())};
+  const char* const want_failure[] = {
+      "OOM: model does not fit at any uniform precision",
+      "OOM: model does not fit at any uniform precision",
+      "OOM: adabits found no feasible assignment"};
+  const char* const want[] = {"3119deec6c7e88ff", "3119deec6c7e88ff",
+                              "768b3057fe4a0d11"};
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_FALSE(results[k].feasible) << "baseline " << k;
+    EXPECT_EQ(results[k].failure, want_failure[k]) << "baseline " << k;
+    EXPECT_EQ(sq::testutil::digest(fingerprint(results[k])), want[k])
+        << "baseline " << k << "\n" << fingerprint(results[k]);
   }
 }
 

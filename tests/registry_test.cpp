@@ -1,7 +1,9 @@
 // Tests for the model registry (Sec. VI-A model lineup).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
+#include <string>
 
 #include "model/registry.h"
 
@@ -67,6 +69,21 @@ TEST(Registry, LookupByNameNormalizes) {
   EXPECT_EQ(spec_by_name("opt30b").name, "OPT-30B");
   EXPECT_EQ(spec_by_name("qwen2.5-14b-instruct").name, "Qwen2.5-14B-Instruct");
   EXPECT_THROW(spec_by_name("gpt-5"), std::invalid_argument);
+}
+
+TEST(Registry, EveryNameResolvesToItsOwnModel) {
+  // '.' is part of a size: "OPT-13B" once resolved to OPT-1.3B.
+  for (const ModelId id : all_models()) {
+    const std::string name = spec(id).name;
+    std::string lower = name;
+    for (char& c : lower) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    EXPECT_EQ(spec_by_name(name).name, name);
+    EXPECT_EQ(spec_by_name(lower).name, name) << lower;
+  }
+  EXPECT_EQ(spec_by_name("OPT-13B").n_layers, 40);
+  EXPECT_EQ(spec_by_name("OPT-1.3B").n_layers, 24);
 }
 
 TEST(Registry, FamiliesAreConsistent) {
