@@ -19,16 +19,16 @@ using sq::core::PartitionMetric;
 
 double run_metric(const Cell& cell, PartitionMetric metric, int bit_index) {
   // Fixed natural topology, fixed micro-batches; only the partition varies.
-  const auto topos = sq::core::natural_topologies(cell.cluster, false);
+  const auto topos = sq::core::natural_topologies(cell.deployment.cluster(), false);
   sq::core::PlanInputs in;
-  in.model = &cell.model;
-  in.cluster = &cell.cluster;
-  in.latency = &cell.latency;
-  in.workload = cell.planning;
+  in.model = &cell.deployment.model();
+  in.cluster = &cell.deployment.cluster();
+  in.latency = &cell.deployment.latency();
+  in.workload = cell.deployment.planning();
   in.workload.batch_size = 12;  // modest KV reservation; runtime waves handle more
-  in.bits = sq::bench::all_bits();
+  in.bits.assign(std::begin(sq::hw::kAllBitwidths), std::end(sq::hw::kAllBitwidths));
   in.theta = 0.0;
-  in.omega_ppl.assign(static_cast<std::size_t>(cell.model.n_layers),
+  in.omega_ppl.assign(static_cast<std::size_t>(cell.deployment.model().n_layers),
                       std::vector<double>(in.bits.size(), 0.0));
   const sq::core::PlanContext ctx(in, topos.front(), 2, 16, 2);
   const auto stage = sq::core::balanced_partition(ctx, bit_index, metric);
@@ -50,7 +50,7 @@ int main() {
     int cluster;
     sq::model::ModelId model;
     sq::workload::Dataset dataset;
-    int bit_index;  // index into all_bits(): 1=int8, 2=int4
+    int bit_index;  // index into hw::kAllBitwidths: 1=int8, 2=int4
   };
   const Case cases[] = {
       {5, sq::model::ModelId::kOpt30B, sq::workload::Dataset::kCnnDailyMail, 2},
@@ -64,8 +64,9 @@ int main() {
     const double pre = run_metric(cell, PartitionMetric::kPrefillOnly, c.bit_index);
     const double combined = run_metric(cell, PartitionMetric::kCombined, c.bit_index);
     std::printf("%-10d %-12s %-14s %14.2f %14.2f %8.2fx\n", c.cluster,
-                cell.model.name.c_str(), sq::workload::to_string(c.dataset), pre,
-                combined, pre > 0 ? combined / pre : 0.0);
+                cell.deployment.model().name.c_str(),
+                sq::workload::to_string(c.dataset), pre, combined,
+                pre > 0 ? combined / pre : 0.0);
   }
   std::printf("\nReading: phase-aware balancing wins on decode-heavy work over\n"
               "T4/V100 mixes (up to ~1.4x) and converges to prefill-only on\n"

@@ -15,55 +15,38 @@
 #include <variant>
 #include <vector>
 
-#include "core/planner.h"
+#include "core/deployment.h"
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
 #include "obs/export.h"
-#include "quality/quality_model.h"
 #include "runtime/engine.h"
 #include "sim/plan_io.h"
 #include "workload/profile.h"
 
 namespace sq::bench {
 
-inline const std::vector<sq::hw::Bitwidth>& all_bits() {
-  static const std::vector<sq::hw::Bitwidth> bits = {
-      sq::hw::Bitwidth::kFp16, sq::hw::Bitwidth::kInt8, sq::hw::Bitwidth::kInt4,
-      sq::hw::Bitwidth::kInt3};
-  return bits;
-}
-
-/// Bundles everything needed to plan and serve one (cluster, model,
-/// workload) experiment cell.
+/// Everything needed to plan and serve one (cluster, model, workload)
+/// experiment cell: the deployment to plan with and the requests to serve.
 struct Cell {
-  sq::model::LlmSpec model;
-  sq::hw::Cluster cluster;
+  sq::core::Deployment deployment;
   std::vector<sq::workload::Request> requests;
-  sq::sim::BatchWorkload planning;
-  sq::cost::LatencyCostModel latency;
-  sq::quality::QualityModel quality;
-  sq::core::Planner planner;
   std::uint64_t serve_batch;
 
   Cell(sq::model::ModelId id, int cluster_id,
        const std::vector<sq::workload::Request>& reqs, std::uint64_t batch,
        std::uint64_t chunk = 2048)
-      : model(sq::model::spec(id)),
-        cluster(sq::hw::paper_cluster(cluster_id)),
+      : deployment(sq::model::spec(id), sq::hw::paper_cluster(cluster_id),
+                   sq::workload::make_profile(reqs, batch, chunk)
+                       .planning_batch(sq::model::spec(id))),
         requests(reqs),
-        planning(sq::workload::make_profile(reqs, batch, chunk).planning_batch(model)),
-        latency(model),
-        quality(model, all_bits()),
-        planner((sq::core::Planner::profile_all(latency, cluster, all_bits()),
-                 model),
-                cluster, planning, latency, quality),
         serve_batch(batch) {}
 
   /// Measured (simulated) throughput of a plan over the cell's requests;
   /// 0 when infeasible (OOM).
   double serve(const sq::sim::ExecutionPlan& plan,
                sq::runtime::Backend backend = sq::runtime::Backend::kVllmStyle) const {
-    const sq::runtime::OfflineEngine eng(cluster, model, plan, backend);
+    const sq::runtime::OfflineEngine eng(deployment.cluster(), deployment.model(),
+                                         plan, backend);
     const auto stats = eng.serve_requests(requests, serve_batch).serve;
     return stats.feasible ? stats.throughput_tok_s : 0.0;
   }
@@ -178,8 +161,8 @@ struct SchemeRow {
 inline SchemeRow run_schemes(const Cell& cell, sq::core::PlannerConfig cfg,
                              sq::runtime::Backend backend) {
   SchemeRow row;
-  const auto uni = cell.planner.plan_uniform(cfg);
-  const auto het = cell.planner.plan_het(cfg);
+  const auto uni = cell.deployment.planner().plan_uniform(cfg);
+  const auto het = cell.deployment.planner().plan_het(cfg);
   sq::core::PlannerConfig scfg = cfg;
   scfg.theta = 0.0;
   if (uni.feasible) {
@@ -187,7 +170,7 @@ inline SchemeRow run_schemes(const Cell& cell, sq::core::PlannerConfig cfg,
   } else if (het.feasible) {
     scfg.max_ppl_delta = het.total_omega;
   }
-  const auto sqr = cell.planner.plan(scfg);
+  const auto sqr = cell.deployment.planner().plan(scfg);
   row.uniform_oom = !uni.feasible;
   row.het_oom = !het.feasible;
   if (uni.feasible) {

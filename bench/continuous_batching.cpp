@@ -273,10 +273,11 @@ int main() {
         sq::model::ModelId::kOpt30B, 5,
         sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 256, 1234),
         128);
+    const sq::core::Deployment& dep = cell.deployment;
     sq::core::PlannerConfig cfg;
     cfg.use_heuristic = true;
     cfg.num_threads = sq::bench::bench_threads();
-    const sq::core::PlanResult pr = cell.planner.plan(cfg);
+    const sq::core::PlanResult pr = dep.planner().plan(cfg);
     if (!pr.feasible) {
       std::fprintf(stderr, "FAIL: heuristic plan infeasible: %s\n",
                    pr.failure.c_str());
@@ -287,7 +288,7 @@ int main() {
     const auto np = sq::workload::parse_arrival_spec(near_spec);
     const auto near = sq::workload::generate_arrivals(
         np.spec, sq::workload::Dataset::kCnnDailyMail, 1234);
-    const sq::runtime::OfflineEngine big(cell.cluster, cell.model, pr.plan);
+    const sq::runtime::OfflineEngine big(dep.cluster(), dep.model(), pr.plan);
     const auto t0 = std::chrono::steady_clock::now();
     const auto st = big.serve_continuous(near);
     const double wall_us = std::chrono::duration<double, std::micro>(
@@ -298,8 +299,8 @@ int main() {
     std::printf(
         "scheduler: %s on %s (%s), '%s': %llu/%zu completed, %llu "
         "preemptions, %llu iterations, %.2f us/iteration\n",
-        cell.model.name.c_str(), cell.cluster.name().c_str(),
-        pr.plan.summary(cell.cluster).c_str(), near_spec.c_str(),
+        dep.model().name.c_str(), dep.cluster().name().c_str(),
+        pr.plan.summary(dep.cluster()).c_str(), near_spec.c_str(),
         static_cast<unsigned long long>(st.completed), near.size(),
         static_cast<unsigned long long>(st.preemptions),
         static_cast<unsigned long long>(st.iterations), us_per_iter);
@@ -313,8 +314,8 @@ int main() {
     }
     auto& srow = report.add_row();
     srow["scenario"] = "near-capacity";
-    srow["model"] = cell.model.name;
-    srow["cluster"] = cell.cluster.name();
+    srow["model"] = dep.model().name;
+    srow["cluster"] = dep.cluster().name();
     srow["plan_fingerprint"] = sq::bench::plan_fingerprint(pr.plan);
     srow["stats_fingerprint"] =
         sq::testutil::digest(sq::testutil::render(st));

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/repair.h"
 #include "elastic/elastic_engine.h"
 #include "elastic/membership.h"
 #include "runtime/fleet.h"
@@ -110,16 +109,13 @@ int main() {
   const std::uint64_t batch = 16;
   const auto profile_reqs = sq::workload::sample(
       sq::workload::Dataset::kCnnDailyMail, smoke ? 32 : 64, 7100);
-  const auto planning =
-      sq::workload::make_profile(profile_reqs, batch).planning_batch(model);
-  sq::cost::LatencyCostModel latency(model);
-  sq::core::Planner::profile_all(latency, cluster, sq::bench::all_bits());
-  const sq::quality::QualityModel quality(model, sq::bench::all_bits());
+  sq::core::Deployment deployment(
+      model, cluster,
+      sq::workload::make_profile(profile_reqs, batch).planning_batch(model));
   sq::core::PlannerConfig cfg = sq::bench::bench_config();
   cfg.use_heuristic = true;  // ILP-free: every membership event replans
 
-  const sq::core::Planner planner(model, cluster, planning, latency, quality);
-  const auto planned = planner.plan(cfg);
+  const auto planned = deployment.planner().plan(cfg);
   if (!planned.feasible) {
     std::fprintf(stderr, "FAIL: initial plan infeasible: %s\n",
                  planned.failure.c_str());
@@ -132,8 +128,7 @@ int main() {
   rg.predicted_tok_s = planned.predicted_throughput;
   const ElasticFleetEngine engine(model, {rg});
 
-  const auto replan =
-      sq::core::make_replanner(model, latency, quality, planning, cfg);
+  const auto replan = deployment.replanner(cfg);
 
   const auto serve = [&](const MembershipTimeline* t, MigrationPolicy p,
                          int threads) {

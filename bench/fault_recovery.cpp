@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/repair.h"
 #include "sim/faults.h"
 
 namespace {
@@ -78,33 +77,33 @@ void run_cell(const CellCase& cc, int request_count,
                                          request_count,
                                          2000 + static_cast<std::uint64_t>(cc.cluster));
   sq::bench::Cell cell(cc.model, cc.cluster, reqs, 32);
+  const sq::core::Deployment& dep = cell.deployment;
   sq::core::PlannerConfig cfg = sq::bench::bench_config();
   cfg.use_heuristic = true;  // ILP-free: repair replans many times
 
-  const auto planned = cell.planner.plan(cfg);
+  const auto planned = dep.planner().plan(cfg);
   if (!planned.feasible) {
     std::printf("%-10d %-18s INFEASIBLE: %s\n", cc.cluster,
-                cell.model.name.c_str(), planned.failure.c_str());
+                dep.model().name.c_str(), planned.failure.c_str());
     return;
   }
 
-  const sq::runtime::OfflineEngine eng(cell.cluster, cell.model, planned.plan);
+  const sq::runtime::OfflineEngine eng(dep.cluster(), dep.model(), planned.plan);
   const sq::runtime::ServeStats healthy =
       eng.serve_requests(cell.requests, cell.serve_batch).serve;
   if (!healthy.feasible) {
     std::printf("%-10d %-18s healthy serve failed: %s\n", cc.cluster,
-                cell.model.name.c_str(), healthy.failure.c_str());
+                dep.model().name.c_str(), healthy.failure.c_str());
     return;
   }
   const double healthy_us = healthy.total_seconds * 1e6;
 
   for (const Scenario& sc : scenarios(sq::bench::bench_smoke())) {
-    const FaultSchedule schedule = sc.make(healthy_us, cell.cluster.device_count());
+    const FaultSchedule schedule = sc.make(healthy_us, dep.cluster().device_count());
 
     sq::runtime::RecoveryOptions with_repair;
     with_repair.faults = &schedule;
-    with_repair.replan = sq::core::make_replanner(
-        cell.model, cell.latency, cell.quality, cell.planning, cfg);
+    with_repair.replan = cell.deployment.replanner(cfg);
     const auto repaired =
         eng.serve_requests(cell.requests, cell.serve_batch, with_repair);
 
@@ -117,7 +116,7 @@ void run_cell(const CellCase& cc, int request_count,
         sq::bench::ratio(repaired.goodput_tok_s, healthy.throughput_tok_s);
     std::printf("%-10d %-18s %-14s %10.1f %12.1f %14.1f %8.2f %6llu/%llu "
                 "%5llu %6llu\n",
-                cc.cluster, cell.model.name.c_str(), sc.name.c_str(),
+                cc.cluster, dep.model().name.c_str(), sc.name.c_str(),
                 healthy.throughput_tok_s, repaired.goodput_tok_s,
                 unrepaired.goodput_tok_s, retention,
                 static_cast<unsigned long long>(repaired.repairs_succeeded),
@@ -127,7 +126,7 @@ void run_cell(const CellCase& cc, int request_count,
 
     auto& row = report->add_row();
     row["cluster"] = static_cast<std::int64_t>(cc.cluster);
-    row["model"] = cell.model.name;
+    row["model"] = dep.model().name;
     row["scenario"] = sc.name;
     row["fault_spec"] = schedule.to_spec();
     row["healthy_tok_s"] = healthy.throughput_tok_s;

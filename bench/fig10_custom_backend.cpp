@@ -39,7 +39,7 @@ int main() {
     const auto row =
         sq::bench::run_schemes(cell, cfg, sq::runtime::Backend::kCustom);
     const double vs_het = sq::bench::ratio(row.splitquant, row.het);
-    sq::bench::print_scheme_cells(c.cluster, cell.model.name, row, 12);
+    sq::bench::print_scheme_cells(c.cluster, cell.deployment.model().name, row, 12);
     if (vs_het > 0) {
       std::printf(" %8.2fx\n", vs_het);
       geo.add(vs_het);

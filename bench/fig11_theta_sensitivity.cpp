@@ -24,15 +24,15 @@ int main() {
     for (const double theta : {10.0, 100.0, 1000.0}) {  // 1x, 10x, 100x of base
       auto cfg = sq::bench::bench_config();
       cfg.theta = theta;
-      const auto r = cell.planner.plan(cfg);
+      const auto r = cell.deployment.planner().plan(cfg);
       if (!r.feasible) {
-        std::printf("%-10s %-10d %8.0f %16s\n", cell.model.name.c_str(), c.cluster,
-                    theta, "infeasible");
+        std::printf("%-10s %-10d %8.0f %16s\n", cell.deployment.model().name.c_str(),
+                    c.cluster, theta, "infeasible");
         continue;
       }
       const double tput = cell.serve(r.plan);
       std::printf("%-10s %-10d %8.0f %16.2f %10.3f %12.4f\n",
-                  cell.model.name.c_str(), c.cluster, theta, tput, r.est_ppl,
+                  cell.deployment.model().name.c_str(), c.cluster, theta, tput, r.est_ppl,
                   r.total_omega);
     }
     sq::bench::rule(95);

@@ -29,18 +29,18 @@ int main() {
     sq::bench::Cell cell(c.model, c.cluster, reqs, 128);
     auto cfg = sq::bench::bench_config();
     cfg.custom_backend = true;  // clusters 5-8 run the custom backend
-    const auto ada = cell.planner.plan_adabits(cfg);
+    const auto ada = cell.deployment.planner().plan_adabits(cfg);
     sq::core::PlannerConfig scfg = cfg;
     scfg.theta = 0.0;
     if (ada.feasible) scfg.max_ppl_delta = ada.total_omega;
-    const auto sqr = cell.planner.plan(scfg);
+    const auto sqr = cell.deployment.planner().plan(scfg);
     const double t_ada =
         ada.feasible ? cell.serve(ada.plan, sq::runtime::Backend::kCustom) : 0.0;
     const double t_sq =
         sqr.feasible ? cell.serve(sqr.plan, sq::runtime::Backend::kCustom) : 0.0;
     const double gain = t_ada > 0 ? t_sq / t_ada : 0.0;
     std::printf("%-10d %-12s %14.2f %14.2f %9.2fx\n", c.cluster,
-                cell.model.name.c_str(), t_ada, t_sq, gain);
+                cell.deployment.model().name.c_str(), t_ada, t_sq, gain);
     if (gain > 0) {
       geo += std::log(gain);
       ++n;

@@ -33,7 +33,7 @@ void print_phase_split() {
                        Case{sq::model::ModelId::kOpt30B, 128}}) {
     const auto m = sq::model::spec(c.id);
     const auto v100 = sq::hw::gpu_spec(sq::hw::GpuType::kV100);
-    for (const Bitwidth b : sq::bench::all_bits()) {
+    for (const Bitwidth b : sq::hw::kAllBitwidths) {
       // Whole-model times on one V100-class stage (per-layer x layers).
       const double pre_ms = gt().layer_time_us(v100, m, Phase::kPrefill, 8,
                                                c.prompt, b) *

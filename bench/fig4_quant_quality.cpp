@@ -76,7 +76,7 @@ int main() {
   std::printf("%-12s %-10s %12s %12s\n", "model", "scheme", "avg PPL", "accuracy%");
   for (const auto id : {sq::model::ModelId::kBloom3B, sq::model::ModelId::kOpt1_3B}) {
     const auto m = sq::model::spec(id);
-    const sq::quality::QualityModel qm(m, sq::bench::all_bits());
+    const sq::quality::QualityModel qm(m, sq::hw::kAllBitwidths);
     for (const auto& s : schemes) {
       const auto lq = s.make(m.n_layers);
       std::vector<Bitwidth> bits;

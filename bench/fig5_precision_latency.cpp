@@ -33,7 +33,7 @@ void print_tables() {
       for (const auto v : batches) std::printf(" %10s%llu", "v=",
                                                static_cast<unsigned long long>(v));
       std::printf("\n");
-      for (const Bitwidth b : sq::bench::all_bits()) {
+      for (const Bitwidth b : sq::hw::kAllBitwidths) {
         std::printf("%-6s", sq::hw::to_string(b));
         for (const auto v : batches) {
           std::printf(" %11.0f", gt().layer_time_us(g, m, ph, v, 512, b));

@@ -16,7 +16,7 @@ namespace {
 using sq::hw::Bitwidth;
 
 Bitwidth random_bit(sq::tensor::Rng& rng) {
-  return sq::bench::all_bits()[rng.below(sq::bench::all_bits().size())];
+  return sq::hw::kAllBitwidths[rng.below(std::size(sq::hw::kAllBitwidths))];
 }
 
 void memory_fidelity() {
@@ -75,7 +75,7 @@ void latency_fidelity() {
                           sq::hw::GpuType::kV100, sq::hw::GpuType::kA100_40G}) {
     const auto g = sq::hw::gpu_spec(type);
     sq::cost::LatencyCostModel lat(m);
-    lat.profile_device(g, sq::bench::all_bits());
+    lat.profile_device(g, sq::hw::kAllBitwidths);
     sq::tensor::Rng rng(7 + static_cast<std::uint64_t>(type));
     double sum = 0.0, mx = 0.0;
     int n = 0;

@@ -58,7 +58,7 @@ void run_workload(sq::workload::Dataset dataset, int request_count,
                                             sq::runtime::Backend::kVllmStyle);
     const double vs_uni = sq::bench::ratio(row.splitquant, row.uniform);
     const double vs_het = sq::bench::ratio(row.splitquant, row.het);
-    sq::bench::print_scheme_cells(c.cluster, cell.model.name, row);
+    sq::bench::print_scheme_cells(c.cluster, cell.deployment.model().name, row);
     std::printf(" %8.2fx %8.2fx %5.2f/%-5.2f %9.1f\n", vs_uni, vs_het, row.sq_ppl,
                 row.uni_ppl, row.solve_s);
     geo.add(vs_uni);
@@ -66,7 +66,7 @@ void run_workload(sq::workload::Dataset dataset, int request_count,
     auto& jrow = report->add_row();
     jrow["workload"] = std::string(sq::workload::to_string(dataset));
     jrow["cluster"] = static_cast<std::int64_t>(c.cluster);
-    jrow["model"] = cell.model.name;
+    jrow["model"] = cell.deployment.model().name;
     jrow["uniform_tok_s"] = row.uniform;
     jrow["het_tok_s"] = row.het;
     jrow["splitquant_tok_s"] = row.splitquant;

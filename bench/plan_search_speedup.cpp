@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/repair.h"
 #include "hw/cluster.h"
 
 namespace {
@@ -71,13 +70,13 @@ double sweep_once(int threads, std::vector<std::string>* plans) {
     cfg.num_threads = threads;
 
     const auto t0 = Clock::now();
-    const auto uni = cell.planner.plan_uniform(cfg);
-    const auto het = cell.planner.plan_het(cfg);
+    const auto uni = cell.deployment.planner().plan_uniform(cfg);
+    const auto het = cell.deployment.planner().plan_het(cfg);
     sq::core::PlannerConfig scfg = cfg;
     scfg.theta = 0.0;
     if (uni.feasible) scfg.max_ppl_delta = uni.total_omega;
     else if (het.feasible) scfg.max_ppl_delta = het.total_omega;
-    const auto sqr = cell.planner.plan(scfg);
+    const auto sqr = cell.deployment.planner().plan(scfg);
     const auto t1 = Clock::now();
     total += std::chrono::duration<double>(t1 - t0).count();
 
@@ -89,7 +88,7 @@ double sweep_once(int threads, std::vector<std::string>* plans) {
   return total;
 }
 
-/// The heuristic replanner (core::make_replanner) over perfbench's
+/// The heuristic replanner (Deployment::replanner) over perfbench's
 /// elastic-churn membership sequence: OPT-30B on paper cluster 5, then
 /// +1xV100 (join), then without device 0 (leave), then without the device
 /// that was 1 (failure).  Returns wall-clock seconds of the four plans and
@@ -98,17 +97,16 @@ double replan_sequence(int threads, std::vector<std::string>* plans) {
   const auto model = sq::model::spec(sq::model::ModelId::kOpt30B);
   const auto reqs =
       sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 256, 1234);
-  const sq::sim::BatchWorkload planning =
-      sq::workload::make_profile(reqs, 128).planning_batch(model);
-  sq::cost::LatencyCostModel latency(model);
-  const sq::quality::QualityModel quality(model, sq::bench::all_bits());
+  sq::core::Deployment deployment(
+      model, sq::hw::paper_cluster(5),
+      sq::workload::make_profile(reqs, 128).planning_batch(model));
 
   sq::hw::Node v100;
   v100.name = "elastic-0";
   v100.gpu_type = sq::hw::GpuType::kV100;
   v100.gpu_count = 1;
   v100.intra_gbps = 300.0;
-  std::vector<sq::hw::Cluster> clusters = {sq::hw::paper_cluster(5)};
+  std::vector<sq::hw::Cluster> clusters = {deployment.cluster()};
   clusters.push_back(sq::hw::grow_cluster(clusters.back(), v100));
   clusters.push_back(sq::hw::degrade_cluster(clusters.back(), {0}).cluster);
   clusters.push_back(sq::hw::degrade_cluster(clusters.back(), {0}).cluster);
@@ -116,8 +114,7 @@ double replan_sequence(int threads, std::vector<std::string>* plans) {
   sq::core::PlannerConfig cfg;
   cfg.use_heuristic = true;
   cfg.num_threads = threads;
-  const sq::runtime::Replanner replan =
-      sq::core::make_replanner(model, latency, quality, planning, cfg);
+  const sq::runtime::Replanner replan = deployment.replanner(cfg);
   const auto t0 = Clock::now();
   for (const sq::hw::Cluster& c : clusters) {
     const sq::runtime::ReplanOutcome out = replan(c, 0);

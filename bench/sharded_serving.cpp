@@ -105,10 +105,9 @@ int main() {
   const std::uint64_t batch = 16;
   const auto profile_reqs = sq::workload::sample(
       sq::workload::Dataset::kCnnDailyMail, smoke ? 32 : 64, 4100);
-  const auto planning =
-      sq::workload::make_profile(profile_reqs, batch).planning_batch(model);
-  sq::cost::LatencyCostModel latency(model);
-  const sq::quality::QualityModel quality(model, sq::bench::all_bits());
+  const sq::core::Deployment deployment(
+      model, cluster,
+      sq::workload::make_profile(profile_reqs, batch).planning_batch(model));
 
   sq::core::PlannerConfig cfg = sq::bench::bench_config();
   cfg.use_heuristic = true;  // ILP-free: the sweep plans up to 8 partitions x 4 groups
@@ -135,8 +134,7 @@ int main() {
     sq::core::ShardingConfig scfg;
     scfg.num_shards = k;
     scfg.planner = cfg;
-    auto sres = sq::core::plan_sharded(model, cluster, planning, latency,
-                                       quality, scfg);
+    auto sres = sq::core::plan_sharded(deployment, scfg);
     if (!sres.feasible) {
       std::printf("%-4d INFEASIBLE: %s\n", k, sres.failure.c_str());
       ok = false;

@@ -56,7 +56,7 @@ int main() {
                       {sq::model::ModelId::kBloom3B, 20, 30}};
   for (const Row& r : rows) {
     const auto m = sq::model::spec(r.id);
-    const sq::quality::QualityModel qm(m, sq::bench::all_bits());
+    const sq::quality::QualityModel qm(m, sq::hw::kAllBitwidths);
     std::vector<Bitwidth> bits(static_cast<std::size_t>(m.n_layers), Bitwidth::kFp16);
     for (int l = r.lo; l < r.hi; ++l) bits[static_cast<std::size_t>(l)] = Bitwidth::kInt4;
     const auto e = qm.estimate(bits);

@@ -15,14 +15,15 @@ using sq::bench::Cell;
 /// Serve Uniform restricted to one explicit topology shape (pp stages of
 /// tp devices each).  Returns 0 on OOM.
 double uniform_with_shape(const Cell& cell, int tp, int pp, double* ppl_out) {
+  const sq::core::Deployment& dep = cell.deployment;
   // Build the plan by hand: even layers across pp stages of tp devices.
   const int total = tp * pp;
-  if (total != cell.cluster.device_count()) return 0.0;
-  for (const sq::hw::Bitwidth bit : sq::bench::all_bits()) {
+  if (total != dep.cluster().device_count()) return 0.0;
+  for (const sq::hw::Bitwidth bit : sq::hw::kAllBitwidths) {
     if (bit == sq::hw::Bitwidth::kInt3) continue;  // vLLM backend
     sq::sim::ExecutionPlan plan;
     plan.scheme = "uniform";
-    const int L = cell.model.n_layers;
+    const int L = dep.model().n_layers;
     for (int s = 0; s < pp; ++s) {
       sq::sim::StageSpec st;
       for (int d = 0; d < tp; ++d) st.devices.push_back(s * tp + d);
@@ -35,11 +36,11 @@ double uniform_with_shape(const Cell& cell, int tp, int pp, double* ppl_out) {
     // concurrent sequences (vLLM's KV-block check): a precision that only
     // "fits" at near-zero concurrency does not count as fitting.
     {
-      sq::sim::BatchWorkload probe{cell.serve_batch, cell.planning.prompt_len,
-                                   cell.planning.gen_tokens, 2048};
+      sq::sim::BatchWorkload probe{cell.serve_batch, dep.planning().prompt_len,
+                                   dep.planning().gen_tokens, 2048};
       plan.prefill_microbatch = 1;
       plan.decode_microbatch = 1;
-      if (sq::runtime::max_concurrency(cell.cluster, cell.model, plan, probe) <
+      if (sq::runtime::max_concurrency(dep.cluster(), dep.model(), plan, probe) <
           std::min<std::uint64_t>(8, cell.serve_batch)) {
         continue;
       }
@@ -57,7 +58,7 @@ double uniform_with_shape(const Cell& cell, int tp, int pp, double* ppl_out) {
     if (best > 0.0) {
       if (ppl_out != nullptr) {
         std::vector<sq::hw::Bitwidth> bits(static_cast<std::size_t>(L), bit);
-        *ppl_out = cell.quality.estimate(bits).ppl;
+        *ppl_out = dep.quality().estimate(bits).ppl;
       }
       return best;  // paper: lower the precision only until it fits
     }
@@ -83,7 +84,8 @@ int main() {
     const auto reqs = sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 256,
                                            77 + static_cast<std::uint64_t>(c.cluster));
     Cell cell(c.model, c.cluster, reqs, 256);
-    const int n_dev = cell.cluster.device_count();
+    const sq::core::Deployment& dep = cell.deployment;
+    const int n_dev = dep.cluster().device_count();
 
     double best_uniform = 0.0;
     struct Shape {
@@ -98,35 +100,35 @@ int main() {
       best_uniform = std::max(best_uniform, t);
       if (t > 0) {
         std::printf("%-10d %-24s %-12s %-12s %12.1f %9s\n", c.cluster,
-                    cell.model.name.c_str(), "Uniform", s.name, t, "");
+                    dep.model().name.c_str(), "Uniform", s.name, t, "");
       } else {
         std::printf("%-10d %-24s %-12s %-12s %12s %9s\n", c.cluster,
-                    cell.model.name.c_str(), "Uniform", s.name, "OOM", "");
+                    dep.model().name.c_str(), "Uniform", s.name, "OOM", "");
       }
     }
 
     const auto cfg = sq::bench::bench_config();
-    const auto het = cell.planner.plan_het(cfg);
+    const auto het = dep.planner().plan_het(cfg);
     if (het.feasible) {
       const double t = cell.serve(het.plan);
       std::printf("%-10d %-24s %-12s %-12s %12.1f %8.2fx\n", c.cluster,
-                  cell.model.name.c_str(), "Het", het.topology.c_str(), t,
+                  dep.model().name.c_str(), "Het", het.topology.c_str(), t,
                   sq::bench::ratio(t, best_uniform));
     }
 
     sq::core::PlannerConfig scfg = cfg;
     scfg.theta = 0.0;
-    const auto uni_best = cell.planner.plan_uniform(cfg);
+    const auto uni_best = dep.planner().plan_uniform(cfg);
     if (uni_best.feasible) scfg.max_ppl_delta = uni_best.total_omega;
-    const auto sqr = cell.planner.plan(scfg);
+    const auto sqr = dep.planner().plan(scfg);
     if (sqr.feasible) {
       const double t = cell.serve(sqr.plan);
       std::printf("%-10d %-24s %-12s %-12s %12.1f %8.2fx\n", c.cluster,
-                  cell.model.name.c_str(), "SplitQuant", "Optimal", t,
+                  dep.model().name.c_str(), "SplitQuant", "Optimal", t,
                   sq::bench::ratio(t, best_uniform));
     } else {
       std::printf("%-10d %-24s %-12s %-12s %12s\n", c.cluster,
-                  cell.model.name.c_str(), "SplitQuant", "-", "infeasible");
+                  dep.model().name.c_str(), "SplitQuant", "-", "infeasible");
     }
     sq::bench::rule(95);
   }

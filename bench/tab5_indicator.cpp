@@ -83,7 +83,7 @@ void tiny_transformer_comparison() {
 
   // Random control.
   const auto rnd = sq::quant::random_indicator_table(
-      static_cast<std::size_t>(cfg.n_layers), sq::bench::all_bits(), 3);
+      static_cast<std::size_t>(cfg.n_layers), sq::hw::kAllBitwidths, 3);
   std::vector<double> random_score;
   for (int l = 0; l < cfg.n_layers; ++l) {
     random_score.push_back(rnd.at(static_cast<std::size_t>(l), Bitwidth::kInt4));
@@ -131,24 +131,25 @@ void planner_scale_comparison() {
       auto cfg = sq::bench::bench_config();
       cfg.indicator = r.kind;
       cfg.theta = 50.0;  // quality-leaning, as in the Table V protocol
-      const auto res = cell.planner.plan(cfg);
+      const auto res = cell.deployment.planner().plan(cfg);
       // True quality of the chosen plan, judged by the reference quality
       // model regardless of which indicator steered the search.
       double true_ppl = 0.0;
       if (res.feasible) {
-        true_ppl = cell.quality.estimate(res.plan.layer_bits).ppl;
+        true_ppl = cell.deployment.quality().estimate(res.plan.layer_bits).ppl;
       }
       // Modeled indicator-construction overhead at checkpoint scale:
       // variance is elementwise O(D_W); Hessian pays O(D_W * D_X^2)-class
       // work (paper: 25625s vs 434s on OPT-66B -> ~59x).
       const double base =
-          static_cast<double>(cell.model.total_params()) / 1e9 * 6.6;
+          static_cast<double>(cell.deployment.model().total_params()) / 1e9 * 6.6;
       const double overhead = r.kind == sq::core::IndicatorKind::kRandom ? 0.0
                               : r.kind == sq::core::IndicatorKind::kVariance
                                   ? base
                                   : base * 59.0;
-      std::printf("%-10s %-10d %-12s %10.2f %14.1f\n", cell.model.name.c_str(),
-                  c.cluster, r.name, true_ppl, overhead);
+      std::printf("%-10s %-10d %-12s %10.2f %14.1f\n",
+                  cell.deployment.model().name.c_str(), c.cluster, r.name, true_ppl,
+                  overhead);
     }
     sq::bench::rule(85);
   }

@@ -28,6 +28,7 @@ int main() {
     const auto reqs = sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 128,
                                            17 + static_cast<std::uint64_t>(c.cluster));
     sq::bench::Cell cell(c.model, c.cluster, reqs, 128);
+    const sq::core::Deployment& dep = cell.deployment;
 
     struct Method {
       const char* name;
@@ -48,14 +49,14 @@ int main() {
       cfg.use_heuristic = m.heuristic;
       cfg.ilp_time_limit_s = m.time_limit;
       cfg.max_microbatch_pairs = 2;
-      const auto r = cell.planner.plan(cfg);
+      const auto r = dep.planner().plan(cfg);
       if (!r.feasible) {
-        std::printf("%-10s %-10d %-12s %16s %14s\n", cell.model.name.c_str(),
+        std::printf("%-10s %-10d %-12s %16s %14s\n", dep.model().name.c_str(),
                     c.cluster, m.name, "infeasible", "-");
         continue;
       }
       const double tput = cell.serve(r.plan);
-      std::printf("%-10s %-10d %-12s %16.2f %14.2f %10d %6d of %d\n", cell.model.name.c_str(),
+      std::printf("%-10s %-10d %-12s %16.2f %14.2f %10d %6d of %d\n", dep.model().name.c_str(),
                   c.cluster, m.name, tput, r.solve_seconds, r.ilp_nodes, r.ilp_truncated,
                   r.ilp_solves);
     }

@@ -245,6 +245,25 @@ def main() -> int:
                   f"{proc.stdout.splitlines()[:1]!r}", file=sys.stderr)
             errors += 1
 
+        # 6g. A saved plan loads back: --load-plan skips planning, scores
+        # the plan with the quality model and prints the same plan line.
+        ppath = tmp / "saved.plan"
+        saved = run(cli, [*BASE, "--save-plan", str(ppath)], 0, "--save-plan")
+        loaded = run(cli, [*BASE, "--load-plan", str(ppath)], 0, "--load-plan")
+        if saved is None or loaded is None:
+            errors += 1
+        else:
+            def plan_line(proc):
+                m = re.search(r"^plan: .*$", proc.stdout, re.MULTILINE)
+                return m.group(0) if m else None
+            if plan_line(saved) is None or plan_line(saved) != plan_line(loaded):
+                print("FAIL: --load-plan: plan line "
+                      f"{plan_line(loaded)!r}, want {plan_line(saved)!r}",
+                      file=sys.stderr)
+                errors += 1
+            else:
+                print("ok: --load-plan printed the saved plan line")
+
         # 7. Usage errors must exit 2 (not 0, not a crash).
         if run(cli, [*BASE, "--shards", "0"], 2, "bad --shards") is None:
             errors += 1
@@ -285,6 +304,24 @@ def main() -> int:
         errors += run_rejects(
             cli, [*BASE, "--serve", "--continuous", "--migration", "teleport"],
             "bad --migration")
+        # The sharded planner plans SplitQuant only: a baseline scheme
+        # must not be silently replaced by it.
+        errors += run_rejects(
+            cli, [*BASE, "--shards", "2", "--scheme", "uniform"],
+            "--scheme uniform with --shards")
+        # Unreadable plan files name the problem.
+        garbage = tmp / "garbage.plan"
+        garbage.write_text("not a plan\n")
+        for path, want, label in (
+                (garbage, "bad plan file", "--load-plan garbage"),
+                (tmp / "missing.plan", "cannot open", "--load-plan missing")):
+            proc = run(cli, [*BASE, "--load-plan", str(path)], 2, label)
+            if proc is None:
+                errors += 1
+            elif want not in proc.stderr:
+                print(f"FAIL: {label}: stderr {proc.stderr!r} lacks {want!r}",
+                      file=sys.stderr)
+                errors += 1
 
         # 9. Malformed flag values must exit 2 before planning instead of
         # silently running something else.

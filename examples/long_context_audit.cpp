@@ -6,10 +6,9 @@
 // shows the phase split the planner has to reason about.
 #include <cstdio>
 
-#include "core/planner.h"
+#include "core/deployment.h"
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
-#include "quality/quality_model.h"
 #include "runtime/engine.h"
 #include "sim/pipeline.h"
 #include "workload/profile.h"
@@ -25,22 +24,15 @@ int main() {
   std::printf("workload: prompts mean %.0f / p90 %.0f tokens, answers mean %.0f\n\n",
               profile.mean_prompt, profile.p90_prompt, profile.mean_output);
 
-  const std::vector<hw::Bitwidth> bits = {hw::Bitwidth::kFp16, hw::Bitwidth::kInt8,
-                                          hw::Bitwidth::kInt4, hw::Bitwidth::kInt3};
-
   for (const int cluster_id : {3, 5}) {
     const hw::Cluster cluster = hw::paper_cluster(cluster_id);
     std::printf("--- %s (%s) ---\n", cluster.name().c_str(), cluster.summary().c_str());
 
-    cost::LatencyCostModel latency(model);
-    core::Planner::profile_all(latency, cluster, bits);
-    const quality::QualityModel quality(model, bits);
-    const sim::BatchWorkload planning = profile.planning_batch(model);
-    const core::Planner planner(model, cluster, planning, latency, quality);
+    const core::Deployment deployment(model, cluster, profile.planning_batch(model));
 
     core::PlannerConfig cfg;
     cfg.theta = 10.0;
-    const core::PlanResult r = planner.plan(cfg);
+    const core::PlanResult r = deployment.planner().plan(cfg);
     if (!r.feasible) {
       std::printf("infeasible: %s\n\n", r.failure.c_str());
       continue;
@@ -51,7 +43,7 @@ int main() {
     // prefill-heavy, which is exactly why phase-aware partitioning matters.
     sim::PipelineOptions opts;
     opts.kernel = {.ground_truth = true, .seed = 11};
-    sim::BatchWorkload probe = planning;
+    sim::BatchWorkload probe = deployment.planning();
     probe.batch_size = r.planned_batch;
     const sim::SimResult sr = sim::simulate_batch(cluster, model, r.plan, probe, opts);
     if (!sr.oom) {

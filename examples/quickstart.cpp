@@ -3,18 +3,18 @@
 //
 //   1. Pick a model and a cluster.
 //   2. Describe the offline workload.
-//   3. Profile the devices into the latency cost model.
-//   4. Ask the Planner for a SplitQuant execution plan.
+//   3. Build the Deployment: it profiles the devices into the latency cost
+//      model and builds the quality model and the Planner.
+//   4. Ask its Planner for a SplitQuant execution plan.
 //   5. Serve the workload through the OfflineEngine and read throughput.
 //
 // Build: cmake --build build --target quickstart
 // Run:   ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/planner.h"
+#include "core/deployment.h"
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
-#include "quality/quality_model.h"
 #include "runtime/engine.h"
 #include "workload/profile.h"
 
@@ -31,20 +31,15 @@ int main() {
   // 2. Offline summarization workload: 256 requests, max 128 concurrent.
   const auto requests = workload::sample(workload::Dataset::kCnnDailyMail, 256, 1);
   const auto profile = workload::make_profile(requests, /*batch_size=*/128);
-  const sim::BatchWorkload planning = profile.planning_batch(model);
 
-  // 3. Cost models: profile each GPU type, build the quality estimator.
-  const std::vector<hw::Bitwidth> bits = {hw::Bitwidth::kFp16, hw::Bitwidth::kInt8,
-                                          hw::Bitwidth::kInt4, hw::Bitwidth::kInt3};
-  cost::LatencyCostModel latency(model);
-  core::Planner::profile_all(latency, cluster, bits);
-  const quality::QualityModel quality(model, bits);
+  // 3. The deployment: per-GPU-type latency fits, the quality estimator and
+  //    the planner, for this model, cluster and planning workload.
+  const core::Deployment deployment(model, cluster, profile.planning_batch(model));
 
   // 4. Plan.
-  const core::Planner planner(model, cluster, planning, latency, quality);
   core::PlannerConfig cfg;
   cfg.theta = 10.0;  // mild quality preference
-  const core::PlanResult result = planner.plan(cfg);
+  const core::PlanResult result = deployment.planner().plan(cfg);
   if (!result.feasible) {
     std::printf("planning failed: %s\n", result.failure.c_str());
     return 1;
@@ -54,7 +49,7 @@ int main() {
               result.topology.c_str(),
               static_cast<unsigned long long>(result.planned_batch));
   std::printf("         est. perplexity %.2f (fp16 baseline %.2f)\n",
-              result.est_ppl, quality.base_ppl());
+              result.est_ppl, deployment.quality().base_ppl());
   std::printf("         assigner took %.2fs (%d ILP solves, %d B&B nodes)\n\n",
               result.solve_seconds, result.ilp_solves, result.ilp_nodes);
 

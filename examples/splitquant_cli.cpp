@@ -62,7 +62,9 @@
 //                       groups (sharded planner, src/core/sharding.h) and
 //                       plan each; with --serve the jobs run through the
 //                       fleet engine's deterministic multi-job scheduler.
-//                       K=1 reproduces the plain planner.
+//                       K=1 reproduces the plain planner.  Plans
+//                       SplitQuant only: any other --scheme, and
+//                       --load-plan, are rejected with K > 1.
 //   --jobs <spec>       multi-job workload for --shards --serve:
 //                       comma-separated <name>:<requests> items, each
 //                       sampled independently from --workload (seeded by
@@ -88,8 +90,7 @@
 #include <vector>
 
 #include "common/spec_util.h"
-#include "core/planner.h"
-#include "core/repair.h"
+#include "core/deployment.h"
 #include "core/sharding.h"
 #include "elastic/elastic_engine.h"
 #include "elastic/membership.h"
@@ -407,20 +408,16 @@ int export_metrics(const Args& args) {
 
 /// The --shards path: sharded planning, then (with --serve) multi-job
 /// fleet serving.  Returns the process exit code.
-int run_sharded(const Args& args, const sq::model::LlmSpec& m,
-                const sq::hw::Cluster& cluster,
-                sq::cost::LatencyCostModel& latency,
-                const sq::quality::QualityModel& quality,
-                const sq::core::PlannerConfig& cfg,
-                const sq::workload::Profile& profile) {
+int run_sharded(const Args& args, sq::core::Deployment& deployment,
+                const sq::core::PlannerConfig& cfg) {
   namespace core = sq::core;
   namespace runtime = sq::runtime;
+  const sq::model::LlmSpec& m = deployment.model();
 
   core::ShardingConfig scfg;
   scfg.num_shards = args.shards;
   scfg.planner = cfg;
-  const core::ShardPlanResult sres = core::plan_sharded(
-      m, cluster, profile.planning_batch(m), latency, quality, scfg);
+  const core::ShardPlanResult sres = core::plan_sharded(deployment, scfg);
 
   if (!sres.feasible) {
     std::printf("result:   INFEASIBLE — %s\n", sres.failure.c_str());
@@ -454,7 +451,8 @@ int run_sharded(const Args& args, const sq::model::LlmSpec& m,
   if (const int rc = parse_jobs(args, m, &jobs)) return rc;
 
   sq::sim::FaultSchedule schedule;
-  if (const int rc = parse_faults(args, cluster.device_count(), &schedule)) {
+  if (const int rc = parse_faults(args, deployment.cluster().device_count(),
+                                  &schedule)) {
     return rc;
   }
 
@@ -466,8 +464,7 @@ int run_sharded(const Args& args, const sq::model::LlmSpec& m,
   fopts.num_threads = args.threads;
   if (!schedule.empty()) fopts.faults = &schedule;
   if (!args.faults.empty() && !args.no_repair) {
-    fopts.replan = core::make_replanner(m, latency, quality,
-                                        profile.planning_batch(m), cfg);
+    fopts.replan = deployment.replanner(cfg);
   }
   const runtime::FleetStats fs = fleet.serve(jobs, fopts);
   if (!print_events(fs.events, fs.feasible, fs.failure)) return 1;
@@ -516,6 +513,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--elastic requires a single shard\n");
     return 2;
   }
+  if (args.shards > 1 && !args.load_plan.empty()) {
+    std::fprintf(stderr, "--load-plan is not supported with --shards\n");
+    return 2;
+  }
+  if (args.shards > 1 && args.scheme != "splitquant") {
+    std::fprintf(stderr, "--scheme %s is not supported with --shards\n",
+                 args.scheme.c_str());
+    return 2;
+  }
   elastic::MigrationPolicy migration = elastic::MigrationPolicy::kAuto;
   if (!elastic::migration_policy_from_string(args.migration, &migration)) {
     std::fprintf(stderr,
@@ -556,13 +562,7 @@ int main(int argc, char** argv) {
       workload::sample(args.dataset, args.requests, 1234);
   const auto profile = workload::make_profile(requests, args.batch);
 
-  const std::vector<hw::Bitwidth> bits = {hw::Bitwidth::kFp16, hw::Bitwidth::kInt8,
-                                          hw::Bitwidth::kInt4, hw::Bitwidth::kInt3};
-  cost::LatencyCostModel latency(m);
-  core::Planner::profile_all(latency, cluster, bits);
-  const quality::QualityModel quality(m, bits);
-  const core::Planner planner(m, cluster, profile.planning_batch(m), latency,
-                              quality);
+  core::Deployment deployment(m, cluster, profile.planning_batch(m));
 
   core::PlannerConfig cfg;
   cfg.theta = args.theta;
@@ -574,17 +574,13 @@ int main(int argc, char** argv) {
   tensor::set_kernel_threads(args.threads);
 
   if (args.shards > 1) {
-    if (!args.load_plan.empty()) {
-      std::fprintf(stderr, "--load-plan is not supported with --shards\n");
-      return 2;
-    }
     std::printf("model:    %s on %s\n", m.name.c_str(), cluster.summary().c_str());
     std::printf("workload: %s, %d requests, batch %llu (prompt p90 %.0f, "
                 "out mean %.0f)\n",
                 args.workload.c_str(), args.requests,
                 static_cast<unsigned long long>(args.batch), profile.p90_prompt,
                 profile.mean_output);
-    const int rc = run_sharded(args, m, cluster, latency, quality, cfg, profile);
+    const int rc = run_sharded(args, deployment, cfg);
     if (rc != 0) return rc;
     return export_metrics(args);
   }
@@ -610,13 +606,15 @@ int main(int argc, char** argv) {
     r.feasible = true;
     r.plan = loaded.plan;
     r.planned_batch = args.batch;
-    r.est_ppl = quality.estimate(r.plan.layer_bits).ppl;
-    r.est_accuracy = quality.estimate(r.plan.layer_bits).accuracy;
+    const quality::QualityEstimate q =
+        deployment.quality().estimate(r.plan.layer_bits);
+    r.est_ppl = q.ppl;
+    r.est_accuracy = q.accuracy;
     r.topology = "(loaded)";
-  } else if (args.scheme == "uniform") r = planner.plan_uniform(cfg);
-  else if (args.scheme == "het") r = planner.plan_het(cfg);
-  else if (args.scheme == "adabits") r = planner.plan_adabits(cfg);
-  else r = planner.plan(cfg);
+  } else if (args.scheme == "uniform") r = deployment.planner().plan_uniform(cfg);
+  else if (args.scheme == "het") r = deployment.planner().plan_het(cfg);
+  else if (args.scheme == "adabits") r = deployment.planner().plan_adabits(cfg);
+  else r = deployment.planner().plan(cfg);
 
   if (r.feasible && !args.save_plan.empty()) {
     std::ofstream outf(args.save_plan);
@@ -648,7 +646,7 @@ int main(int argc, char** argv) {
   std::printf("topology: %s, planned concurrency %llu\n", r.topology.c_str(),
               static_cast<unsigned long long>(r.planned_batch));
   std::printf("quality:  est PPL %.3f (base %.3f), est accuracy %.1f%%\n", r.est_ppl,
-              quality.base_ppl(), r.est_accuracy);
+              deployment.quality().base_ppl(), r.est_accuracy);
 
   const runtime::Backend backend = args.custom_backend
                                       ? runtime::Backend::kCustom
@@ -661,8 +659,7 @@ int main(int argc, char** argv) {
     runtime::RecoveryOptions ropts;
     if (!schedule.empty()) ropts.faults = &schedule;
     if (!args.faults.empty() && !args.no_repair) {
-      ropts.replan = core::make_replanner(m, latency, quality,
-                                          profile.planning_batch(m), cfg);
+      ropts.replan = deployment.replanner(cfg);
     }
     return ropts;
   };
@@ -699,8 +696,7 @@ int main(int argc, char** argv) {
       elastic::ElasticOptions eopts;
       eopts.timeline = &timeline;
       eopts.migration = migration;
-      eopts.replan = core::make_replanner(m, latency, quality,
-                                          profile.planning_batch(m), cfg);
+      eopts.replan = deployment.replanner(cfg);
       eopts.fleet.num_threads = args.threads;
       const runtime::RecoveryOptions ropts = recovery_options();
       eopts.fleet.faults = ropts.faults;

@@ -7,10 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "core/planner.h"
+#include "core/deployment.h"
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
-#include "quality/quality_model.h"
 #include "runtime/engine.h"
 #include "workload/profile.h"
 
@@ -41,13 +40,7 @@ int main() {
               requests.size(), profile.mean_prompt, profile.p90_prompt,
               profile.mean_output);
 
-  const std::vector<hw::Bitwidth> bits = {hw::Bitwidth::kFp16, hw::Bitwidth::kInt8,
-                                          hw::Bitwidth::kInt4, hw::Bitwidth::kInt3};
-  cost::LatencyCostModel latency(model);
-  core::Planner::profile_all(latency, cluster, bits);
-  const quality::QualityModel quality(model, bits);
-  const core::Planner planner(model, cluster, profile.planning_batch(model), latency,
-                              quality);
+  const core::Deployment deployment(model, cluster, profile.planning_batch(model));
 
   core::PlannerConfig cfg;
   cfg.ilp_time_limit_s = 5.0;
@@ -58,13 +51,13 @@ int main() {
   };
 
   std::vector<Outcome> outcomes;
-  const core::PlanResult uniform = planner.plan_uniform(cfg);
+  const core::PlanResult uniform = deployment.planner().plan_uniform(cfg);
   if (uniform.feasible) {
     const auto s = serve(uniform.plan);
     outcomes.push_back({"uniform", s.throughput_tok_s, uniform.est_ppl,
                         uniform.plan.summary(cluster)});
   }
-  const core::PlanResult het = planner.plan_het(cfg);
+  const core::PlanResult het = deployment.planner().plan_het(cfg);
   if (het.feasible) {
     const auto s = serve(het.plan);
     outcomes.push_back({"het", s.throughput_tok_s, het.est_ppl,
@@ -74,7 +67,7 @@ int main() {
   core::PlannerConfig scfg = cfg;
   scfg.theta = 0.0;
   if (uniform.feasible) scfg.max_ppl_delta = uniform.total_omega;
-  const core::PlanResult sq_plan = planner.plan(scfg);
+  const core::PlanResult sq_plan = deployment.planner().plan(scfg);
   if (sq_plan.feasible) {
     const auto s = serve(sq_plan.plan);
     outcomes.push_back({"splitquant", s.throughput_tok_s, sq_plan.est_ppl,

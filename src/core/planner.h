@@ -40,8 +40,8 @@ enum class IndicatorKind {
 struct PlannerConfig {
   /// Candidate bitwidths.  INT3 is only usable on the custom backend
   /// (paper Sec. VI-A); it is filtered out unless `custom_backend`.
-  std::vector<Bitwidth> bits = {Bitwidth::kFp16, Bitwidth::kInt8, Bitwidth::kInt4,
-                                Bitwidth::kInt3};
+  std::vector<Bitwidth> bits{std::begin(sq::hw::kAllBitwidths),
+                             std::end(sq::hw::kAllBitwidths)};
   bool custom_backend = false;
   double theta = 10.0;            ///< Quality scalar of objective (4).
   /// Quality budget in PPL-delta units (>= 0 enables the constraint; the
@@ -93,7 +93,8 @@ struct PlanResult {
 class Planner {
  public:
   /// `latency` must already be profiled for every GPU type in `cluster`
-  /// over the candidate bitwidths (Planner::profile_all does this).
+  /// over the candidate bitwidths (Planner::profile_all does this;
+  /// core::Deployment builds a profiled Planner in one step).
   Planner(const sq::model::LlmSpec& model, const sq::hw::Cluster& cluster,
           const sq::sim::BatchWorkload& workload,
           const sq::cost::LatencyCostModel& latency,

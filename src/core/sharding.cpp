@@ -148,12 +148,9 @@ std::vector<Partition> enumerate_partitions(const sq::hw::Cluster& cluster,
   return out;
 }
 
-ShardPlanResult plan_sharded(const sq::model::LlmSpec& model,
-                             const sq::hw::Cluster& cluster,
-                             const sq::sim::BatchWorkload& workload,
-                             sq::cost::LatencyCostModel& latency,
-                             const sq::quality::QualityModel& quality,
+ShardPlanResult plan_sharded(const Deployment& deployment,
                              const ShardingConfig& cfg) {
+  const sq::hw::Cluster& cluster = deployment.cluster();
   const auto t0 = std::chrono::steady_clock::now();
   ShardPlanResult res;
   if (cfg.num_shards < 1) {
@@ -172,8 +169,6 @@ ShardPlanResult plan_sharded(const sq::model::LlmSpec& model,
     return res;
   }
 
-  Planner::profile_all(latency, cluster, cfg.planner.bits);
-
   double best_score = -1.0;
   std::string last_failure;
   for (const Partition& part : partitions) {
@@ -191,7 +186,8 @@ ShardPlanResult plan_sharded(const sq::model::LlmSpec& model,
       }
       const sq::hw::DegradedCluster sub =
           sq::hw::degrade_cluster(cluster, excluded);
-      const Planner planner(model, sub.cluster, workload, latency, quality);
+      const Planner planner(deployment.model(), sub.cluster, deployment.planning(),
+                            deployment.latency(), deployment.quality());
       PlanResult r = planner.plan(cfg.planner);
       if (!r.feasible) {
         last_failure = "partition [" + part.desc + "] group " +

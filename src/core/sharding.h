@@ -35,11 +35,9 @@
 #include <string>
 #include <vector>
 
+#include "core/deployment.h"
 #include "core/planner.h"
-#include "cost/latency_model.h"
 #include "hw/cluster.h"
-#include "model/llm.h"
-#include "quality/quality_model.h"
 #include "runtime/fleet.h"
 #include "sim/plan.h"
 
@@ -81,14 +79,11 @@ struct ShardPlanResult {
   double solve_seconds = 0.0;             ///< Total planning wall time.
 };
 
-/// Partition `cluster` into `cfg.num_shards` replica groups and plan each
-/// (see file comment).  `latency` is profiled on demand for the fleet's
-/// GPU types (idempotent) and, like the Planner's, must outlive the call.
-ShardPlanResult plan_sharded(const sq::model::LlmSpec& model,
-                             const sq::hw::Cluster& cluster,
-                             const sq::sim::BatchWorkload& workload,
-                             sq::cost::LatencyCostModel& latency,
-                             const sq::quality::QualityModel& quality,
+/// Partition the deployment's cluster into `cfg.num_shards` replica groups
+/// and plan each over the deployment's model, planning workload and models
+/// (see file comment).  Every group holds only device types of that
+/// cluster, so the deployment's cost model already covers them.
+ShardPlanResult plan_sharded(const Deployment& deployment,
                              const ShardingConfig& cfg);
 
 }  // namespace sq::core

@@ -2,7 +2,9 @@
 // latency/quality models once per model+cluster combination.
 #pragma once
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "core/context.h"
 #include "core/planner.h"
@@ -11,15 +13,9 @@
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
 #include "quality/quality_model.h"
+#include "sim/plan_io.h"
 
 namespace sq::core::testutil {
-
-inline const std::vector<sq::hw::Bitwidth>& all_bits() {
-  static const std::vector<sq::hw::Bitwidth> bits = {
-      sq::hw::Bitwidth::kFp16, sq::hw::Bitwidth::kInt8, sq::hw::Bitwidth::kInt4,
-      sq::hw::Bitwidth::kInt3};
-  return bits;
-}
 
 /// Everything a PlanContext needs, owned together so pointers stay valid.
 struct Harness {
@@ -34,21 +30,22 @@ struct Harness {
       : model(sq::model::spec(id)),
         cluster(sq::hw::paper_cluster(cluster_id)),
         latency(model),
-        quality(model, all_bits()) {
-    Planner::profile_all(latency, cluster, all_bits());
+        quality(model, sq::hw::kAllBitwidths) {
+    Planner::profile_all(latency, cluster, sq::hw::kAllBitwidths);
     inputs.model = &model;
     inputs.cluster = &cluster;
     inputs.latency = &latency;
     inputs.workload = w;
-    inputs.bits = all_bits();
+    inputs.bits.assign(std::begin(sq::hw::kAllBitwidths),
+                       std::end(sq::hw::kAllBitwidths));
     inputs.theta = theta;
     const double k = quality.ppl_per_omega();
     inputs.omega_ppl.assign(static_cast<std::size_t>(model.n_layers),
-                            std::vector<double>(all_bits().size(), 0.0));
+                            std::vector<double>(inputs.bits.size(), 0.0));
     for (int l = 0; l < model.n_layers; ++l) {
-      for (std::size_t bi = 0; bi < all_bits().size(); ++bi) {
+      for (std::size_t bi = 0; bi < inputs.bits.size(); ++bi) {
         inputs.omega_ppl[static_cast<std::size_t>(l)][bi] =
-            k * quality.indicators().at(static_cast<std::size_t>(l), all_bits()[bi]);
+            k * quality.indicators().at(static_cast<std::size_t>(l), inputs.bits[bi]);
       }
     }
   }
@@ -59,5 +56,22 @@ struct Harness {
     return PlanContext(inputs, topos.front(), eta, xi, group_size);
   }
 };
+
+/// Every deterministic field of a PlanResult (solve_seconds is wall time
+/// and deliberately excluded), doubles as hexfloats.
+inline std::string fingerprint(const PlanResult& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "feasible=%d batch=%llu lat=%a tput=%a omega=%a ppl=%a acc=%a "
+                "solves=%d topologies=%d pairs=%d\n",
+                r.feasible ? 1 : 0,
+                static_cast<unsigned long long>(r.planned_batch),
+                r.predicted_latency_s, r.predicted_throughput, r.total_omega,
+                r.est_ppl, r.est_accuracy, r.ilp_solves, r.topologies_tried,
+                r.pairs_tried);
+  std::string s = buf + r.failure + "\n" + r.topology + "\n";
+  if (r.feasible) s += sq::sim::plan_to_string(r.plan);
+  return s;
+}
 
 }  // namespace sq::core::testutil

@@ -180,27 +180,12 @@ TEST(Planner, ProfileAllCoversClusterTypes) {
   const auto m = sq::model::spec(sq::model::ModelId::kOpt13B);
   sq::cost::LatencyCostModel lat(m);
   const auto c = sq::hw::paper_cluster(7);
-  Planner::profile_all(lat, c, testutil::all_bits());
+  Planner::profile_all(lat, c, sq::hw::kAllBitwidths);
   EXPECT_TRUE(lat.has_profile(sq::hw::GpuType::kT4, sq::hw::Bitwidth::kInt4));
   EXPECT_TRUE(lat.has_profile(sq::hw::GpuType::kV100, sq::hw::Bitwidth::kFp16));
 }
 
-/// Every deterministic field of a PlanResult (solve_seconds is wall time
-/// and deliberately excluded), doubles as hexfloats.
-std::string fingerprint(const PlanResult& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "feasible=%d batch=%llu lat=%a tput=%a omega=%a ppl=%a acc=%a "
-                "solves=%d topologies=%d pairs=%d\n",
-                r.feasible ? 1 : 0,
-                static_cast<unsigned long long>(r.planned_batch),
-                r.predicted_latency_s, r.predicted_throughput, r.total_omega,
-                r.est_ppl, r.est_accuracy, r.ilp_solves, r.topologies_tried,
-                r.pairs_tried);
-  std::string s = buf + r.failure + "\n" + r.topology + "\n";
-  if (r.feasible) s += sq::sim::plan_to_string(r.plan);
-  return s;
-}
+using testutil::fingerprint;
 
 // The heuristic planner and its three baselines on the four clusters an
 // elastic-churn run replans over: paper cluster 5, then +1xV100 (join),
@@ -214,7 +199,7 @@ TEST(Planner, ElasticChurnClustersMatchPinnedGoldens) {
   const sq::sim::BatchWorkload planning =
       sq::workload::make_profile(reqs, 128).planning_batch(m);
   sq::cost::LatencyCostModel latency(m);
-  const sq::quality::QualityModel quality(m, testutil::all_bits());
+  const sq::quality::QualityModel quality(m, sq::hw::kAllBitwidths);
 
   sq::hw::Node v100;
   v100.name = "elastic-0";

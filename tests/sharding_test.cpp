@@ -7,12 +7,11 @@
 #include <set>
 #include <vector>
 
+#include "core/deployment.h"
 #include "core/sharding.h"
-#include "cost/latency_model.h"
 #include "hw/cluster.h"
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
-#include "quality/quality_model.h"
 #include "sim/plan_io.h"
 
 namespace sq::core {
@@ -120,14 +119,12 @@ TEST(Sharding, EnumerationIsDeterministicAndDeduped) {
 TEST(Sharding, PlansTwoGroupsWithProvenance) {
   const auto model = sq::model::spec(sq::model::ModelId::kOpt13B);
   const auto fleet = fleet_cluster();
-  sq::cost::LatencyCostModel latency(model);
   ShardingConfig cfg;
   cfg.num_shards = 2;
   cfg.planner = fast_cfg();
-  sq::quality::QualityModel quality(model, cfg.planner.bits);
-  const sq::sim::BatchWorkload w{16, 512, 32, 2048};
+  const Deployment deployment(model, fleet, {16, 512, 32, 2048});
 
-  const ShardPlanResult r = plan_sharded(model, fleet, w, latency, quality, cfg);
+  const ShardPlanResult r = plan_sharded(deployment, cfg);
   ASSERT_TRUE(r.feasible) << r.failure;
   ASSERT_EQ(r.groups.size(), 2u);
   ASSERT_EQ(r.group_results.size(), 2u);
@@ -165,21 +162,17 @@ TEST(Sharding, PlansTwoGroupsWithProvenance) {
 TEST(Sharding, SingleShardMatchesThePlainPlanner) {
   const auto model = sq::model::spec(sq::model::ModelId::kOpt13B);
   const auto fleet = fleet_cluster(2);
-  sq::cost::LatencyCostModel latency(model);
   ShardingConfig cfg;
   cfg.num_shards = 1;
   cfg.planner = fast_cfg();
-  sq::quality::QualityModel quality(model, cfg.planner.bits);
-  const sq::sim::BatchWorkload w{16, 512, 32, 2048};
+  const Deployment deployment(model, fleet, {16, 512, 32, 2048});
 
-  const ShardPlanResult r = plan_sharded(model, fleet, w, latency, quality, cfg);
+  const ShardPlanResult r = plan_sharded(deployment, cfg);
   ASSERT_TRUE(r.feasible) << r.failure;
   ASSERT_EQ(r.groups.size(), 1u);
   // K=1 stamps are the serialization defaults, so the plan is byte-equal
   // to the plain planner's on the whole fleet.
-  Planner::profile_all(latency, fleet, cfg.planner.bits);
-  const Planner planner(model, fleet, w, latency, quality);
-  const PlanResult direct = planner.plan(cfg.planner);
+  const PlanResult direct = deployment.planner().plan(cfg.planner);
   ASSERT_TRUE(direct.feasible) << direct.failure;
   EXPECT_EQ(sq::sim::plan_to_string(r.groups[0].plan),
             sq::sim::plan_to_string(direct.plan));
@@ -191,21 +184,19 @@ TEST(Sharding, InfeasibleWhenGroupsCannotHoldTheModel) {
   // partition dies in the per-group planner.
   const auto model = sq::model::spec(sq::model::ModelId::kOpt30B);
   const auto c8 = sq::hw::paper_cluster(8);  // 4x T4, one node
-  sq::cost::LatencyCostModel latency(model);
   ShardingConfig cfg;
   cfg.num_shards = 4;
   cfg.planner = fast_cfg();
-  sq::quality::QualityModel quality(model, cfg.planner.bits);
-  const sq::sim::BatchWorkload w{16, 512, 32, 2048};
+  const Deployment deployment(model, c8, {16, 512, 32, 2048});
 
-  const ShardPlanResult r = plan_sharded(model, c8, w, latency, quality, cfg);
+  const ShardPlanResult r = plan_sharded(deployment, cfg);
   EXPECT_FALSE(r.feasible);
   EXPECT_FALSE(r.failure.empty());
   EXPECT_TRUE(r.groups.empty());
 
   // And asking for more shards than devices fails the enumeration itself.
   cfg.num_shards = 9;
-  const ShardPlanResult r9 = plan_sharded(model, c8, w, latency, quality, cfg);
+  const ShardPlanResult r9 = plan_sharded(deployment, cfg);
   EXPECT_FALSE(r9.feasible);
   EXPECT_NE(r9.failure.find("cannot be split"), std::string::npos);
 }
@@ -213,19 +204,17 @@ TEST(Sharding, InfeasibleWhenGroupsCannotHoldTheModel) {
 TEST(Sharding, DeterministicAcrossPlannerThreadCounts) {
   const auto model = sq::model::spec(sq::model::ModelId::kOpt13B);
   const auto fleet = fleet_cluster();
-  const sq::sim::BatchWorkload w{16, 512, 32, 2048};
 
   std::vector<std::string> base_plans;
   std::string base_partition;
   double base_total = 0.0;
   bool first = true;
   for (const int threads : {1, 4}) {
-    sq::cost::LatencyCostModel latency(model);
     ShardingConfig cfg;
     cfg.num_shards = 2;
     cfg.planner = fast_cfg(threads);
-    sq::quality::QualityModel quality(model, cfg.planner.bits);
-    const ShardPlanResult r = plan_sharded(model, fleet, w, latency, quality, cfg);
+    const Deployment deployment(model, fleet, {16, 512, 32, 2048});
+    const ShardPlanResult r = plan_sharded(deployment, cfg);
     ASSERT_TRUE(r.feasible) << r.failure;
     std::vector<std::string> plans;
     for (const auto& g : r.groups) {
