@@ -57,8 +57,9 @@ std::vector<sq::runtime::FleetJob> make_jobs(const sq::model::LlmSpec& m,
     const auto reqs = sq::workload::sample(
         sq::workload::Dataset::kCnnDailyMail, requests,
         4200 + static_cast<std::uint64_t>(i));
-    jobs.push_back({"job-" + std::to_string(i),
-                    sq::workload::make_batches(reqs, m, batch)});
+    jobs.push_back({.name = "job-" + std::to_string(i),
+                    .batches = sq::workload::make_batches(reqs, m, batch),
+                    .arrivals = {}});
   }
   return jobs;
 }

@@ -5,6 +5,7 @@
 #include "quant/qkernels.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/memo_cache.h"
 #include "common/thread_pool.h"
 #include "tensor/gemm.h"
 
@@ -48,6 +50,9 @@ struct Kernels {
   void (*pack)(const std::uint8_t*, std::size_t units, int b, std::uint8_t*);
   void (*unpack)(const std::uint8_t*, std::size_t units, int b,
                  std::int32_t lo, std::int32_t*);
+  // Fingerprint (qkernels.h): fold `blocks` whole 1 KiB blocks into the
+  // eight lanes `acc`, each block ending in its scramble.
+  void (*fp_blocks)(std::uint64_t* acc, const std::uint8_t*, std::size_t blocks);
 };
 
 // ---- Scalar base path (and tail loops of the vector paths) --------------
@@ -167,6 +172,57 @@ void unpack_base(const std::uint8_t* in, std::size_t units, int b,
   const auto ub = static_cast<std::size_t>(b);
   for (std::size_t u = 0; u < units; ++u) {
     unpack_unit(in + u * ub, ub, b, lo, out + 8 * u);
+  }
+}
+
+// ---- Weight fingerprint (qkernels.h "Weight fingerprint") ---------------
+
+constexpr std::size_t kStripeBytes = 64;
+constexpr std::size_t kStripesPerBlock = 16;
+static_assert(kStripesPerBlock * kStripeBytes ==
+              Fingerprint::kBlockFloats * sizeof(float));
+static_assert(kPackChunk % Fingerprint::kBlockFloats == 0);
+constexpr std::uint64_t kFpPrime = 0x9E3779B1u;  // 32-bit prime near 2^32 / phi.
+
+/// The fixed keys, a splitmix64 stream: stripe s reads K[s, s + 8) (the
+/// sixteen stripes of a block use K[0, 23)), the scramble K[24, 32), and
+/// K[32, 40) seed the lanes.
+constexpr std::array<std::uint64_t, 40> make_fp_keys() {
+  std::array<std::uint64_t, 40> keys{};
+  std::uint64_t x = 0x5171C4C5A11CE5EDull;
+  for (std::uint64_t& k : keys) {
+    x += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    k = z ^ (z >> 31);
+  }
+  return keys;
+}
+constexpr std::array<std::uint64_t, 40> kFpKeys = make_fp_keys();
+constexpr std::size_t kFpScramble = 24;
+constexpr std::size_t kFpSeed = 32;
+
+/// One stripe of eight words into the lanes, keyed by key[0, 8).
+void fp_stripe(std::uint64_t* acc, const std::uint8_t* p,
+               const std::uint64_t* key) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::uint64_t w = load_le(p + 8 * i, 8);
+    const std::uint64_t k = w ^ key[i];
+    acc[i ^ 1] += w;
+    acc[i] += (k & 0xFFFFFFFFu) * (k >> 32);
+  }
+}
+
+void fp_blocks_base(std::uint64_t* acc, const std::uint8_t* p,
+                    std::size_t blocks) {
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    for (std::size_t s = 0; s < kStripesPerBlock; ++s, p += kStripeBytes) {
+      fp_stripe(acc, p, kFpKeys.data() + s);
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+      acc[i] = (acc[i] ^ (acc[i] >> 47) ^ kFpKeys[kFpScramble + i]) * kFpPrime;
+    }
   }
 }
 
@@ -374,6 +430,52 @@ void unpack_avx2(const std::uint8_t* in, std::size_t units, int b,
   unpack_base(in + u * ub, units - u, b, lo, out + 8 * u);
 }
 
+SQ_QK_TARGET_AVX2
+inline __m256i fp_load_avx2(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+}
+
+/// Half a stripe into four lanes: lane i ^ 1 is the neighbour in the same
+/// 128-bit half, one dword shuffle away.
+SQ_QK_TARGET_AVX2
+inline __m256i fp_stripe_avx2(__m256i acc, const std::uint8_t* p,
+                              const std::uint64_t* key) {
+  const __m256i w = fp_load_avx2(p);
+  const __m256i k = _mm256_xor_si256(w, fp_load_avx2(key));
+  acc = _mm256_add_epi64(acc, _mm256_shuffle_epi32(w, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm256_add_epi64(acc, _mm256_mul_epu32(k, _mm256_srli_epi64(k, 32)));
+}
+
+/// (acc ^ acc >> 47 ^ key) * P mod 2^64, P < 2^32: lo32 * P + (hi32 * P << 32).
+SQ_QK_TARGET_AVX2
+inline __m256i fp_scramble_avx2(__m256i acc, __m256i key, __m256i prime) {
+  const __m256i x =
+      _mm256_xor_si256(_mm256_xor_si256(acc, _mm256_srli_epi64(acc, 47)), key);
+  const __m256i hi = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), prime);
+  return _mm256_add_epi64(_mm256_mul_epu32(x, prime), _mm256_slli_epi64(hi, 32));
+}
+
+/// Lanes 0-3 and 4-7 live in two registers.
+SQ_QK_TARGET_AVX2
+void fp_blocks_avx2(std::uint64_t* acc, const std::uint8_t* p,
+                    std::size_t blocks) {
+  __m256i a0 = fp_load_avx2(acc);
+  __m256i a1 = fp_load_avx2(acc + 4);
+  const __m256i sk0 = fp_load_avx2(kFpKeys.data() + kFpScramble);
+  const __m256i sk1 = fp_load_avx2(kFpKeys.data() + kFpScramble + 4);
+  const __m256i prime = _mm256_set1_epi64x(static_cast<long long>(kFpPrime));
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    for (std::size_t s = 0; s < kStripesPerBlock; ++s, p += kStripeBytes) {
+      a0 = fp_stripe_avx2(a0, p, kFpKeys.data() + s);
+      a1 = fp_stripe_avx2(a1, p + 32, kFpKeys.data() + s + 4);
+    }
+    a0 = fp_scramble_avx2(a0, sk0, prime);
+    a1 = fp_scramble_avx2(a1, sk1, prime);
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc), a0);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 4), a1);
+}
+
 // ---- AVX-512 (16-wide) --------------------------------------------------
 // roundscale imm 0x0C: M=0, suppress-precision, use MXCSR — nearbyint again.
 
@@ -510,20 +612,44 @@ void unpack_avx512(const std::uint8_t* in, std::size_t units, int b,
   unpack_avx2(in + u * ub, units - u, b, lo, out + 8 * u);
 }
 
+/// All eight fingerprint lanes in one register (AVX-512 twin of
+/// fp_blocks_avx2).
+SQ_QK_TARGET_AVX512
+void fp_blocks_avx512(std::uint64_t* acc, const std::uint8_t* p,
+                      std::size_t blocks) {
+  __m512i a = _mm512_loadu_si512(acc);
+  const __m512i sk = _mm512_loadu_si512(kFpKeys.data() + kFpScramble);
+  const __m512i prime = _mm512_set1_epi64(static_cast<long long>(kFpPrime));
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    for (std::size_t s = 0; s < kStripesPerBlock; ++s, p += kStripeBytes) {
+      const __m512i w = _mm512_loadu_si512(p);
+      const __m512i k = _mm512_xor_si512(w, _mm512_loadu_si512(kFpKeys.data() + s));
+      a = _mm512_add_epi64(
+          a, _mm512_shuffle_epi32(w, static_cast<_MM_PERM_ENUM>(_MM_SHUFFLE(1, 0, 3, 2))));
+      a = _mm512_add_epi64(a, _mm512_mul_epu32(k, _mm512_srli_epi64(k, 32)));
+    }
+    const __m512i x =
+        _mm512_xor_si512(_mm512_xor_si512(a, _mm512_srli_epi64(a, 47)), sk);
+    const __m512i hi = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), prime);
+    a = _mm512_add_epi64(_mm512_mul_epu32(x, prime), _mm512_slli_epi64(hi, 32));
+  }
+  _mm512_storeu_si512(acc, a);
+}
+
 #endif  // SQ_QK_MULTI_ISA
 
 // ---- Dispatch -----------------------------------------------------------
 
-constexpr Kernels kBase{"base",     minmax_base,      quantize_base,
+constexpr Kernels kBase{"base",       minmax_base,      quantize_base,
                         dequant_base, qdq_base,         quantize_u8_base,
-                        pack_base,    unpack_base};
+                        pack_base,    unpack_base,      fp_blocks_base};
 #if SQ_QK_MULTI_ISA
 constexpr Kernels kAvx2{"avx2",       minmax_avx2,      quantize_avx2,
                         dequant_avx2, qdq_avx2,         quantize_u8_avx2,
-                        pack_avx2,    unpack_avx2};
+                        pack_avx2,    unpack_avx2,      fp_blocks_avx2};
 constexpr Kernels kAvx512{"avx512",       minmax_avx512,      quantize_avx512,
                           dequant_avx512, qdq_avx512,         quantize_u8_avx512,
-                          pack_avx2,      unpack_avx512};
+                          pack_avx2,      unpack_avx512,      fp_blocks_avx512};
 #endif
 
 const Kernels* pick_kernels() {
@@ -570,9 +696,6 @@ float inv_scale_of(const QuantParams& p) {
 
 // ---- Streaming packer ---------------------------------------------------
 
-/// Elements per write-path chunk: 16 KiB of fp32 input, so a chunk read by
-/// the min/max scan is still in L1 when it is quantized.
-constexpr std::size_t kChunk = 4096;
 /// Codes per read-path piece (1 KiB of int32 scratch on the stack).
 constexpr std::size_t kPiece = 256;
 
@@ -584,7 +707,7 @@ class Packer {
   Packer(const Kernels& k, int b, std::span<std::uint8_t> out)
       : k_(k), b_(b), out_(out) {}
 
-  /// Room for `n` (<= kChunk) offset bytes; write them, then commit(n).
+  /// Room for `n` (<= kPackChunk) offset bytes; write them, then commit(n).
   std::uint8_t* reserve(std::size_t n) {
     if (fill_ + n > sizeof buf_) flush();
     return buf_ + fill_;
@@ -620,7 +743,7 @@ class Packer {
   std::span<std::uint8_t> out_;
   std::size_t written_ = 0;
   std::size_t fill_ = 0;
-  alignas(64) std::uint8_t buf_[kChunk + 8];
+  alignas(64) std::uint8_t buf_[kPackChunk + 8];
 };
 
 // ---- Quant-side thread pool ---------------------------------------------
@@ -638,6 +761,38 @@ QuantThreads& quant_threads_state() {
 }  // namespace
 
 const char* qkernel_isa() { return kernels().name; }
+
+Fingerprint::Fingerprint() {
+  std::copy_n(kFpKeys.begin() + kFpSeed, 8, acc_);
+}
+
+void Fingerprint::fold(std::span<const float> values) {
+  assert((values.empty() || n_ % kBlockFloats == 0) &&
+         "Fingerprint::fold after a short block");
+  const auto* p = reinterpret_cast<const std::uint8_t*>(values.data());
+  const std::size_t blocks = values.size() / kBlockFloats;
+  if (blocks > 0) kernels().fp_blocks(acc_, p, blocks);
+  // The short block: whole stripes, then a zero-padded last one.
+  p += blocks * kStripesPerBlock * kStripeBytes;
+  std::size_t rest = (values.size() % kBlockFloats) * sizeof(float);
+  for (std::size_t s = 0; rest > 0; ++s, p += kStripeBytes) {
+    std::uint8_t stripe[kStripeBytes] = {};
+    const std::size_t len = std::min(rest, kStripeBytes);
+    std::memcpy(stripe, p, len);
+    fp_stripe(acc_, stripe, kFpKeys.data() + s);
+    rest -= len;
+  }
+  n_ += values.size();
+}
+
+std::uint64_t Fingerprint::value(std::size_t rows, std::size_t cols) const {
+  using sq::common::hash_mix;
+  std::uint64_t h = hash_mix(0x5171c4c5ULL, rows);
+  h = hash_mix(h, cols);
+  h = hash_mix(h, n_ * sizeof(float));
+  for (const std::uint64_t lane : acc_) h = hash_mix(h, lane);
+  return h;
+}
 
 bool set_qkernel_isa(const char* name) {
   const Kernels* next = nullptr;
@@ -710,21 +865,30 @@ std::size_t packed_size(std::size_t n, Bitwidth b) {
 void quantize_pack(std::span<const float> values, std::size_t group_size,
                    Bitwidth b, Scheme scheme, Rounding rounding,
                    sq::tensor::Rng* rng, std::span<QuantParams> params_out,
-                   std::span<std::uint8_t> packed_out) {
+                   std::span<std::uint8_t> packed_out, Fingerprint* fold) {
   assert(group_size > 0 && "quantize_pack: zero group size");
   const std::size_t n = values.size();
   const std::size_t n_groups = (n + group_size - 1) / group_size;
   assert(params_out.size() == n_groups && packed_out.size() == packed_size(n, b));
   assert((rounding != Rounding::kStochastic || rng != nullptr) &&
          "stochastic rounding needs an RNG");
+  assert((fold == nullptr || fold->folded() == n ||
+          fold->folded() % kPackChunk == 0) &&
+         "quantize_pack: fingerprint off the chunk grid");
   const Kernels& k = kernels();
   const auto [lo, hi] = code_range(b, scheme);
   Packer packer(k, bits(b), packed_out);
   // Chunks of whole groups sized to stay in L1 between the min/max scan
   // and the quantize step (one group per chunk when a group is larger).
-  const std::size_t groups_per_chunk = std::max<std::size_t>(1, kChunk / group_size);
+  const std::size_t groups_per_chunk = std::max<std::size_t>(1, kPackChunk / group_size);
   for (std::size_t g0 = 0; g0 < n_groups; g0 += groups_per_chunk) {
     const std::size_t g1 = std::min(n_groups, g0 + groups_per_chunk);
+    // The fingerprint folds on its own kPackChunk grid, which a group size
+    // that does not divide kPackChunk leaves a chunk ahead of this one.
+    while (fold != nullptr && fold->folded() < std::min(n, g1 * group_size)) {
+      const std::size_t at = fold->folded();
+      fold->fold(values.subspan(at, std::min(kPackChunk, n - at)));
+    }
     for (std::size_t g = g0; g < g1; ++g) {
       const std::size_t begin = g * group_size;
       const std::size_t len = std::min(group_size, n - begin);
@@ -737,15 +901,15 @@ void quantize_pack(std::span<const float> values, std::size_t group_size,
       const QuantParams& p = params_out[g];
       const float inv_scale = inv_scale_of(p);
       const std::size_t end = std::min(n, (g + 1) * group_size);
-      for (std::size_t i = g * group_size; i < end; i += kChunk) {
-        const std::size_t len = std::min(kChunk, end - i);
+      for (std::size_t i = g * group_size; i < end; i += kPackChunk) {
+        const std::size_t len = std::min(kPackChunk, end - i);
         std::uint8_t* dst = packer.reserve(len);
         if (rounding == Rounding::kDeterministic) {
           k.quantize_u8(values.data() + i, len, p.zero, inv_scale, lo, hi, dst);
         } else {
           // Stochastic rounding stays scalar (one variate per element, in
           // order); only its codes pass through a chunk-sized int32 buffer.
-          std::int32_t codes[kChunk];
+          std::int32_t codes[kPackChunk];
           quantize(values.subspan(i, len), p, b, scheme, rounding, rng,
                    std::span<std::int32_t>(codes, len));
           for (std::size_t j = 0; j < len; ++j) {

@@ -1,4 +1,5 @@
-// ISA-dispatched quantize/dequantize inner loops.
+// ISA-dispatched quantize/dequantize inner loops and the weight
+// fingerprint that keys the QuantCache.
 //
 // The scalar loops in quantizer.cpp stay as the byte-equality oracle;
 // everything here is a faster route to the *same bits*, following the
@@ -22,6 +23,10 @@
 //      storage" below) are integer shifts and masks on the already-clamped
 //      code, so a code survives pack -> unpack unchanged on every path and
 //      the dequantized float is the same scale * float(code) + zero.
+//   5. The weight fingerprint (Fingerprint below) is integer arithmetic
+//      modulo 2^64, lane by lane in stripe order, so vector width cannot
+//      change it: every path returns the same 64-bit value, and folding a
+//      tensor in whole blocks gives the value of folding it in one piece.
 //
 // Dispatch mirrors gemm.cpp: the loops are compiled for SSE2 (the x86-64
 // baseline), AVX2 and AVX-512 and selected once at startup via
@@ -29,6 +34,7 @@
 // levels produce identical bytes on one machine.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -78,6 +84,53 @@ void dequantize_codes(std::span<const std::int32_t> codes,
 void quantize_dequant(std::span<const float> values, const QuantParams& params,
                       std::int32_t lo, std::int32_t hi, std::span<float> out);
 
+// ---- Weight fingerprint --------------------------------------------------
+//
+// The 64-bit content fingerprint that keys the QuantCache, in the style of
+// xxh3's long-input loop.  The bytes of the floats are read in 64-byte
+// stripes of eight little-endian words w[0..8); stripe s of a 1 KiB block
+// updates eight lanes with fixed keys K:
+//
+//   acc[i ^ 1] += w[i];   acc[i] += lo32(w[i] ^ K[s + i]) * hi32(w[i] ^ K[s + i])
+//
+// Each whole block ends in a scramble, acc[i] = (acc[i] ^ acc[i] >> 47 ^
+// K'[i]) * P with a 32-bit prime P, so stripe order matters across blocks
+// as the per-stripe keys make it matter within one.  A final short stripe
+// is zero-padded; the byte length and the shape, both mixed in at the end
+// with hash_mix, tell padding from data.  The multiplies are 32x32->64, so
+// the lanes map onto AVX2/AVX-512 vector lanes with no 64-bit multiply in
+// the stripe loop.  Collisions would silently alias two layers; at the
+// repository's scale (hundreds of distinct matrices per run) the 64-bit
+// birthday bound makes that a non-concern.
+
+/// Floats per quantize_pack chunk (16 KiB): the write path's L1-sized unit,
+/// and the step in which quantize_pack folds a fingerprint.
+inline constexpr std::size_t kPackChunk = 4096;
+
+/// An incremental weight fingerprint (see above).
+class Fingerprint {
+ public:
+  /// Floats per block (1 KiB).  Every fold but the last must be a whole
+  /// number of blocks.
+  static constexpr std::size_t kBlockFloats = 256;
+
+  Fingerprint();
+
+  /// Fold the next `values` in.
+  void fold(std::span<const float> values);
+
+  /// Floats folded so far.
+  std::size_t folded() const { return n_; }
+
+  /// The fingerprint of the floats folded so far, read as a rows x cols
+  /// matrix: hash_mix over the shape, the byte length and the lanes.
+  std::uint64_t value(std::size_t rows, std::size_t cols) const;
+
+ private:
+  std::uint64_t acc_[8];
+  std::size_t n_ = 0;
+};
+
 // ---- Bit-packed code storage (QTensor) ----------------------------------
 //
 // Format: element i is stored as the unsigned offset u = code - lo (lo from
@@ -101,10 +154,17 @@ std::size_t packed_size(std::size_t n, Bitwidth b);
 /// element order, exactly like quantize().  Codes and params are
 /// bit-identical to compute_params + quantize_reference (deterministic) or
 /// compute_params + quantize (stochastic) applied group by group.
+///
+/// When `fold` is non-null, the pass also completes that fingerprint of
+/// `values`: each kPackChunk of values past fold->folded() (which must be
+/// a multiple of kPackChunk, or values.size()) is folded in just before
+/// its min/max scan, while it is still in cache, so a tensor that is both
+/// fingerprinted and quantized is read from memory once.
 void quantize_pack(std::span<const float> values, std::size_t group_size,
                    Bitwidth b, Scheme scheme, Rounding rounding,
                    sq::tensor::Rng* rng, std::span<QuantParams> params_out,
-                   std::span<std::uint8_t> packed_out);
+                   std::span<std::uint8_t> packed_out,
+                   Fingerprint* fold = nullptr);
 
 /// The one decoder: codes[j] = the int32 code of element begin + j of
 /// a packed_size-byte stream written by quantize_pack (offset + lo).

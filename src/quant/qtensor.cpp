@@ -12,7 +12,7 @@ namespace sq::quant {
 
 QTensor::QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
                  Rounding rounding, std::size_t group_size, sq::tensor::Rng* rng,
-                 bool compute_mse)
+                 bool compute_mse, Fingerprint* fold)
     : bitwidth_(b),
       scheme_(scheme),
       rows_(weights.rows()),
@@ -20,6 +20,7 @@ QTensor::QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
       group_size_(group_size == 0 ? weights.cols() : group_size) {
   const auto flat = weights.data();
   if (b == Bitwidth::kFp16) {
+    if (fold != nullptr) fold->fold(flat.subspan(fold->folded()));
     fp16_passthrough_.resize(flat.size());
     for (std::size_t i = 0; i < flat.size(); ++i) {
       fp16_passthrough_[i] = to_fp16(flat[i]);
@@ -41,7 +42,8 @@ QTensor::QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
   // One fused pass: per-group min/max -> params -> quantize -> bit-pack.
   // Codes and params are byte-identical to the per-group compute_params /
   // quantize loop (asserted in tests/qkernels_test.cpp).
-  quantize_pack(flat, group_size_, b, scheme_, rounding, rng, params_, packed_);
+  quantize_pack(flat, group_size_, b, scheme_, rounding, rng, params_, packed_,
+                fold);
   if (compute_mse) {
     // Codes come back through the one decoder in cache-sized pieces; the
     // double accumulation runs in element order, as it always has.

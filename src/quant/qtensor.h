@@ -23,6 +23,8 @@
 
 namespace sq::quant {
 
+class Fingerprint;  // quant/qkernels.h
+
 /// A quantized copy of a weight matrix with per-group scales.
 class QTensor {
  public:
@@ -31,10 +33,13 @@ class QTensor {
   /// from `rng` when requested.  `compute_mse` controls the construction
   /// MSE accumulation (a serial double chain); hot paths that never read
   /// mse_vs_original() pass false and skip it — codes/params are identical
-  /// either way.
+  /// either way.  A non-null `fold` is completed over `weights` in the
+  /// same pass (quantize_pack's `fold`), so a QuantCache miss reads the
+  /// weights once.
   QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
           Rounding rounding, std::size_t group_size = 128,
-          sq::tensor::Rng* rng = nullptr, bool compute_mse = true);
+          sq::tensor::Rng* rng = nullptr, bool compute_mse = true,
+          Fingerprint* fold = nullptr);
 
   /// Bitwidth the weights are stored at.
   Bitwidth bitwidth() const { return bitwidth_; }
@@ -65,6 +70,9 @@ class QTensor {
   /// The bit-packed codes (format above); what a weight-only kernel
   /// consumes.  Empty for FP16 passthrough.
   std::span<const std::uint8_t> packed_codes() const { return packed_; }
+
+  /// The affine params, one per group.  Empty for FP16 passthrough.
+  std::span<const QuantParams> params() const { return params_; }
 
   /// Mean squared error against the original weights (computed at
   /// construction when `compute_mse` was requested; the indicator

@@ -1,8 +1,8 @@
 #include "quant/quant_cache.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -33,82 +33,91 @@ std::size_t QuantKeyHash::operator()(const QuantKey& k) const {
 }
 
 std::uint64_t weight_fingerprint(const sq::tensor::Tensor& w) {
-  using sq::common::hash_mix;
-  const auto flat = w.data();
-  const auto* bytes = reinterpret_cast<const unsigned char*>(flat.data());
-  const std::size_t n_bytes = flat.size() * sizeof(float);
-  // Hashing runs on every cache lookup, so it must cost far less than the
-  // quantization it deduplicates.  Four independent multiply-xor lanes keep
-  // the 64-bit multiplies pipelined (one splitmix64 finalizer per word
-  // would be ~6x slower and showed up as the dominant cost of a cache-hit
-  // path); the lanes and the length are folded through hash_mix at the end
-  // for finalization-quality dispersion.
-  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;  // 2^64 / phi.
-  std::uint64_t lane[4] = {0x243F6A8885A308D3ull, 0x13198A2E03707344ull,
-                           0xA4093822299F31D0ull, 0x082EFA98EC4E6C89ull};
-  std::size_t i = 0;
-  for (; i + 32 <= n_bytes; i += 32) {
-    std::uint64_t word[4];
-    std::memcpy(word, bytes + i, 32);
-    for (int l = 0; l < 4; ++l) {
-      lane[l] = (lane[l] ^ word[l]) * kMul;
-      lane[l] ^= lane[l] >> 29;
-    }
-  }
-  for (; i + 8 <= n_bytes; i += 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, bytes + i, 8);
-    lane[0] = (lane[0] ^ word) * kMul;
-    lane[0] ^= lane[0] >> 29;
-  }
-  if (i < n_bytes) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, bytes + i, n_bytes - i);
-    lane[1] = (lane[1] ^ word) * kMul;
-    lane[1] ^= lane[1] >> 29;
-  }
-  std::uint64_t h = hash_mix(0x5171c4c5ULL, w.rows());
-  h = hash_mix(h, w.cols());
-  for (const std::uint64_t l : lane) h = hash_mix(h, l);
-  return h;
+  Fingerprint fp;
+  fp.fold(w.data());
+  return fp.value(w.rows(), w.cols());
 }
 
-QuantCache::QuantCache(std::size_t max_entries) : cache_(max_entries) {}
+QuantCache::QuantCache(std::size_t max_entries)
+    : cache_(max_entries), prefix_cap_(max_entries) {}
 
 QuantCache& QuantCache::global() {
   static QuantCache cache;
   return cache;
 }
 
+void QuantCache::clear() {
+  cache_.clear();
+  const std::lock_guard<std::mutex> lk(prefix_mu_);
+  prefixes_.clear();
+}
+
+std::size_t QuantCache::prefix_digests() const {
+  const std::lock_guard<std::mutex> lk(prefix_mu_);
+  return prefixes_.size();
+}
+
+bool QuantCache::may_hold(std::uint64_t prefix) const {
+  const std::lock_guard<std::mutex> lk(prefix_mu_);
+  return prefixes_.contains(prefix);
+}
+
+void QuantCache::note_held(std::uint64_t prefix) {
+  const std::lock_guard<std::mutex> lk(prefix_mu_);
+  if (prefixes_.size() >= prefix_cap_) prefixes_.clear();
+  prefixes_.insert(prefix);
+}
+
 std::shared_ptr<const QTensor> QuantCache::get_or_quantize(
     const sq::tensor::Tensor& w, Bitwidth bits, Scheme scheme, Rounding rounding,
     std::size_t group_size, std::uint64_t seed, bool* computed) {
   QuantKey key;
-  key.weight_fp = weight_fingerprint(w);
   key.bits = bits;
   key.scheme = scheme;
   key.rounding = rounding;
   key.group_size = group_size;
   key.seed = rounding == Rounding::kStochastic ? seed : 0;
 
-  bool did_compute = false;
-  auto result = cache_.get_or_compute(key, [&]() -> std::shared_ptr<const QTensor> {
-    did_compute = true;
+  double quantize_us = 0.0;
+  const auto quantize = [&](Fingerprint* fold) {
     const auto t0 = Clock::now();
     sq::tensor::Rng rng(key.seed);
     auto qt = std::make_shared<const QTensor>(
         w, bits, scheme, rounding, group_size,
         rounding == Rounding::kStochastic ? &rng : nullptr,
-        /*compute_mse=*/false);
-    if (sq::obs::enabled()) {
-      sq::obs::counter("quant.layers_quantized").add();
-      sq::obs::histogram("quant.quantize.time_us", sq::obs::BucketLayout::kTimeUs)
-          .observe(elapsed_us(t0));
-    }
+        /*compute_mse=*/false, fold);
+    quantize_us = elapsed_us(t0);
     return qt;
+  };
+
+  // Lookup order (quant_cache.h): the first chunk's fingerprint decides
+  // whether this call can hit at all.
+  const auto flat = w.data();
+  Fingerprint fp;
+  fp.fold(flat.first(std::min(flat.size(), kPackChunk)));
+  key.weight_fp = fp.value(w.rows(), w.cols());
+  const std::uint64_t prefix = QuantKeyHash{}(key);
+  std::shared_ptr<const QTensor> fresh;
+  if (may_hold(prefix)) {
+    fp.fold(flat.subspan(fp.folded()));
+  } else {
+    fresh = quantize(&fp);
+  }
+  key.weight_fp = fp.value(w.rows(), w.cols());
+
+  bool did_compute = false;
+  auto result = cache_.get_or_compute(key, [&]() -> std::shared_ptr<const QTensor> {
+    did_compute = true;
+    return fresh != nullptr ? std::move(fresh) : quantize(nullptr);
   });
+  if (did_compute) note_held(prefix);
   if (sq::obs::enabled()) {
     sq::obs::counter(did_compute ? "quant.cache.misses" : "quant.cache.hits").add();
+    if (did_compute) {
+      sq::obs::counter("quant.layers_quantized").add();
+      sq::obs::histogram("quant.quantize.time_us", sq::obs::BucketLayout::kTimeUs)
+          .observe(quantize_us);
+    }
   }
   if (computed != nullptr) *computed = did_compute;
   return result;

@@ -15,11 +15,25 @@
 // construction, safe to use from any thread, alive for as long as any
 // user holds them even if the cache evicts.  Eviction (per-shard cap in
 // MemoCache) only ever costs recomputation — identical bits come back.
+//
+// Lookup order.  The content fingerprint (qkernels.h "Weight fingerprint")
+// reads the whole layer, and so does quantizing it; a miss that did both in
+// turn would read each layer twice.  A lookup therefore folds only the
+// first kPackChunk floats, then asks a small set of the prefix digests of
+// held entries (the key's knobs and shape with that first-chunk
+// fingerprint).  No match means the call cannot hit: quantize_pack folds
+// the rest of the fingerprint chunk by chunk as it quantizes, the layer is
+// read once, and the finished tensor goes to the ordinary MemoCache probe.
+// A match finishes the fingerprint first and quantizes only on a miss, so
+// a hit never pays for quantization.  The set is cleared with the cache; a
+// digest left behind by shard eviction only costs the two-pass order.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "common/memo_cache.h"
@@ -45,10 +59,8 @@ struct QuantKeyHash {
   std::size_t operator()(const QuantKey& k) const;
 };
 
-/// 64-bit content fingerprint over the raw float bytes and the shape.
-/// Collisions would silently alias two layers; at the repository's scale
-/// (dozens of distinct matrices per run) the 64-bit birthday bound makes
-/// that a non-concern.
+/// 64-bit content fingerprint over the raw float bytes and the shape: the
+/// Fingerprint of qkernels.h folded over `w` in one piece.
 std::uint64_t weight_fingerprint(const sq::tensor::Tensor& w);
 
 /// One whole-model quantization request: quantize `*weights` (must stay
@@ -83,7 +95,8 @@ class QuantCache {
   /// bit-identical to a direct QTensor construction.  For stochastic
   /// rounding the rng stream is recreated from `seed`, so a cached result
   /// equals a fresh QTensor fed by Rng(seed).  Sets `*computed` (when
-  /// non-null) to whether this call did the work.
+  /// non-null) to whether this call's tensor went into the cache.  See
+  /// "Lookup order" above for when the weights are read once.
   std::shared_ptr<const QTensor> get_or_quantize(const sq::tensor::Tensor& w,
                                                  Bitwidth bits, Scheme scheme,
                                                  Rounding rounding,
@@ -100,11 +113,23 @@ class QuantCache {
   std::uint64_t hits() const { return cache_.hits(); }
   std::uint64_t misses() const { return cache_.misses(); }
   std::size_t size() const { return cache_.size(); }
-  void clear() { cache_.clear(); }
+  /// Prefix digests held (see "Lookup order").
+  std::size_t prefix_digests() const;
+  /// Drop every entry and its prefix digest, and zero the counters.
+  void clear();
 
  private:
+  bool may_hold(std::uint64_t prefix) const;
+  void note_held(std::uint64_t prefix);
+
   sq::common::MemoCache<QuantKey, std::shared_ptr<const QTensor>, QuantKeyHash>
       cache_;
+  /// Prefix digests of held entries (see "Lookup order"); capped like the
+  /// cache and dropped wholesale when full.  A lost digest makes a later
+  /// hit quantize once for nothing before its probe, never a wrong result.
+  mutable std::mutex prefix_mu_;
+  std::unordered_set<std::uint64_t> prefixes_;
+  std::size_t prefix_cap_;
 };
 
 }  // namespace sq::quant

@@ -46,10 +46,21 @@ const char* to_string(FaultKind k) {
 }
 
 std::string FaultEvent::to_spec() const {
-  std::string s = std::string(to_string(kind)) + ":" + std::to_string(device) +
-                  "@" + num(start_us * 1e-6);
-  if (!permanent()) s += "+" + num(duration_us * 1e-6);
-  if (kind != FaultKind::kDeviceFail) s += "x" + num(factor);
+  // Appended piece by piece: gcc 12 at -O3 raises -Wrestrict false
+  // positives on "lit" + std::string chains.
+  std::string s(to_string(kind));
+  s += ':';
+  s += std::to_string(device);
+  s += '@';
+  s += num(start_us * 1e-6);
+  if (!permanent()) {
+    s += '+';
+    s += num(duration_us * 1e-6);
+  }
+  if (kind != FaultKind::kDeviceFail) {
+    s += 'x';
+    s += num(factor);
+  }
   return s;
 }
 

@@ -93,10 +93,10 @@ class FleetFixture : public ::testing::Test {
 
   std::vector<FleetJob> jobs4() const {
     return {
-        {"job-a", {{16, 512, 32, 2048}}},
-        {"job-b", {{16, 256, 16, 2048}}},
-        {"job-c", {{8, 512, 32, 2048}}},
-        {"job-d", {{8, 256, 16, 2048}}},
+        {.name = "job-a", .batches = {{16, 512, 32, 2048}}, .arrivals = {}},
+        {.name = "job-b", .batches = {{16, 256, 16, 2048}}, .arrivals = {}},
+        {.name = "job-c", .batches = {{8, 512, 32, 2048}}, .arrivals = {}},
+        {.name = "job-d", .batches = {{8, 256, 16, 2048}}, .arrivals = {}},
     };
   }
 
@@ -220,7 +220,9 @@ TEST_F(FleetFixture, OversizedJobRejectedGracefully) {
   auto jobs = jobs4();
   // A single request whose KV alone dwarfs any group's memory: no group
   // can hold even one request, so the job must bounce, not crash.
-  jobs.push_back({"job-goliath", {{1, 4u << 20, 32, 2048}}});
+  jobs.push_back({.name = "job-goliath",
+                  .batches = {{1, 4u << 20, 32, 2048}},
+                  .arrivals = {}});
   const FleetStats s = engine().serve(jobs);
   ASSERT_TRUE(s.feasible) << s.failure;
   EXPECT_EQ(s.jobs_rejected, 1u);
@@ -324,8 +326,9 @@ TEST_F(FleetFixture, RepairedGroupCarriesShardProvenanceForward) {
   // serves on the repaired group state, whose adopted plan must still
   // carry the shard stamps.
   const FleetEngine one_group(model_, {groups_[0]});
-  const std::vector<FleetJob> jobs = {{"j0", {{16, 512, 32, 2048}}},
-                                      {"j1", {{16, 512, 32, 2048}}}};
+  const std::vector<FleetJob> jobs = {
+      {.name = "j0", .batches = {{16, 512, 32, 2048}}, .arrivals = {}},
+      {.name = "j1", .batches = {{16, 512, 32, 2048}}, .arrivals = {}}};
   const FleetStats s = one_group.serve(jobs, opts);
   ASSERT_TRUE(s.feasible) << s.failure;
   EXPECT_GE(s.repairs, 1u);

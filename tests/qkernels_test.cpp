@@ -1,6 +1,7 @@
 // Byte-equality tests for the ISA-dispatched quantize/dequantize kernels
 // against the scalar reference loops — the contract that lets every
-// caller use the fast paths without auditing float behavior.
+// caller use the fast paths without auditing float behavior — and for the
+// weight fingerprint: one value on every path and every fold split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +10,11 @@
 #include <vector>
 
 #include "quant/qkernels.h"
+#include "quant/quant_cache.h"
 #include "quant/qtensor.h"
 #include "quant/quantizer.h"
 #include "tensor/rng.h"
+#include "tensor/tensor.h"
 
 namespace sq::quant {
 namespace {
@@ -379,6 +382,96 @@ TEST(QuantKernels, QTensorPackedCodesMatchReferenceAllIsas) {
       }
     }
   }
+}
+
+
+// ---- Weight fingerprint ---------------------------------------------------
+
+/// Lengths around a stripe (16 floats), a block (256) and a chunk (4096),
+/// and one long odd length.
+constexpr std::size_t kFpLengths[] = {1,    15,   16,   17,   255,  256,
+                                      257,  4095, 4096, 4097, 1000003};
+
+std::uint64_t fingerprint_of(std::span<const float> v, std::size_t rows,
+                             std::size_t cols) {
+  Fingerprint fp;
+  fp.fold(v);
+  return fp.value(rows, cols);
+}
+
+TEST(QuantKernels, FingerprintIsTheSameOnEveryIsa) {
+  IsaGuard guard;
+  for (const std::size_t n : kFpLengths) {
+    const std::vector<float> v = random_values(n, 40 + n);
+    ASSERT_TRUE(set_qkernel_isa("base"));
+    const std::uint64_t want = fingerprint_of(v, 1, n);
+    for (const char* isa : available_isas()) {
+      ASSERT_TRUE(set_qkernel_isa(isa));
+      EXPECT_EQ(fingerprint_of(v, 1, n), want) << isa << " n=" << n;
+    }
+  }
+}
+
+TEST(QuantKernels, ChunkedFoldEqualsOneShotFingerprint) {
+  IsaGuard guard;
+  for (const std::size_t n : {1u, 15u, 16u, 17u, 4095u, 4096u, 4097u, 1000003u}) {
+    const std::vector<float> v = random_values(n, 50 + n);
+    const sq::tensor::Tensor w(1, n, v);
+    const std::uint64_t want = weight_fingerprint(w);
+    for (const char* isa : available_isas()) {
+      ASSERT_TRUE(set_qkernel_isa(isa));
+      // Folded in blocks and in chunks, as a lookup and quantize_pack do.
+      for (const std::size_t step : {Fingerprint::kBlockFloats, kPackChunk}) {
+        Fingerprint fp;
+        for (std::size_t at = 0; at < n; at += step) {
+          fp.fold(std::span<const float>(v).subspan(at, std::min(step, n - at)));
+        }
+        EXPECT_EQ(fp.folded(), n);
+        EXPECT_EQ(fp.value(1, n), want) << isa << " n=" << n << " step=" << step;
+      }
+      // The first chunk folded up front, the rest inside quantize_pack,
+      // whose chunks of whole groups do not line up with the fold's grid
+      // when the group size does not divide kPackChunk.
+      for (const std::size_t group : {64u, 100u}) {
+        Fingerprint fp;
+        fp.fold(std::span<const float>(v).first(std::min(n, kPackChunk)));
+        std::vector<QuantParams> params((n + group - 1) / group);
+        std::vector<std::uint8_t> packed(packed_size(n, Bitwidth::kInt4));
+        quantize_pack(v, group, Bitwidth::kInt4, Scheme::kSymmetric,
+                      Rounding::kDeterministic, nullptr, params, packed, &fp);
+        EXPECT_EQ(fp.folded(), n);
+        EXPECT_EQ(fp.value(1, n), want) << isa << " n=" << n << " group=" << group;
+      }
+    }
+  }
+}
+
+TEST(QuantKernels, FingerprintSeesEveryBitAndTheShape) {
+  const std::size_t rows = 96, cols = 128;  // 12288 floats: three chunks.
+  const std::vector<float> v = random_values(rows * cols, 60);
+  const std::uint64_t base = fingerprint_of(v, rows, cols);
+
+  const auto flipped = [&](std::size_t byte, int bit) {
+    std::vector<float> u = v;
+    auto* bytes = reinterpret_cast<unsigned char*>(u.data());
+    bytes[byte] ^= static_cast<unsigned char>(1u << bit);
+    return fingerprint_of(u, rows, cols);
+  };
+  EXPECT_NE(flipped(0, 0), base);                       // First chunk.
+  EXPECT_NE(flipped(1000, 5), base);                    // First chunk.
+  EXPECT_NE(flipped(v.size() * sizeof(float) - 1, 7), base);  // Last byte.
+  // The same bytes read as the transposed shape.
+  EXPECT_NE(fingerprint_of(v, cols, rows), base);
+  // Two stripes trading places, within one block and across blocks.
+  const auto swapped = [&](std::size_t a, std::size_t b) {
+    std::vector<float> u = v;
+    std::swap_ranges(u.begin() + static_cast<std::ptrdiff_t>(a * 16),
+                     u.begin() + static_cast<std::ptrdiff_t>(a * 16 + 16),
+                     u.begin() + static_cast<std::ptrdiff_t>(b * 16));
+    return fingerprint_of(u, rows, cols);
+  };
+  EXPECT_NE(swapped(0, 1), base);
+  EXPECT_NE(swapped(3, 16 + 3), base);
 }
 
 }  // namespace

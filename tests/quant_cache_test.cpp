@@ -2,14 +2,16 @@
 // WeightPrep hook built on it: hit/miss semantics, key separation per
 // quantization knob, bit-identity of cached results against direct QTensor
 // construction (deterministic and stochastic), whole-model fan-out stats,
-// concurrent access (TSan coverage), and changed-bits-only re-preparation
-// after plan repair.
+// concurrent access (TSan coverage), the two lookup orders (a miss that
+// quantizes while fingerprinting, and a fingerprint-first probe), and
+// changed-bits-only re-preparation after plan repair.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "quant/qkernels.h"
 #include "quant/quant_cache.h"
 #include "quant/qtensor.h"
 #include "runtime/weight_prep.h"
@@ -120,6 +122,94 @@ TEST(QuantCache, CachedBitsMatchDirectConstruction) {
   const QTensor direct_sto(w, Bitwidth::kInt4, Scheme::kSymmetric,
                            Rounding::kStochastic, 16, &rng);
   EXPECT_TRUE(same_bits(sto->dequantize(), direct_sto.dequantize()));
+}
+
+/// Codes and params of `got` equal a direct QTensor construction (fed by
+/// Rng(seed) for stochastic rounding).
+void expect_direct(const QTensor& got, const Tensor& w, Bitwidth b,
+                   Scheme scheme, Rounding rounding, std::size_t group,
+                   std::uint64_t seed) {
+  sq::tensor::Rng rng(seed);
+  const QTensor direct(w, b, scheme, rounding, group,
+                       rounding == Rounding::kStochastic ? &rng : nullptr);
+  const auto codes = got.packed_codes(), want_codes = direct.packed_codes();
+  ASSERT_EQ(codes.size(), want_codes.size());
+  EXPECT_EQ(std::memcmp(codes.data(), want_codes.data(), codes.size()), 0);
+  const auto params = got.params(), want_params = direct.params();
+  ASSERT_EQ(params.size(), want_params.size());
+  EXPECT_EQ(std::memcmp(params.data(), want_params.data(),
+                        params.size() * sizeof(QuantParams)),
+            0);
+}
+
+TEST(QuantCache, EveryLookupOrderMatchesDirectConstruction) {
+  // 40 x 300 = 12000 floats: three fold chunks, the last one short.
+  const Tensor w = random_weights(40, 300, 5);
+  // Shares w's first chunk, so its lookup finds w's prefix digest and takes
+  // the fingerprint-first order, then misses.
+  Tensor twin = w;
+  twin.data()[kPackChunk + 7] += 1.0f;
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
+      for (const auto rounding : {Rounding::kDeterministic, Rounding::kStochastic}) {
+        for (const std::size_t group : {64u, 100u}) {
+          SCOPED_TRACE(testing::Message()
+                       << bits(b) << " bits, scheme " << static_cast<int>(scheme)
+                       << ", rounding " << static_cast<int>(rounding)
+                       << ", group " << group);
+          QuantCache cache;
+          const std::uint64_t seed = 31;
+          bool computed = false;
+
+          // No digest held: the miss quantizes while it fingerprints.
+          ASSERT_EQ(cache.prefix_digests(), 0u);
+          const auto fused =
+              cache.get_or_quantize(w, b, scheme, rounding, group, seed, &computed);
+          EXPECT_TRUE(computed);
+          EXPECT_EQ(cache.misses(), 1u);
+          EXPECT_EQ(cache.prefix_digests(), 1u);
+          expect_direct(*fused, w, b, scheme, rounding, group, seed);
+
+          // Digest held: fingerprint first, then a hit.
+          const auto hit =
+              cache.get_or_quantize(w, b, scheme, rounding, group, seed, &computed);
+          EXPECT_FALSE(computed);
+          EXPECT_EQ(hit.get(), fused.get());
+          EXPECT_EQ(cache.hits(), 1u);
+
+          // Digest held, full key new: fingerprint first, then a miss.
+          const auto second = cache.get_or_quantize(twin, b, scheme, rounding,
+                                                    group, seed, &computed);
+          EXPECT_TRUE(computed);
+          EXPECT_NE(second.get(), fused.get());
+          EXPECT_EQ(cache.misses(), 2u);
+          EXPECT_EQ(cache.prefix_digests(), 1u);  // The twin shared it.
+          EXPECT_EQ(cache.size(), 2u);
+          expect_direct(*second, twin, b, scheme, rounding, group, seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantCache, ClearForgetsPrefixDigests) {
+  QuantCache cache;
+  const Tensor w = random_weights(8, 600, 6);
+  const auto first = cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
+                                           Rounding::kDeterministic, 64);
+  EXPECT_EQ(cache.prefix_digests(), 1u);
+  cache.clear();
+  EXPECT_EQ(cache.prefix_digests(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+
+  // Back to the fused order: a miss, bit-identical to the first result.
+  bool computed = false;
+  const auto again = cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
+                                           Rounding::kDeterministic, 64, 0, &computed);
+  EXPECT_TRUE(computed);
+  EXPECT_EQ(cache.prefix_digests(), 1u);
+  EXPECT_TRUE(same_bits(again->dequantize(), first->dequantize()));
 }
 
 TEST(QuantCache, QuantizeModelFansOutAndReuses) {

@@ -19,9 +19,15 @@ struct SweepCase {
 };
 
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
-  return "c" + std::to_string(info.param.cluster) + "_" +
-         std::to_string(static_cast<int>(info.param.model)) + "_b" +
-         std::to_string(hw::bits(info.param.bits));
+  // Appended piece by piece: gcc 12 at -O3 raises -Wrestrict false
+  // positives on "lit" + std::string chains.
+  std::string name = "c";
+  name += std::to_string(info.param.cluster);
+  name += '_';
+  name += std::to_string(static_cast<int>(info.param.model));
+  name += "_b";
+  name += std::to_string(hw::bits(info.param.bits));
+  return name;
 }
 
 class PipelineSweep : public ::testing::TestWithParam<SweepCase> {};
