@@ -14,6 +14,7 @@
 //                               plans fingerprint is gated (must never
 //                               change), wall-clock columns are not
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -23,6 +24,7 @@
 
 #include "bench_util.h"
 #include "hw/cluster.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -91,9 +93,11 @@ double sweep_once(int threads, std::vector<std::string>* plans) {
 /// The heuristic replanner (Deployment::replanner) over perfbench's
 /// elastic-churn membership sequence: OPT-30B on paper cluster 5, then
 /// +1xV100 (join), then without device 0 (leave), then without the device
-/// that was 1 (failure).  Returns wall-clock seconds of the four plans and
-/// appends each plan's serialized form to `plans`.
-double replan_sequence(int threads, std::vector<std::string>* plans) {
+/// that was 1 (failure).  Returns wall-clock seconds of the four plans,
+/// appends each plan's serialized form to `plans` and sets `*contexts` to
+/// the planning contexts they built (the `planner.contexts` counter).
+double replan_sequence(int threads, std::vector<std::string>* plans,
+                       std::uint64_t* contexts) {
   const auto model = sq::model::spec(sq::model::ModelId::kOpt30B);
   const auto reqs =
       sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 256, 1234);
@@ -115,13 +119,20 @@ double replan_sequence(int threads, std::vector<std::string>* plans) {
   cfg.use_heuristic = true;
   cfg.num_threads = threads;
   const sq::runtime::Replanner replan = deployment.replanner(cfg);
+  const bool metrics_were_on = sq::obs::enabled();
+  sq::obs::set_enabled(true);
+  const sq::obs::Counter& built = sq::obs::counter("planner.contexts");
+  const std::uint64_t built_before = built.value();
   const auto t0 = Clock::now();
   for (const sq::hw::Cluster& c : clusters) {
     const sq::runtime::ReplanOutcome out = replan(c, 0);
     plans->push_back(out.feasible ? sq::sim::plan_to_string(out.plan)
                                   : "infeasible");
   }
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+  const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  *contexts = built.value() - built_before;
+  sq::obs::set_enabled(metrics_were_on);
+  return seconds;
 }
 
 }  // namespace
@@ -162,17 +173,19 @@ int main() {
   }
 
   std::vector<std::string> replans;
-  const double rs = replan_sequence(settings.back(), &replans);
+  std::uint64_t contexts = 0;
+  const double rs = replan_sequence(settings.back(), &replans, &contexts);
   std::string all;
   for (const auto& p : replans) all += p;
   std::printf("replan: heuristic plan over 4 elastic-churn clusters, %d threads: "
-              "%.3f s\n",
-              settings.back(), rs);
+              "%.3f s, %llu contexts built\n",
+              settings.back(), rs, static_cast<unsigned long long>(contexts));
   auto& row = report.add_row();
   row["scenario"] = std::string("replan");
   row["threads"] = static_cast<std::int64_t>(settings.back());
   row["replans"] = static_cast<std::int64_t>(replans.size());
   row["replan_s"] = rs;  // wall-clock: recorded, never gated
+  row["contexts"] = static_cast<std::int64_t>(contexts);  // report-only
   row["plans_fingerprint"] = sq::bench::fingerprint_text(all);
   std::printf("plans identical across all thread settings: %s\n",
               all_identical ? "yes" : "NO (BUG)");

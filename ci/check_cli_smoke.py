@@ -116,7 +116,8 @@ def main() -> int:
         else:
             errors += check_metrics_json(
                 mpath, "serve+metrics",
-                want_counters=["planner.candidates.evaluated"])
+                want_counters=["planner.candidates.evaluated",
+                               "planner.contexts"])
 
         # 3. Fault injection with plan repair through the recovery engine.
         if run(cli, [*BASE, "--serve", "--faults", "fail:0@1.0"], 0,
@@ -245,7 +246,28 @@ def main() -> int:
                   f"{proc.stdout.splitlines()[:1]!r}", file=sys.stderr)
             errors += 1
 
-        # 6g. A saved plan loads back: --load-plan skips planning, scores
+        # 6g. The dominance check's adoption path end to end: on OPT-30B /
+        # cluster 4 the heuristic search adopts the Uniform and then the Het
+        # plan.  The plan line is pinned to the one the CLI printed before
+        # the Het and adabits sweeps moved into the greedy pass.
+        want_plan = ("plan:     V100[0:8)@8xint4 | V100[8:20)@12xint4 | "
+                     "V100[20:32)@12xint4 | A100-40G[32:48)@16xint4 "
+                     "eta=1 xi=47")
+        proc = run(cli, ["--model", "OPT-30B", "--cluster", "4", "--heuristic"],
+                   0, "OPT-30B cluster 4 adoption")
+        if proc is None:
+            errors += 1
+        else:
+            m = re.search(r"^plan: .*$", proc.stdout, re.MULTILINE)
+            if m is None or m.group(0) != want_plan:
+                print("FAIL: OPT-30B cluster 4 adoption: plan line "
+                      f"{m.group(0) if m else None!r}, want {want_plan!r}",
+                      file=sys.stderr)
+                errors += 1
+            else:
+                print("ok: OPT-30B cluster 4 adoption printed the pinned plan")
+
+        # 6h. A saved plan loads back: --load-plan skips planning, scores
         # the plan with the quality model and prints the same plan line.
         ppath = tmp / "saved.plan"
         saved = run(cli, [*BASE, "--save-plan", str(ppath)], 0, "--save-plan")

@@ -6,6 +6,7 @@
 // price candidate plans identically.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -52,38 +53,51 @@ class PlanContext {
   /// Build tables.  `group_size` merges that many consecutive decoder
   /// layers into one decision group (paper Sec. VI-F); the last group may
   /// be smaller.  Requires the latency model to have profiles for every
-  /// (device type, bit, TP degree) in play.
-  PlanContext(const PlanInputs& in, Topology topo, std::uint64_t eta,
+  /// (device type, bit, TP degree) in play.  The context keeps pointers to
+  /// `in` and `topo`: both must outlive it.
+  PlanContext(const PlanInputs& in, const Topology& topo, std::uint64_t eta,
               std::uint64_t xi, int group_size);
+  PlanContext(const PlanInputs& in, Topology&& topo, std::uint64_t eta,
+              std::uint64_t xi, int group_size) = delete;
+
+  /// Point the context at `in`, which must equal its current inputs in
+  /// every field the tables are built from (model, cluster, latency model,
+  /// workload, bits, KV bits, indicator table).  Only `theta` and
+  /// `omega_budget` may differ: they are read by `evaluate` alone, so one
+  /// set of tables serves both objectives (e.g. the speed-only baselines).
+  void rebind(const PlanInputs& in);
 
   // ---- Dimensions ----
-  int num_groups() const { return static_cast<int>(groups_.size()); }
-  int num_stages() const { return static_cast<int>(topo_.groups.size()); }
+  int num_groups() const { return num_groups_; }
+  int num_stages() const { return static_cast<int>(topo_->groups.size()); }
   int num_bits() const { return static_cast<int>(in_->bits.size()); }
 
   /// Layer range [first, last) of group g.
-  std::pair<int, int> group_range(int g) const { return groups_[static_cast<std::size_t>(g)]; }
+  std::pair<int, int> group_range(int g) const {
+    return {g * group_size_, std::min(in_->model->n_layers, (g + 1) * group_size_)};
+  }
 
   // ---- Tables (seconds / bytes / PPL units) ----
   /// Prefill time of group g on stage j at bit index bi (whole micro-batch,
   /// all chunks), seconds.
-  double l_pre(int g, int j, int bi) const { return l_pre_[idx(g, j, bi)]; }
+  double l_pre(int g, int j, int bi) const { return cost_[idx(g, j, bi)].pre; }
   /// Per-token decode time of group g on stage j at bit index bi, seconds.
-  double l_dec(int g, int j, int bi) const { return l_dec_[idx(g, j, bi)]; }
+  double l_dec(int g, int j, int bi) const { return cost_[idx(g, j, bi)].dec; }
   /// Memory of group g on stage j at bit index bi (weights + KV), bytes,
   /// before TP division (budgets are pre-multiplied instead).
-  double mem(int g, int j, int bi) const { return mem_[idx(g, j, bi)]; }
+  double mem(int g, int j, int bi) const { return cost_[idx(g, j, bi)].mem; }
   /// Effective memory budget of stage j, bytes.
-  double mem_budget(int j) const { return m_eff_[static_cast<std::size_t>(j)]; }
+  double mem_budget(int j) const { return stage_[static_cast<std::size_t>(j)].m_eff; }
   /// Master-stage constant added to stage j's prefill/decode time, seconds.
-  double const_pre(int j) const { return c_pre_[static_cast<std::size_t>(j)]; }
-  double const_dec(int j) const { return c_dec_[static_cast<std::size_t>(j)]; }
+  double const_pre(int j) const { return stage_[static_cast<std::size_t>(j)].c_pre; }
+  double const_dec(int j) const { return stage_[static_cast<std::size_t>(j)].c_dec; }
   /// Communication lower bound on the straggler time after stage j, seconds.
-  double comm_pre(int j) const { return comm_pre_[static_cast<std::size_t>(j)]; }
-  double comm_dec(int j) const { return comm_dec_[static_cast<std::size_t>(j)]; }
+  double comm_pre(int j) const { return stage_[static_cast<std::size_t>(j)].comm_pre; }
+  double comm_dec(int j) const { return stage_[static_cast<std::size_t>(j)].comm_dec; }
   /// Quality penalty of group g at bit index bi (PPL units).
   double omega(int g, int bi) const {
-    return omega_[static_cast<std::size_t>(g)][static_cast<std::size_t>(bi)];
+    return omega_[static_cast<std::size_t>(g) * static_cast<std::size_t>(num_bits()) +
+                  static_cast<std::size_t>(bi)];
   }
 
   /// Objective coefficients of the straggler variables: (mu_pre - 1) and
@@ -93,7 +107,7 @@ class PlanContext {
 
   /// The inputs / topology / micro-batches this context was built for.
   const PlanInputs& inputs() const { return *in_; }
-  const Topology& topology() const { return topo_; }
+  const Topology& topology() const { return *topo_; }
   std::uint64_t eta() const { return eta_; }
   std::uint64_t xi() const { return xi_; }
 
@@ -117,13 +131,22 @@ class PlanContext {
            static_cast<std::size_t>(bi);
   }
 
+  /// One (group, stage, bit) cell of the tables.
+  struct Cost {
+    double pre, dec, mem;
+  };
+  /// Per-stage budget, master constants and communication bounds.
+  struct StageConst {
+    double m_eff = 0.0, c_pre = 0.0, c_dec = 0.0, comm_pre = 0.0, comm_dec = 0.0;
+  };
+
   const PlanInputs* in_;
-  Topology topo_;
+  const Topology* topo_;
   std::uint64_t eta_, xi_;
-  std::vector<std::pair<int, int>> groups_;
-  std::vector<double> l_pre_, l_dec_, mem_;
-  std::vector<double> m_eff_, c_pre_, c_dec_, comm_pre_, comm_dec_;
-  std::vector<std::vector<double>> omega_;
+  int group_size_ = 1, num_groups_ = 0;
+  std::vector<Cost> cost_;         ///< [g][j][bi], see idx().
+  std::vector<StageConst> stage_;  ///< [j]
+  std::vector<double> omega_;      ///< [g][bi]
   double t_pre_coeff_ = 0.0, t_dec_coeff_ = 0.0;
 };
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -63,6 +64,12 @@ PlanContext context_of(const Cell& c, const std::vector<PlanInputs>& inputs,
   return PlanContext(inputs[c.input], topologies[c.topo], c.eta, c.xi,
                      group_size);
 }
+
+/// A cell's greedy plan (nullopt where none fits): plan()'s stage-1 seed.
+struct GreedySeed {
+  Cell cell;
+  std::optional<HeuristicPlan> plan;
+};
 
 /// Per-task winner of a baseline sweep, reduced across tasks in
 /// enumeration order so ties resolve exactly as a sequential loop would.
@@ -195,6 +202,106 @@ void normalize_to_ppl(std::vector<std::vector<double>>& t,
 
 }  // namespace
 
+/// The (batch, topology, eta, xi) grid one search walks: one task per
+/// (batch candidate, topology), each over its batch's (eta, xi) pairs.
+struct SearchGrid {
+  const std::vector<PlanInputs>& inputs;  ///< Contexts are built from these.
+  const std::vector<Topology>& topologies;
+  int group_size;
+};
+
+/// One baseline rule over a search grid: the inputs whose objective it
+/// scores plans with — the grid's own, or copies differing only in theta
+/// and the quality budget (PlanContext::rebind), so one set of tables
+/// serves both — and each task's winner.
+struct SweepRun {
+  const BaselineSweep& rule;
+  const std::vector<PlanInputs>& objective;
+  std::vector<std::optional<SweepBest>> task_best;
+};
+
+namespace {
+
+/// Run one search over `grid`: one task per (batch candidate, topology) on
+/// `pool` (null = inline).  Each task builds its (eta, xi) contexts once,
+/// fills its greedy-seed slots when `seeds` is set (one per cell, in
+/// (batch, topology, eta, xi) enumeration order), then runs every rule of
+/// `runs` over the same contexts.  Inside a task the bit and pair loops
+/// keep the sequential enumeration order; the callers reduce tasks in that
+/// same order.  Returns the number of contexts built.
+std::size_t search(const SearchGrid& grid, std::vector<GreedySeed>* seeds,
+                   std::span<SweepRun> runs, sq::common::ThreadPool* pool) {
+  const std::size_t n_topo = grid.topologies.size();
+  const std::size_t n_tasks = grid.inputs.size() * n_topo;
+  // Each batch candidate's (eta, xi) pairs and its first seed slot.
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> pairs;
+  std::vector<std::size_t> first_slot;
+  std::size_t n_cells = 0;
+  for (const PlanInputs& in : grid.inputs) {
+    first_slot.push_back(n_cells);
+    pairs.push_back(microbatch_pairs(in.workload.batch_size));
+    n_cells += n_topo * pairs.back().size();
+  }
+  if (seeds) seeds->assign(n_cells, {});
+
+  // Per-bit rules walk the bit indices widest first; a mixed-precision
+  // rule makes one pass (-1).
+  const auto& bits = grid.inputs.front().bits;
+  std::vector<int> widest(bits.size());
+  std::iota(widest.begin(), widest.end(), 0);
+  std::sort(widest.begin(), widest.end(), [&](int a, int b) {
+    return sq::hw::bits(bits[static_cast<std::size_t>(a)]) >
+           sq::hw::bits(bits[static_cast<std::size_t>(b)]);
+  });
+  static constexpr int kMixedPass[] = {-1};
+  for (SweepRun& run : runs) {
+    run.task_best.assign(n_tasks, std::nullopt);
+    if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
+  }
+
+  sq::common::parallel_for(pool, n_tasks, [&](std::size_t task) {
+    const std::size_t ii = task / n_topo, ti = task % n_topo;
+    const auto& task_pairs = pairs[ii];
+    std::vector<PlanContext> ctxs;
+    ctxs.reserve(task_pairs.size());
+    for (const auto& [eta, xi] : task_pairs) {
+      ctxs.emplace_back(grid.inputs[ii], grid.topologies[ti], eta, xi,
+                        grid.group_size);
+    }
+    if (seeds) {
+      auto slot = seeds->begin() +
+                  static_cast<std::ptrdiff_t>(first_slot[ii] + ti * task_pairs.size());
+      for (const PlanContext& ctx : ctxs) {
+        *slot++ = {Cell{ii, ti, ctx.eta(), ctx.xi()}, greedy_plan(ctx)};
+      }
+    }
+    const double batch = static_cast<double>(grid.inputs[ii].workload.batch_size);
+    for (SweepRun& run : runs) {
+      for (PlanContext& ctx : ctxs) ctx.rebind(run.objective[ii]);
+      std::optional<SweepBest>& local = run.task_best[task];
+      const std::span<const int> order =
+          run.rule.per_bit ? std::span<const int>(widest) : std::span<const int>(kMixedPass);
+      // Stop at the first bit that fits any pair (per-bit rules).
+      for (const int bi : order) {
+        bool fits_somewhere = false;
+        for (const PlanContext& ctx : ctxs) {
+          auto hp = run.rule.cell(ctx, bi);
+          if (!hp) continue;
+          fits_somewhere = true;
+          const double obj = hp->eval.objective / batch;
+          if (!local || obj < local->obj) {
+            local = SweepBest{obj, Cell{ii, ti, ctx.eta(), ctx.xi()}, std::move(*hp)};
+          }
+        }
+        if (fits_somewhere) break;
+      }
+    }
+  });
+  return n_cells;
+}
+
+}  // namespace
+
 Planner::Planner(const sq::model::LlmSpec& model, const sq::hw::Cluster& cluster,
                  const sq::sim::BatchWorkload& workload,
                  const sq::cost::LatencyCostModel& latency,
@@ -300,59 +407,31 @@ void Planner::finalize(PlanResult& r, const PlanContext& ctx,
   r.est_accuracy = est.accuracy;
 }
 
-PlanResult Planner::sweep(const BaselineSweep& rule,
-                          const std::vector<PlanInputs>& inputs,
-                          const std::vector<Topology>& topologies, int group_size,
-                          sq::common::ThreadPool* pool) const {
-  const auto t0 = Clock::now();
-  // Bit indices widest first, or one mixed-precision pass (-1).
-  std::vector<int> order = {-1};
-  if (rule.per_bit) {
-    const auto& bits = inputs.front().bits;
-    order.resize(bits.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return sq::hw::bits(bits[static_cast<std::size_t>(a)]) >
-             sq::hw::bits(bits[static_cast<std::size_t>(b)]);
-    });
-  }
-
-  // One task per (batch candidate, topology); the bit / micro-batch loops
-  // inside each task keep the sequential enumeration order, and the
-  // cross-task reduction walks tasks in that same order.
-  const std::size_t n_tasks = inputs.size() * topologies.size();
-  if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
-  std::vector<std::optional<SweepBest>> task_best(n_tasks);
-  sq::common::parallel_for(pool, n_tasks, [&](std::size_t task) {
-    Cell cell{task / topologies.size(), task % topologies.size()};
-    const std::uint64_t batch = inputs[cell.input].workload.batch_size;
-    const auto pairs = microbatch_pairs(batch);
-    std::optional<SweepBest>& local = task_best[task];
-    for (const int bi : order) {
-      bool fits_somewhere = false;
-      for (const auto& [eta, xi] : pairs) {
-        cell.eta = eta;
-        cell.xi = xi;
-        auto hp = rule.cell(context_of(cell, inputs, topologies, group_size), bi);
-        if (!hp) continue;
-        fits_somewhere = true;
-        const double obj = hp->eval.objective / static_cast<double>(batch);
-        if (!local || obj < local->obj) local = SweepBest{obj, cell, std::move(*hp)};
-      }
-      if (fits_somewhere) break;
-    }
-  });
-  std::optional<SweepBest> best;
-  for (auto& tb : task_best) {
-    if (tb && (!best || tb->obj < best->obj)) best = std::move(tb);
+PlanResult Planner::sweep_result(const SweepRun& run, const SearchGrid& grid) const {
+  const SweepBest* best = nullptr;
+  for (const auto& tb : run.task_best) {
+    if (tb && (!best || tb->obj < best->obj)) best = &*tb;
   }
   PlanResult r;
   if (best) {
-    finalize(r, context_of(best->cell, inputs, topologies, group_size), best->hp,
-             rule.scheme);
+    finalize(r, context_of(best->cell, run.objective, grid.topologies, grid.group_size),
+             best->hp, run.rule.scheme);
   } else {
-    r.failure = rule.failure;
+    r.failure = run.rule.failure;
   }
+  return r;
+}
+
+PlanResult Planner::sweep(const BaselineSweep& rule,
+                          const std::vector<PlanInputs>& inputs,
+                          const std::vector<Topology>& topologies, int group_size,
+                          sq::common::ThreadPool* pool, std::size_t* contexts) const {
+  const auto t0 = Clock::now();
+  const SearchGrid grid{inputs, topologies, group_size};
+  SweepRun run{rule, inputs, {}};
+  const std::size_t built = search(grid, nullptr, {&run, 1}, pool);
+  PlanResult r = sweep_result(run, grid);
+  if (contexts) *contexts += built + (r.feasible ? 1 : 0);
   r.solve_seconds = r.plan.solve_seconds = seconds_since(t0);
   return r;
 }
@@ -380,7 +459,9 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   // then compacted in enumeration order: `order` is the same stable index
   // the sequential loop nest would have assigned, and every later sort and
   // reduction tie-breaks on it, so the winning plan is independent of the
-  // thread count.
+  // thread count.  The same pass runs the dominance check's Het and
+  // adabits sweeps over each task's contexts (Het through a speed-only
+  // view: theta 0, no budget), so every cell's tables are built once.
   struct Candidate {
     Cell cell;
     HeuristicPlan seed;
@@ -393,30 +474,33 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   auto ctx_of = [&](const Cell& c) {
     return context_of(c, inputs, topologies, cfg.group_size);
   };
+  // Contexts built by this plan (observability only).
+  std::uint64_t contexts = 0;
+  auto count_contexts = [&] {
+    if (ob) sq::obs::counter("planner.contexts").add(contexts);
+  };
 
-  std::vector<Cell> cells;
-  for (std::size_t ii = 0; ii < inputs.size(); ++ii) {
-    const auto pairs = microbatch_pairs(inputs[ii].workload.batch_size);
-    for (std::size_t ti = 0; ti < topologies.size(); ++ti) {
-      for (const auto& [eta, xi] : pairs) cells.push_back({ii, ti, eta, xi});
-    }
-  }
-  std::vector<std::optional<HeuristicPlan>> seeds(cells.size());
-  sq::common::parallel_for(pool.get(), cells.size(), [&](std::size_t i) {
-    seeds[i] = greedy_plan(ctx_of(cells[i]));
-  });
+  const bool dominance = cfg.validate_top_k > 1;
+  const auto speed = speed_only(inputs);
+  const SearchGrid grid{inputs, topologies, cfg.group_size};
+  std::array<SweepRun, 2> alt_runs = {SweepRun{kHetSweep, speed, {}},
+                                      SweepRun{kAdabitsSweep, inputs, {}}};
+  std::vector<GreedySeed> seeds;
+  contexts += search(grid, &seeds,
+                     std::span<SweepRun>(alt_runs).first(dominance ? 2 : 0),
+                     pool.get());
   std::vector<Candidate> cands;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!seeds[i]) continue;
-    const double obj = normalized(seeds[i]->eval, cells[i]);
-    cands.push_back({cells[i], std::move(*seeds[i]), obj, cands.size()});
+  for (GreedySeed& s : seeds) {
+    if (!s.plan) continue;
+    const double obj = normalized(s.plan->eval, s.cell);
+    cands.push_back({s.cell, std::move(*s.plan), obj, cands.size()});
   }
   result.topologies_tried = static_cast<int>(topologies.size());
   if (ob) {
     sq::obs::counter("planner.topologies").add(topologies.size());
-    sq::obs::counter("planner.candidates.generated").add(cells.size());
+    sq::obs::counter("planner.candidates.generated").add(seeds.size());
     sq::obs::counter("planner.candidates.pruned")
-        .add(cells.size() - cands.size());
+        .add(seeds.size() - cands.size());
     sq::obs::counter("planner.candidates.evaluated").add(cands.size());
     observe_phase_s("planner.time.greedy_s", seconds_since(phase_t0));
     phase_t0 = Clock::now();
@@ -424,6 +508,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   if (cands.empty()) {
     result.failure = "OOM: no (topology, micro-batch) candidate fits the model";
     result.solve_seconds = seconds_since(t0);
+    count_contexts();
     return result;
   }
   auto by_norm = [](const Candidate& a, const Candidate& b) {
@@ -450,6 +535,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
         }
       });
   result.pairs_tried += refine_k;
+  contexts += static_cast<std::uint64_t>(refine_k);
   std::sort(cands.begin(), cands.end(), by_norm);
   if (ob) {
     sq::obs::counter("planner.candidates.refined")
@@ -468,6 +554,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
     const int solve_k =
         std::min<int>(static_cast<int>(cands.size()), cfg.max_microbatch_pairs);
     std::vector<IlpOutcome> outs(static_cast<std::size_t>(solve_k));
+    contexts += static_cast<std::uint64_t>(solve_k);
     sq::common::parallel_for(
         pool.get(), static_cast<std::size_t>(solve_k), [&](std::size_t i) {
           const auto& c = cands[i];
@@ -515,6 +602,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
     const int check_k =
         std::min<int>(static_cast<int>(cands.size()), cfg.validate_top_k);
     scores.resize(static_cast<std::size_t>(check_k));
+    contexts += static_cast<std::uint64_t>(check_k);
     sq::common::parallel_for(
         pool.get(), static_cast<std::size_t>(check_k), [&](std::size_t i) {
           const auto& c = cands[i];
@@ -536,26 +624,29 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   }
 
   finalize(result, ctx_of(cands[best_i].cell), cands[best_i].seed, "splitquant");
+  ++contexts;
 
   // Dominance check: the Uniform and Het configurations are points of
   // SplitQuant's own search space; if cost-model error ranked them below
   // the chosen plan but the profiling run says otherwise, adopt them.
   // When the validation stage ran, it already scored the chosen plan (the
-  // same plan, batch and omega, so the same deterministic score).  The
-  // alternatives come from the baseline sweeps over this search's inputs,
-  // topologies and pool, are scored into slots, and the reduction walks
-  // them in uniform, het, adabits order.
-  if (cfg.validate_top_k > 1) {
+  // same plan, batch and omega, so the same deterministic score).  Het and
+  // adabits were swept in stage 1; Uniform sweeps the natural topologies
+  // with this search's speed-only inputs and pool.  The alternatives are
+  // scored into slots, and the reduction walks them in uniform, het,
+  // adabits order.
+  if (dominance) {
     double chosen = scores.empty()
                         ? validation_score(result.plan, result.planned_batch,
                                            cfg.theta, result.total_omega)
                         : scores[best_i];
-    const auto speed_inputs = speed_only(inputs);
+    std::size_t uniform_contexts = 0;
     const std::array<PlanResult, 3> alts = {
-        sweep(kUniformSweep, speed_inputs, natural_topologies(cluster_, kAllowTp),
-              cfg.group_size, pool.get()),
-        sweep(kHetSweep, speed_inputs, topologies, cfg.group_size, pool.get()),
-        sweep(kAdabitsSweep, inputs, topologies, cfg.group_size, pool.get())};
+        sweep(kUniformSweep, speed, natural_topologies(cluster_, kAllowTp),
+              cfg.group_size, pool.get(), &uniform_contexts),
+        sweep_result(alt_runs[0], grid), sweep_result(alt_runs[1], grid)};
+    contexts += uniform_contexts + (alts[1].feasible ? 1 : 0) +
+                (alts[2].feasible ? 1 : 0);
     std::array<double, 3> alt_scores;
     sq::common::parallel_for(pool.get(), alts.size(), [&](std::size_t i) {
       const PlanResult& alt = alts[i];
@@ -584,6 +675,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
     }
   }
   result.solve_seconds = result.plan.solve_seconds = seconds_since(t0);
+  count_contexts();
   if (ob) {
     observe_phase_s("planner.time.dominance_s", seconds_since(phase_t0));
     observe_phase_s("planner.time.total_s", seconds_since(t0));

@@ -25,6 +25,8 @@ class ThreadPool;
 namespace sq::core {
 
 struct BaselineSweep;  // one baseline scheme's per-cell rule (planner.cpp)
+struct SearchGrid;     // the (batch, topology, eta, xi) grid of one search
+struct SweepRun;       // one rule's per-task winners over a grid
 
 /// Which layer-sensitivity indicator drives bitwidth selection (Table V).
 enum class IndicatorKind {
@@ -106,7 +108,13 @@ class Planner {
                           std::span<const Bitwidth> bits);
 
   /// Full SplitQuant planning: topology + micro-batch enumeration, ILP (or
-  /// bitwidth-transfer heuristic) per candidate, best plan returned.
+  /// bitwidth-transfer heuristic) per candidate, best plan returned.  With
+  /// validation on (`validate_top_k > 1`), a dominance check then adopts the
+  /// Uniform, Het or adabits plan where the profiling run scores it better.
+  /// One fan-out over the (batch, topology) tasks builds each (eta, xi)
+  /// context once and uses it for the greedy seed and the Het and adabits
+  /// sweeps; the Uniform sweep reuses its own contexts across its bits.
+  /// Counter `planner.contexts` reports the contexts one plan built.
   PlanResult plan(const PlannerConfig& cfg) const;
 
   /// Uniform baseline: natural device order, even partition, one uniform
@@ -136,13 +144,16 @@ class Planner {
   /// and solve_seconds).
   void finalize(PlanResult& r, const PlanContext& ctx, const HeuristicPlan& hp,
                 const char* scheme) const;
-  /// The one search behind plan_uniform, plan_het and plan_adabits, and
-  /// behind plan()'s dominance check: one task per (batch, topology) on
-  /// `pool` (null = inline), reduced in task order with strict-< first
-  /// minima.
+  /// One rule's result: its per-task winners reduced in task order with
+  /// strict-< first minima, finalized over a context of `grid`'s topology.
+  PlanResult sweep_result(const SweepRun& run, const SearchGrid& grid) const;
+  /// plan_uniform, plan_het and plan_adabits, and the dominance check's
+  /// Uniform sweep: `rule` alone over the grid of `inputs` x `topologies`,
+  /// one task per (batch, topology) on `pool` (null = inline).  Adds the
+  /// contexts built to `*contexts` when set.
   PlanResult sweep(const BaselineSweep& rule, const std::vector<PlanInputs>& inputs,
                    const std::vector<Topology>& topologies, int group_size,
-                   sq::common::ThreadPool* pool) const;
+                   sq::common::ThreadPool* pool, std::size_t* contexts = nullptr) const;
   /// Profiling-run score of a plan on calibration shapes: measured
   /// per-request latency plus the theta-weighted quality penalty (lower is
   /// better); infinity on OOM.

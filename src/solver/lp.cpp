@@ -260,19 +260,31 @@ SQ_LP_TARGET_AVX2 int price_avx2(const double* cost, std::size_t n) {
   return first_equal(cost, c, n, best);
 }
 
+/// VMINPD on all eight lanes.  The merge-masked form names its pass-through
+/// operand, where `_mm512_min_pd` passes gcc's `_mm512_undefined_pd()`,
+/// which gcc 12 reports as used uninitialized.
+SQ_LP_TARGET_AVX512 inline __m512d min_pd512(__m512d a, __m512d b) {
+  return _mm512_mask_min_pd(a, 0xFF, a, b);
+}
+
 SQ_LP_TARGET_AVX512 int price_avx512(const double* cost, std::size_t n) {
   const __m512d init = _mm512_set1_pd(-kEps);
   __m512d acc0 = init, acc1 = init;
   std::size_t c = 0;
   for (; c + 16 <= n; c += 16) {
-    acc0 = _mm512_min_pd(_mm512_loadu_pd(cost + c), acc0);
-    acc1 = _mm512_min_pd(_mm512_loadu_pd(cost + c + 8), acc1);
+    acc0 = min_pd512(_mm512_loadu_pd(cost + c), acc0);
+    acc1 = min_pd512(_mm512_loadu_pd(cost + c + 8), acc1);
   }
   for (; c < n; c += 8) {
     // Masked-off lanes keep `init`, which never beats the running minimum.
-    acc0 = _mm512_min_pd(_mm512_mask_loadu_pd(init, tail_mask(c, n), cost + c), acc0);
+    acc0 = min_pd512(_mm512_mask_loadu_pd(init, tail_mask(c, n), cost + c), acc0);
   }
-  const double best = _mm512_reduce_min_pd(_mm512_min_pd(acc0, acc1));
+  // Lane store and a scalar minimum, as in price_avx2 (exact: no lane is
+  // NaN).
+  double lanes[8];
+  _mm512_storeu_pd(lanes, min_pd512(acc0, acc1));
+  double best = lanes[0];
+  for (int i = 1; i < 8; ++i) best = std::min(best, lanes[i]);
   if (!(best < -kEps)) return -1;
   const __m512d vb = _mm512_set1_pd(best);
   for (c = 0; c < n; c += 8) {

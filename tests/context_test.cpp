@@ -2,7 +2,12 @@
 // plan materialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "core/heuristics.h"
 #include "core_test_util.h"
+#include "hw/cluster.h"
 
 namespace sq::core {
 namespace {
@@ -140,6 +145,80 @@ TEST(PlanContext, TpBudgetsScaleWithGroupSize) {
   const PlanContext ctx(h.inputs, *tp4, 4, 8, 4);
   const PlanContext single = h.context(4, 8);
   EXPECT_GT(ctx.mem_budget(0), 3.0 * single.mem_budget(0));
+}
+
+// A context rebound to inputs that differ only in theta and the quality
+// budget scores exactly like one built from those inputs.
+TEST(PlanContext, RebindScoresLikeAContextBuiltFromTheNewInputs) {
+  Harness h(sq::model::ModelId::kOpt13B, 9, small_batch());
+  h.inputs.omega_budget = 0.0;  // every quantized assignment is over budget
+  PlanInputs speed = h.inputs;
+  speed.theta = 0.0;
+  speed.omega_budget = -1.0;
+  PlanContext ctx = h.context(4, 8);
+  const PlanContext fresh(speed, h.natural, 4, 8, 4);
+  const int G = ctx.num_groups();
+  const std::vector<int> stage = even_partition(ctx);
+  const std::vector<int> bit(static_cast<std::size_t>(G), 2);
+  EXPECT_FALSE(ctx.evaluate(stage, bit).feasible);
+
+  ctx.rebind(speed);
+  const AssignmentEval a = ctx.evaluate(stage, bit);
+  const AssignmentEval b = fresh.evaluate(stage, bit);
+  ASSERT_TRUE(a.feasible);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.latency_s, b.latency_s);
+  EXPECT_EQ(a.omega, b.omega);
+  EXPECT_EQ(a.objective, a.latency_s);  // theta 0
+}
+
+// Pipelines deeper than evaluate's on-stack sums (32 stages) take its heap
+// path; it prices them as the table sums say.
+TEST(PlanContext, EvaluateSumsTheTablesOnDeepPipelines) {
+  const Harness h(sq::model::ModelId::kOpt30B, 1, small_batch());
+  sq::hw::Cluster cluster = h.cluster;
+  sq::hw::Node v100;
+  v100.name = "extra";
+  v100.gpu_type = sq::hw::GpuType::kV100;
+  v100.gpu_count = 1;
+  v100.intra_gbps = 300.0;
+  while (cluster.device_count() < 40) cluster = sq::hw::grow_cluster(cluster, v100);
+  PlanInputs in = h.inputs;
+  in.cluster = &cluster;
+  Topology topo;
+  for (int d = 0; d < cluster.device_count(); ++d) topo.groups.push_back({{d}});
+  const PlanContext ctx(in, topo, 4, 8, 1);
+  const int G = ctx.num_groups(), J = ctx.num_stages();
+  ASSERT_EQ(J, 40);
+  ASSERT_EQ(G, h.model.n_layers);
+
+  std::vector<int> stage(static_cast<std::size_t>(G)), bit(stage.size(), 1);
+  for (int g = 0; g < G; ++g) stage[static_cast<std::size_t>(g)] = std::min(g, J - 1);
+  const AssignmentEval ev = ctx.evaluate(stage, bit);
+  ASSERT_TRUE(ev.feasible);
+
+  std::vector<double> pre(static_cast<std::size_t>(J)), dec(pre.size());
+  double omega = 0.0;
+  for (int g = 0; g < G; ++g) {
+    const int j = stage[static_cast<std::size_t>(g)];
+    pre[static_cast<std::size_t>(j)] += ctx.l_pre(g, j, 1);
+    dec[static_cast<std::size_t>(j)] += ctx.l_dec(g, j, 1);
+    omega += ctx.omega(g, 1);
+  }
+  double tpm = 0.0, tdm = 0.0, tps = 0.0, tds = 0.0;
+  for (int j = 0; j < J; ++j) {
+    const double tp = pre[static_cast<std::size_t>(j)] + ctx.const_pre(j);
+    const double td = dec[static_cast<std::size_t>(j)] + ctx.const_dec(j);
+    tpm = std::max({tpm, tp, ctx.comm_pre(j)});
+    tdm = std::max({tdm, td, ctx.comm_dec(j)});
+    tps += tp;
+    tds += td;
+  }
+  EXPECT_EQ(ev.omega, omega);
+  EXPECT_EQ(ev.t_pre_max, tpm);
+  EXPECT_EQ(ev.t_dec_max, tdm);
+  EXPECT_EQ(ev.latency_s,
+            ctx.t_pre_coeff() * tpm + tps + ctx.t_dec_coeff() * tdm + tds);
 }
 
 }  // namespace

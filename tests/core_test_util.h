@@ -24,13 +24,15 @@ struct Harness {
   sq::cost::LatencyCostModel latency;
   sq::quality::QualityModel quality;
   PlanInputs inputs;
+  Topology natural;  ///< The natural topology (no TP) contexts are built over.
 
   Harness(sq::model::ModelId id, int cluster_id, sq::sim::BatchWorkload w,
           double theta = 1.0)
       : model(sq::model::spec(id)),
         cluster(sq::hw::paper_cluster(cluster_id)),
         latency(model),
-        quality(model, sq::hw::kAllBitwidths) {
+        quality(model, sq::hw::kAllBitwidths),
+        natural(natural_topologies(cluster, false).front()) {
     Planner::profile_all(latency, cluster, sq::hw::kAllBitwidths);
     inputs.model = &model;
     inputs.cluster = &cluster;
@@ -52,8 +54,7 @@ struct Harness {
 
   /// A context over the natural topology at the given micro-batch sizes.
   PlanContext context(std::uint64_t eta, std::uint64_t xi, int group_size = 4) const {
-    const auto topos = natural_topologies(cluster, false);
-    return PlanContext(inputs, topos.front(), eta, xi, group_size);
+    return PlanContext(inputs, natural, eta, xi, group_size);
   }
 };
 

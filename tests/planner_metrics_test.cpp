@@ -67,19 +67,24 @@ TEST_P(PlannerMetricsFixture, PlanBitIdenticalWithMetricsOnVsOff) {
 
   const std::string off = fingerprint(planner.plan(metrics_cfg(1)));
 
+  auto counter = [](const char* name) {
+    for (const auto& c : sq::obs::Registry::global().snapshot().counters) {
+      if (c.name == name) return c.value;
+    }
+    return std::uint64_t{0};
+  };
   sq::obs::set_enabled(true);
   EXPECT_EQ(fingerprint(planner.plan(metrics_cfg(1))), off) << "sequential";
+  const std::uint64_t contexts_sequential = counter("planner.contexts");
   EXPECT_EQ(fingerprint(planner.plan(metrics_cfg(4))), off) << "parallel";
 
   // The instrumented searches recorded the expected counters...
   const auto snap = sq::obs::Registry::global().snapshot();
-  std::uint64_t evaluated = 0, plans = 0;
-  for (const auto& c : snap.counters) {
-    if (c.name == "planner.candidates.evaluated") evaluated = c.value;
-    if (c.name == "planner.plans") plans = c.value;
-  }
-  EXPECT_GT(evaluated, 0u);
-  EXPECT_EQ(plans, 2u);
+  EXPECT_GT(counter("planner.candidates.evaluated"), 0u);
+  EXPECT_EQ(counter("planner.plans"), 2u);
+  // ...the contexts each plan built, the same at every thread count...
+  EXPECT_GT(contexts_sequential, 0u);
+  EXPECT_EQ(counter("planner.contexts"), 2 * contexts_sequential);
   // ...and no ordered spans: the search fans out across threads, where
   // only order-independent aggregates are deterministic.
   EXPECT_TRUE(snap.spans.empty());

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "core/deployment.h"
 #include "core_test_util.h"
 #include "hw/cluster.h"
 #include "serving_digest.h"
@@ -305,6 +306,47 @@ TEST(Planner, OomCellBaselinesMatchPinnedGoldens) {
     EXPECT_EQ(results[k].failure, want_failure[k]) << "baseline " << k;
     EXPECT_EQ(sq::testutil::digest(fingerprint(results[k])), want[k])
         << "baseline " << k << "\n" << fingerprint(results[k]);
+  }
+}
+
+// The heuristic plan() where the dominance check adopts an alternative
+// (OPT-30B on cluster 4 adopts Uniform, then Het; OPT-30B on cluster 2
+// keeps Uniform; the other two adopt Het), on the CLI's default planning
+// workload, at 1 and 4 threads.  Digests were taken before the Het and
+// adabits sweeps moved into the greedy pass, so they pin that the adopted
+// plans did not move.
+TEST(PlannerDominance, AdoptedAlternativesMatchPinnedGoldens) {
+  struct Case {
+    sq::model::ModelId model;
+    int cluster;
+    double theta;
+    const char* want;
+  };
+  const Case cases[] = {
+      {sq::model::ModelId::kOpt30B, 4, 0.0, "3467d539aa374878"},
+      {sq::model::ModelId::kOpt30B, 4, 10.0, "3467d539aa374878"},
+      {sq::model::ModelId::kOpt30B, 2, 0.0, "ca661b087c54580c"},
+      {sq::model::ModelId::kOpt13B, 5, 10.0, "39f87077d5e843a0"},
+      {sq::model::ModelId::kBloom3B, 6, 10.0, "3424ddc3f71f3450"},
+  };
+  const auto reqs =
+      sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 256, 1234);
+  for (const Case& c : cases) {
+    const auto m = sq::model::spec(c.model);
+    const Deployment deployment(m, sq::hw::paper_cluster(c.cluster),
+                                sq::workload::make_profile(reqs, 128).planning_batch(m));
+    for (const int threads : {1, 4}) {
+      PlannerConfig cfg;
+      cfg.use_heuristic = true;
+      cfg.theta = c.theta;
+      cfg.num_threads = threads;
+      const PlanResult r = deployment.planner().plan(cfg);
+      ASSERT_TRUE(r.feasible) << r.failure;
+      const std::string text = fingerprint(r);
+      EXPECT_EQ(sq::testutil::digest(text), c.want)
+          << m.name << " cluster " << c.cluster << " theta " << c.theta
+          << " threads " << threads << "\n" << text;
+    }
   }
 }
 
