@@ -1,6 +1,7 @@
 // Microbench for the blocked GEMM kernel layer (src/tensor/gemm.h) on the
-// quantization/probe shapes: the probe's logit GEMM, the GPTQ Hessian
-// X^T X, and the fused dequantize-matmul.  Each case times the naive
+// quantization/probe shapes: the probe's logit GEMM, the Gram product
+// X X^T behind the Hessian indicator (the hessian_xtx row, through
+// matmul_bt), and the fused dequantize-matmul.  Each case times the naive
 // reference against the blocked kernels (single- and multi-threaded) and
 // *asserts the outputs are byte-identical* — a mismatch exits non-zero, so
 // the determinism contract is enforced on every bench run, not just under
@@ -113,7 +114,7 @@ CaseResult run_case(const char* name, std::size_t m, std::size_t k,
 int main() {
   const bool smoke = sq::bench::bench_smoke();
   // Probe-sized shapes (4096-class: the tiny transformer's logit GEMM and
-  // the GPTQ Hessian at large hidden dims); smoke shrinks every dim.
+  // the Hessian Gram product at large hidden dims); smoke shrinks every dim.
   const std::size_t S = smoke ? 8 : 1;  // divisor
   const int reps = smoke ? 5 : 3;
 

@@ -1,10 +1,9 @@
-// Microbench for the fast quantization pipeline: the hoisted+SIMD row
-// quantizer, the blocked GPTQ sweep, whole-model preparation through the
-// content-addressed QuantCache, and cache reuse across a plan repair.
-// Every timed pair *asserts byte-identical outputs* against the frozen
-// scalar references — a mismatch exits non-zero, so the bit-determinism
-// contract is enforced on every bench run.  The whole-model case
-// additionally hard-asserts the headline claim of the pipeline (>= 2x
+// Microbench for the fast quantization pipeline: whole-model preparation
+// through the content-addressed QuantCache, and cache reuse across a plan
+// repair.  The timed pair *asserts byte-identical outputs* against the
+// frozen scalar references — a mismatch exits non-zero, so the
+// bit-determinism contract is enforced on every bench run.  The whole-model
+// case additionally hard-asserts the headline claim of the pipeline (>= 2x
 // preparation speedup) and that the quantized layers hold exactly
 // ceil(n * bits / 8) code bytes (reported as code_bytes), and the repair
 // case hard-asserts cache reuse.
@@ -25,7 +24,6 @@
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
-#include "quant/gptq.h"
 #include "quant/qkernels.h"
 #include "quant/quant_cache.h"
 #include "quant/qtensor.h"
@@ -122,7 +120,7 @@ int main() {
   sq::bench::table_banner(
       96,
       "quant pipeline (%s, isa=%s, nt=%d): scalar reference vs "
-      "hoisted/SIMD/blocked/cached, bit-identical",
+      "hoisted/SIMD/cached, bit-identical",
       smoke ? "smoke" : "full", sq::quant::qkernel_isa(), nt);
   std::printf("%-14s %22s %12s %12s %8s %8s %6s\n", "case", "shape", "ref s",
               "fast s", "x1t", "xnt", "bits");
@@ -133,71 +131,6 @@ int main() {
   report.meta("isa", std::string(sq::quant::qkernel_isa()));
   report.meta("threads", static_cast<std::int64_t>(nt));
   bool ok = true;
-
-  // -- row_quant: the RTN row quantizer, scalar reference (per-call
-  //    min/max rescan + reference loops) vs the hoisted fused path.
-  {
-    const std::size_t rows = smoke ? 128 : 768;
-    const std::size_t cols = smoke ? 512 : 2048;
-    const Tensor w = random_tensor(rows, cols, 21);
-    const Tensor calib(0, 0);
-    sq::quant::GptqOptions opts;
-
-    sq::quant::GptqResult ref, fast;
-    const double t_ref = best_seconds(
-        reps, [&] { ref = sq::quant::gptq_quantize_reference(w, calib, opts); });
-    const double t_fast =
-        best_seconds(reps, [&] { fast = sq::quant::rtn_quantize(w, calib, opts); });
-    const bool same = bytes_equal(ref.dequantized, fast.dequantized);
-    ok = ok && same;
-
-    const double speedup = t_ref / t_fast;
-    std::printf("%-14s %10zux%-11zu %12.4f %12.4f %7.2fx %7s %6s\n",
-                "row_quant", rows, cols, t_ref, t_fast, speedup, "-",
-                same ? "same" : "DIFF");
-    auto& row = report.add_row();
-    row["workload"] = std::string("row_quant");
-    row["rows"] = static_cast<std::int64_t>(rows);
-    row["cols"] = static_cast<std::int64_t>(cols);
-    row["hoisted_1t_speedup_x"] = speedup;
-    row["dequant_fingerprint"] = tensors_fingerprint({ref.dequantized});
-  }
-
-  // -- gptq: the full OBQ sweep, column-wise scalar reference vs the
-  //    blocked sweep + blocked Cholesky (1 thread and nt threads).
-  {
-    const std::size_t in = smoke ? 160 : 512;
-    const std::size_t out = smoke ? 320 : 1024;
-    const std::size_t samples = smoke ? 64 : 256;
-    const Tensor w = random_tensor(in, out, 22);
-    const Tensor calib = random_tensor(samples, in, 23);
-    sq::quant::GptqOptions opts;
-
-    sq::quant::GptqResult ref, fast1, fastn;
-    const double t_ref = best_seconds(
-        reps, [&] { ref = sq::quant::gptq_quantize_reference(w, calib, opts); });
-    sq::tensor::set_kernel_threads(1);
-    const double t_1t =
-        best_seconds(reps, [&] { fast1 = sq::quant::gptq_quantize(w, calib, opts); });
-    sq::tensor::set_kernel_threads(sq::bench::bench_threads());
-    const double t_nt =
-        best_seconds(reps, [&] { fastn = sq::quant::gptq_quantize(w, calib, opts); });
-    sq::tensor::set_kernel_threads(1);
-    const bool same = bytes_equal(ref.dequantized, fast1.dequantized) &&
-                      bytes_equal(ref.dequantized, fastn.dequantized);
-    ok = ok && same;
-
-    std::printf("%-14s %10zux%-11zu %12.4f %12.4f %7.2fx %7.2fx %6s\n", "gptq",
-                in, out, t_ref, t_nt, t_ref / t_1t, t_ref / t_nt,
-                same ? "same" : "DIFF");
-    auto& row = report.add_row();
-    row["workload"] = std::string("gptq");
-    row["rows"] = static_cast<std::int64_t>(in);
-    row["cols"] = static_cast<std::int64_t>(out);
-    row["blocked_1t_speedup_x"] = t_ref / t_1t;
-    row["blocked_nt_speedup_x"] = t_ref / t_nt;
-    row["dequant_fingerprint"] = tensors_fingerprint({ref.dequantized});
-  }
 
   // -- model_prep: quantizing a whole model's layers.  Legacy: sequential
   //    scalar builds with the unconditional MSE chain.  Fast: QuantCache

@@ -40,8 +40,6 @@ struct Kernels {
                    std::int32_t lo, std::int32_t hi, std::int32_t*);
   void (*dequant)(const std::int32_t*, std::size_t, float scale, float zero,
                   float*);
-  void (*qdq)(const float*, std::size_t, float zero, float inv_scale,
-              float scale, std::int32_t lo, std::int32_t hi, float*);
   // Packed storage (qkernels.h "Bit-packed code storage"): quantize to the
   // one-byte offsets code - lo, pack `units` runs of 8 offset bytes into
   // 8*b bits each, and unpack `units` runs back to int32 codes.
@@ -83,14 +81,6 @@ void dequant_base(const std::int32_t* c, std::size_t n, float scale, float zero,
                   float* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = scale * static_cast<float>(c[i]) + zero;
-  }
-}
-
-void qdq_base(const float* v, std::size_t n, float zero, float inv_scale,
-              float scale, std::int32_t lo, std::int32_t hi, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t code = quantize_one(v[i], zero, inv_scale, lo, hi);
-    out[i] = scale * static_cast<float>(code) + zero;
   }
 }
 
@@ -301,22 +291,6 @@ void dequant_avx2(const std::int32_t* c, std::size_t n, float scale, float zero,
     _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_mul_ps(vs, f), vz));
   }
   dequant_base(c + i, n - i, scale, zero, out + i);
-}
-
-SQ_QK_TARGET_AVX2
-void qdq_avx2(const float* v, std::size_t n, float zero, float inv_scale,
-              float scale, std::int32_t lo, std::int32_t hi, float* out) {
-  const __m256 vz = _mm256_set1_ps(zero);
-  const __m256 vis = _mm256_set1_ps(inv_scale);
-  const __m256 vsc = _mm256_set1_ps(scale);
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vhi = _mm256_set1_epi32(hi);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 f = _mm256_cvtepi32_ps(quantize8_avx2(v + i, vz, vis, vlo, vhi));
-    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_mul_ps(vsc, f), vz));
-  }
-  qdq_base(v + i, n - i, zero, inv_scale, scale, lo, hi, out + i);
 }
 
 SQ_QK_TARGET_AVX2
@@ -541,23 +515,6 @@ void dequant_avx512(const std::int32_t* c, std::size_t n, float scale,
 }
 
 SQ_QK_TARGET_AVX512
-void qdq_avx512(const float* v, std::size_t n, float zero, float inv_scale,
-                float scale, std::int32_t lo, std::int32_t hi, float* out) {
-  const __m512 vz = _mm512_set1_ps(zero);
-  const __m512 vis = _mm512_set1_ps(inv_scale);
-  const __m512 vsc = _mm512_set1_ps(scale);
-  const __m512i vlo = _mm512_set1_epi32(lo);
-  const __m512i vhi = _mm512_set1_epi32(hi);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 f =
-        _mm512_cvtepi32_ps(quantize16_avx512(v + i, vz, vis, vlo, vhi));
-    _mm512_storeu_ps(out + i, _mm512_add_ps(_mm512_mul_ps(vsc, f), vz));
-  }
-  qdq_base(v + i, n - i, zero, inv_scale, scale, lo, hi, out + i);
-}
-
-SQ_QK_TARGET_AVX512
 void quantize_u8_avx512(const float* v, std::size_t n, float zero,
                         float inv_scale, std::int32_t lo, std::int32_t hi,
                         std::uint8_t* out) {
@@ -640,16 +597,13 @@ void fp_blocks_avx512(std::uint64_t* acc, const std::uint8_t* p,
 
 // ---- Dispatch -----------------------------------------------------------
 
-constexpr Kernels kBase{"base",       minmax_base,      quantize_base,
-                        dequant_base, qdq_base,         quantize_u8_base,
-                        pack_base,    unpack_base,      fp_blocks_base};
+constexpr Kernels kBase{"base",           minmax_base,   quantize_base,  dequant_base,
+                        quantize_u8_base, pack_base,     unpack_base,    fp_blocks_base};
 #if SQ_QK_MULTI_ISA
-constexpr Kernels kAvx2{"avx2",       minmax_avx2,      quantize_avx2,
-                        dequant_avx2, qdq_avx2,         quantize_u8_avx2,
-                        pack_avx2,    unpack_avx2,      fp_blocks_avx2};
-constexpr Kernels kAvx512{"avx512",       minmax_avx512,      quantize_avx512,
-                          dequant_avx512, qdq_avx512,         quantize_u8_avx512,
-                          pack_avx2,      unpack_avx512,      fp_blocks_avx512};
+constexpr Kernels kAvx2{"avx2",           minmax_avx2,   quantize_avx2,  dequant_avx2,
+                        quantize_u8_avx2, pack_avx2,     unpack_avx2,    fp_blocks_avx2};
+constexpr Kernels kAvx512{"avx512",           minmax_avx512, quantize_avx512, dequant_avx512,
+                          quantize_u8_avx512, pack_avx2,     unpack_avx512,   fp_blocks_avx512};
 #endif
 
 const Kernels* pick_kernels() {
@@ -821,20 +775,6 @@ void minmax(std::span<const float> values, float* mn, float* mx) {
   fix_zero_extrema(values.data(), values.size(), mn, mx);
 }
 
-void group_minmax(std::span<const float> values, std::size_t group_size,
-                  std::span<float> mins, std::span<float> maxs) {
-  assert(group_size > 0 && "group_minmax: zero group size");
-  const std::size_t n_groups = (values.size() + group_size - 1) / group_size;
-  assert(mins.size() >= n_groups && maxs.size() >= n_groups);
-  const Kernels& k = kernels();
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const std::size_t begin = g * group_size;
-    const std::size_t len = std::min(group_size, values.size() - begin);
-    k.minmax(values.data() + begin, len, &mins[g], &maxs[g]);
-    fix_zero_extrema(values.data() + begin, len, &mins[g], &maxs[g]);
-  }
-}
-
 void quantize_codes(std::span<const float> values, const QuantParams& params,
                     std::int32_t lo, std::int32_t hi,
                     std::span<std::int32_t> codes) {
@@ -848,13 +788,6 @@ void dequantize_codes(std::span<const std::int32_t> codes,
   assert(out.size() == codes.size());
   kernels().dequant(codes.data(), codes.size(), params.scale, params.zero,
                     out.data());
-}
-
-void quantize_dequant(std::span<const float> values, const QuantParams& params,
-                      std::int32_t lo, std::int32_t hi, std::span<float> out) {
-  assert(out.size() == values.size());
-  kernels().qdq(values.data(), values.size(), params.zero, inv_scale_of(params),
-                params.scale, lo, hi, out.data());
 }
 
 std::size_t packed_size(std::size_t n, Bitwidth b) {

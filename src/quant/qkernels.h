@@ -61,13 +61,6 @@ bool set_qkernel_isa(const char* name);
 /// maximum are returned, which pins the sign of a 0.0 extremum.
 void minmax(std::span<const float> values, float* mn, float* mx);
 
-/// Per-group min/max over `values` split into contiguous groups of
-/// `group_size` elements (the last group may be short) — the hoisted form
-/// of running compute_params' scan group by group.  `mins`/`maxs` must
-/// hold ceil(values.size() / group_size) entries.
-void group_minmax(std::span<const float> values, std::size_t group_size,
-                  std::span<float> mins, std::span<float> maxs);
-
 /// Deterministic quantization: codes[i] = clamp(nearbyint((v[i] - zero) *
 /// inv_scale), lo, hi).  Bit-identical to quantize_reference.
 void quantize_codes(std::span<const float> values, const QuantParams& params,
@@ -77,12 +70,6 @@ void quantize_codes(std::span<const float> values, const QuantParams& params,
 /// out[i] = scale * codes[i] + zero.  Bit-identical to dequantize_reference.
 void dequantize_codes(std::span<const std::int32_t> codes,
                       const QuantParams& params, std::span<float> out);
-
-/// Fused deterministic round-trip: quantize then dequantize without
-/// materializing the integer codes.  Bit-identical to quantize_reference
-/// followed by dequantize_reference.
-void quantize_dequant(std::span<const float> values, const QuantParams& params,
-                      std::int32_t lo, std::int32_t hi, std::span<float> out);
 
 // ---- Weight fingerprint --------------------------------------------------
 //

@@ -455,33 +455,4 @@ Tensor transpose_blocked(const Tensor& a) {
   return t;
 }
 
-void gram_xtx(const Tensor& x, double coef, std::span<double> out) {
-  const std::size_t d = x.cols();
-  const std::size_t samples = x.rows();
-  assert(out.size() == d * d && "gram_xtx: output must be d x d");
-  if (d == 0) return;
-
-  if (sq::obs::enabled()) sq::obs::counter("tensor.gram.calls").add();
-  // Transposing first makes both operands of every dot product contiguous.
-  const Tensor xt = transpose_blocked(x);
-  ThreadPool* pool = kernel_pool();
-  if (sq::common::on_pool_worker()) pool = nullptr;
-  sq::common::parallel_for(pool, d, [&](std::size_t i) {
-    const auto xi = xt.row(i);
-    for (std::size_t j = 0; j <= i; ++j) {
-      const auto xj = xt.row(j);
-      double acc = 0.0;
-      // Term-for-term the legacy GPTQ loop: (coef * xi) * xj, double
-      // accumulation, samples in ascending order.
-      for (std::size_t s = 0; s < samples; ++s) {
-        acc += coef * static_cast<double>(xi[s]) * static_cast<double>(xj[s]);
-      }
-      out[i * d + j] = acc;
-    }
-  });
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) out[i * d + j] = out[j * d + i];
-  }
-}
-
 }  // namespace sq::tensor

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
 
 #include "tensor/tensor.h"
 
@@ -87,12 +86,5 @@ using BBlockFill =
 /// determinism contract as matmul_blocked.
 Tensor matmul_fill_b(const Tensor& a, std::size_t n, const BBlockFill& fill,
                      const GemmBlocking& blk = {});
-
-/// GPTQ Hessian Gram kernel: out[i*d + j] = sum_s (coef * x[s][i]) * x[s][j]
-/// for the full symmetric [d x d] matrix (d = x.cols()), accumulated in
-/// double over samples s in ascending order — term-for-term the loop GPTQ
-/// ran before this kernel existed, so quantized weights are bit-identical.
-/// Threaded over rows i.  `out.size()` must be d*d.
-void gram_xtx(const Tensor& x, double coef, std::span<double> out);
 
 }  // namespace sq::tensor

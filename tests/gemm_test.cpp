@@ -9,10 +9,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "quant/gptq.h"
 #include "quant/qtensor.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -156,36 +154,6 @@ TEST(GemmBlocked, NanAndInfPropagateThroughZeroA) {
   }
 }
 
-TEST(GemmBlocked, GramMatchesLegacyGptqLoopBitForBit) {
-  GemmThreadGuard guard;
-  const std::size_t samples = 37, d = 29;
-  const Tensor x = random_tensor(samples, d, 41);
-
-  // The loop gptq_quantize ran before gram_xtx existed, verbatim.
-  std::vector<double> ref(d * d, 0.0);
-  for (std::size_t s = 0; s < samples; ++s) {
-    const auto row = x.row(s);
-    for (std::size_t i = 0; i < d; ++i) {
-      const double xi = row[i];
-      for (std::size_t j = 0; j <= i; ++j) {
-        ref[i * d + j] += 2.0 * xi * row[j];
-      }
-    }
-  }
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) ref[i * d + j] = ref[j * d + i];
-  }
-
-  for (int threads : {1, 2, 4, 8}) {
-    set_kernel_threads(threads);
-    std::vector<double> got(d * d, 0.0);
-    gram_xtx(x, 2.0, got);
-    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)),
-              0)
-        << threads << " threads";
-  }
-}
-
 TEST(GemmBlocked, FusedDequantMatmulMatchesMaterialized) {
   GemmThreadGuard guard;
   using sq::quant::Bitwidth;
@@ -207,21 +175,6 @@ TEST(GemmBlocked, FusedDequantMatmulMatchesMaterialized) {
     const Tensor x_small = random_tensor(8, 96, 53);
     EXPECT_TRUE(same_bytes(qw.matmul(x_small),
                            matmul_naive(x_small, qw.dequantize())));
-  }
-}
-
-TEST(GemmBlocked, GptqQuantizedWeightsThreadInvariant) {
-  GemmThreadGuard guard;
-  using sq::quant::GptqOptions;
-  const Tensor w = random_tensor(24, 32, 61);
-  const Tensor calib = random_tensor(48, 24, 62);
-  GptqOptions opts;
-  set_kernel_threads(1);
-  const auto ref = sq::quant::gptq_quantize(w, calib, opts);
-  for (int threads : {2, 8}) {
-    set_kernel_threads(threads);
-    const auto got = sq::quant::gptq_quantize(w, calib, opts);
-    EXPECT_TRUE(same_bytes(got.dequantized, ref.dequantized)) << threads;
   }
 }
 

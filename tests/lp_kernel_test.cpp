@@ -256,8 +256,9 @@ TEST(LpKernel, BranchAndBoundWalksTheReferenceTreeOnEveryIsa) {
       EXPECT_TRUE(same_bits(got.objective, want.objective)) << at;
       EXPECT_TRUE(same_bits(got.best_bound, want.best_bound)) << at;
       ASSERT_EQ(got.x.size(), want.x.size()) << at;
-      EXPECT_EQ(std::memcmp(got.x.data(), want.x.data(), got.x.size() * sizeof(double)), 0)
-          << at;
+      for (std::size_t i = 0; i < got.x.size(); ++i) {
+        EXPECT_TRUE(same_bits(got.x[i], want.x[i])) << at << " x[" << i << "]";
+      }
     }
   }
 }
