@@ -23,9 +23,9 @@
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
+#include "oracles/matmul_naive.h"
 #include "quant/qtensor.h"
 #include "tensor/gemm.h"
-#include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
@@ -129,7 +129,7 @@ int main() {
     const Tensor b = random_tensor(pk, pn, 12);
     results.push_back(run_case(
         "probe_logits", pm, pk, pn, reps,
-        [&] { return sq::tensor::matmul_naive(a, b); },
+        [&] { return sq::tensor::oracle::matmul_naive(a, b); },
         [&] { return sq::tensor::matmul_blocked(a, b); }));
   }
   {
@@ -137,7 +137,7 @@ int main() {
     const Tensor xt = random_tensor(hd, hs, 13);
     results.push_back(run_case(
         "hessian_xtx", hd, hs, hd, reps,
-        [&] { return sq::tensor::matmul_bt_naive(xt, xt); },
+        [&] { return sq::tensor::oracle::matmul_bt_naive(xt, xt); },
         [&] { return sq::tensor::matmul_bt_blocked(xt, xt); }));
   }
   {
@@ -145,12 +145,10 @@ int main() {
     // code path): the speedup includes skipping the full dequantized copy.
     const Tensor w = random_tensor(fk, fn, 14);
     const Tensor x = random_tensor(fm, fk, 15);
-    const sq::quant::QTensor qw(w, sq::quant::Bitwidth::kInt4,
-                                sq::quant::Scheme::kSymmetric,
-                                sq::quant::Rounding::kDeterministic, 128);
+    const sq::quant::QTensor qw(w, sq::quant::Bitwidth::kInt4, 128);
     results.push_back(run_case(
         "fused_dequant", fm, fk, fn, reps,
-        [&] { return sq::tensor::matmul_naive(x, qw.dequantize()); },
+        [&] { return sq::tensor::oracle::matmul_naive(x, qw.dequantize()); },
         [&] { return qw.matmul(x); }));
   }
 

@@ -24,10 +24,10 @@
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
+#include "oracles/quant_reference.h"
 #include "quant/qkernels.h"
 #include "quant/quant_cache.h"
 #include "quant/qtensor.h"
-#include "quant/quantizer.h"
 #include "runtime/weight_prep.h"
 #include "tensor/gemm.h"
 #include "tensor/rng.h"
@@ -38,7 +38,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using sq::quant::Bitwidth;
 using sq::quant::QuantParams;
-using sq::quant::Scheme;
 using sq::tensor::Tensor;
 
 Tensor random_tensor(std::size_t rows, std::size_t cols, std::uint64_t seed) {
@@ -80,8 +79,7 @@ std::string tensors_fingerprint(const std::vector<Tensor>& ts) {
 /// per-group min/max scan + reference quantize loop, the always-on
 /// construction-MSE chain, and the scalar dequantize — what a QTensor
 /// build + dequantize cost before the hoisted/SIMD/cached path existed.
-Tensor legacy_quantize_layer(const Tensor& w, Bitwidth b, Scheme scheme,
-                             std::size_t group_size) {
+Tensor legacy_quantize_layer(const Tensor& w, Bitwidth b, std::size_t group_size) {
   const auto flat = w.data();
   const std::size_t gs = group_size == 0 ? w.cols() : group_size;
   const std::size_t n_groups = (flat.size() + gs - 1) / gs;
@@ -92,17 +90,16 @@ Tensor legacy_quantize_layer(const Tensor& w, Bitwidth b, Scheme scheme,
     const std::size_t begin = g * gs;
     const std::size_t len = std::min(gs, flat.size() - begin);
     const auto chunk = flat.subspan(begin, len);
-    const auto [mn, mx] = std::minmax_element(chunk.begin(), chunk.end());
-    const QuantParams p = sq::quant::params_from_range(*mn, *mx, b, scheme);
+    const QuantParams p = sq::quant::oracle::params_reference(chunk, b);
     const auto gcodes = std::span<std::int32_t>(codes).subspan(begin, len);
-    sq::quant::quantize_reference(chunk, p, b, scheme, gcodes);
+    sq::quant::oracle::quantize_reference(chunk, p, b, gcodes);
     for (std::size_t i = 0; i < len; ++i) {
-      const double rec =
-          p.scale * static_cast<double>(gcodes[i]) + p.zero;
+      const double rec = p.scale * static_cast<double>(gcodes[i]);
       const double d = rec - flat[begin + i];
       acc += d * d;
     }
-    sq::quant::dequantize_reference(gcodes, p, out.data().subspan(begin, len));
+    sq::quant::oracle::dequantize_reference(gcodes, p,
+                                            out.data().subspan(begin, len));
   }
   // The MSE chain is part of the timed cost (it was unconditional); its
   // value is irrelevant here.
@@ -161,8 +158,7 @@ int main() {
     const double t_legacy = best_seconds(reps, [&] {
       legacy.clear();
       for (const Tensor& w : weights) {
-        legacy.push_back(legacy_quantize_layer(w, Bitwidth::kInt4,
-                                               Scheme::kSymmetric, group));
+        legacy.push_back(legacy_quantize_layer(w, Bitwidth::kInt4, group));
       }
     });
     sq::quant::QuantCache cache;

@@ -62,8 +62,7 @@ void tiny_transformer_comparison() {
   std::vector<double> variance_score;
   for (int l = 0; l < cfg.n_layers; ++l) {
     variance_score.push_back(sq::quant::layer_variance_indicator(
-        calib[static_cast<std::size_t>(l)], Bitwidth::kInt4,
-        sq::quant::Scheme::kSymmetric, sq::quant::Rounding::kDeterministic));
+        calib[static_cast<std::size_t>(l)], Bitwidth::kInt4));
   }
   const auto t_var = Clock::now();
 
@@ -75,7 +74,7 @@ void tiny_transformer_comparison() {
       acc += sq::quant::hessian_indicator(
           model.weights(l, static_cast<sq::nn::Op>(o)),
           model.calibration_activations(l, static_cast<sq::nn::Op>(o)),
-          Bitwidth::kInt4, sq::quant::Scheme::kSymmetric);
+          Bitwidth::kInt4);
     }
     hessian_score.push_back(acc);
   }

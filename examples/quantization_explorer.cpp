@@ -31,9 +31,7 @@ int main() {
               cfg.d_ffn);
   for (const Bitwidth b : {Bitwidth::kFp16, Bitwidth::kInt8, Bitwidth::kInt4,
                            Bitwidth::kInt3}) {
-    const quant::QTensor q(model.weights(0, nn::Op::kMlpUp), b,
-                           quant::Scheme::kSymmetric,
-                           quant::Rounding::kDeterministic, 64);
+    const quant::QTensor q(model.weights(0, nn::Op::kMlpUp), b, 64);
     std::printf("   %-5s %8llu bytes   round-trip MSE %.3e\n", hw::to_string(b),
                 static_cast<unsigned long long>(q.storage_bytes()),
                 q.mse_vs_original());
@@ -65,8 +63,7 @@ int main() {
   std::printf("   %-7s %16s %14s\n", "layer", "omega (indicator)", "measured KL");
   for (int l = 0; l < cfg.n_layers; ++l) {
     const double omega = quant::layer_variance_indicator(
-        calib[static_cast<std::size_t>(l)], Bitwidth::kInt4,
-        quant::Scheme::kSymmetric, quant::Rounding::kDeterministic);
+        calib[static_cast<std::size_t>(l)], Bitwidth::kInt4);
     const auto q = nn::evaluate_quality(
         model, nn::range_config(cfg.n_layers, l, l + 1, Bitwidth::kInt4), sequences);
     std::printf("   %-7d %16.4f %14.5f\n", l, omega, q.mean_kl);

@@ -172,8 +172,7 @@ std::vector<std::vector<double>> hessian_table(const sq::model::LlmSpec& m,
       for (const auto& op : calib[l]) {
         const double lambda =
             2.0 * static_cast<double>(m.h1) * (op.x_mean * op.x_mean + op.x_var);
-        const double s = sq::quant::scale_for_range(op.w_min, op.w_max, bits[bi],
-                                                    sq::quant::Scheme::kSymmetric);
+        const double s = sq::quant::scale_for_range(op.w_min, op.w_max, bits[bi]);
         const double qerr =
             static_cast<double>(op.weight_dim) * static_cast<double>(s) * s / 12.0;
         acc += lambda * qerr;

@@ -63,7 +63,7 @@ std::vector<LayerCalibration> synthetic_calibration(const LlmSpec& m,
 
 sq::quant::IndicatorTable variance_indicator_table(
     const LlmSpec& m, std::span<const sq::hw::Bitwidth> bitwidths,
-    sq::quant::Rounding rounding, std::uint64_t seed) {
+    std::uint64_t seed) {
   const auto calib = synthetic_calibration(m, seed);
   sq::quant::IndicatorTable table;
   table.bitwidths.assign(bitwidths.begin(), bitwidths.end());
@@ -71,8 +71,8 @@ sq::quant::IndicatorTable variance_indicator_table(
   for (std::size_t layer = 0; layer < calib.size(); ++layer) {
     table.values[layer].reserve(bitwidths.size());
     for (const auto b : bitwidths) {
-      table.values[layer].push_back(sq::quant::layer_variance_indicator(
-          calib[layer], b, sq::quant::Scheme::kSymmetric, rounding));
+      table.values[layer].push_back(
+          sq::quant::layer_variance_indicator(calib[layer], b));
     }
   }
   return table;

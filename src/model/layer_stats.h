@@ -34,7 +34,6 @@ std::vector<LayerCalibration> synthetic_calibration(const LlmSpec& m,
 /// `bitwidths`, computed from the synthetic calibration via Proposition 1.
 sq::quant::IndicatorTable variance_indicator_table(
     const LlmSpec& m, std::span<const sq::hw::Bitwidth> bitwidths,
-    sq::quant::Rounding rounding = sq::quant::Rounding::kDeterministic,
     std::uint64_t seed = 17);
 
 }  // namespace sq::model

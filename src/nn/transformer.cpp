@@ -139,15 +139,9 @@ Tensor TinyTransformer::apply_linear(const Tensor& x, const Tensor& w,
   }
   // Weight-only kernel path: quantize (served from the process-wide
   // QuantCache — the probe and the engines re-apply the same configs to
-  // the same weights constantly), then the fused dequantize-matmul.  For
-  // stochastic rounding the per-(layer, op) derived seed keys the cache
-  // entry and recreates the rng stream, so cached and fresh results are
-  // bit-identical.
-  const std::uint64_t seed = sq::tensor::derive_seed(
-      cfg_.seed, (static_cast<std::uint64_t>(layer) << 8) |
-                     static_cast<std::uint64_t>(static_cast<int>(op)));
+  // the same weights constantly), then the fused dequantize-matmul.
   const auto qw = sq::quant::QuantCache::global().get_or_quantize(
-      w, lq->bits, lq->scheme, lq->rounding, lq->group_size, seed);
+      w, lq->bits, lq->group_size);
   // Fused dequantize-matmul: weight panels are reconstructed inside the
   // blocked kernel's pack step, never materialized as a full tensor.
   return qw->matmul(x);
@@ -163,12 +157,7 @@ void TinyTransformer::prewarm_quant(std::span<const LayerQuant> quant) const {
       sq::quant::QuantJob job;
       job.weights = &weights(static_cast<int>(layer), static_cast<Op>(op));
       job.bits = lq.bits;
-      job.scheme = lq.scheme;
-      job.rounding = lq.rounding;
       job.group_size = lq.group_size;
-      job.seed = sq::tensor::derive_seed(
-          cfg_.seed, (static_cast<std::uint64_t>(layer) << 8) |
-                         static_cast<std::uint64_t>(op));
       jobs.push_back(job);
     }
   }

@@ -48,8 +48,6 @@ struct LayerWeights {
 /// Per-layer quantization choice applied to the 6 linear operators.
 struct LayerQuant {
   Bitwidth bits = Bitwidth::kFp16;
-  sq::quant::Scheme scheme = sq::quant::Scheme::kSymmetric;
-  sq::quant::Rounding rounding = sq::quant::Rounding::kDeterministic;
   std::size_t group_size = 64;  ///< Elements per quantization group.
 };
 

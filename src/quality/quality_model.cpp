@@ -30,8 +30,7 @@ double anchor_accuracy(const sq::model::LlmSpec& m) {
 QualityModel::QualityModel(const sq::model::LlmSpec& m,
                            std::span<const Bitwidth> bitwidths, std::uint64_t seed)
     : m_(m),
-      table_(sq::model::variance_indicator_table(
-          m, bitwidths, sq::quant::Rounding::kDeterministic, seed)),
+      table_(sq::model::variance_indicator_table(m, bitwidths, seed)),
       base_ppl_(anchor_ppl(m)),
       base_acc_(anchor_accuracy(m)) {
   // Calibrate k so uniform INT4 costs ~0.4 PPL.  If INT4 is not among the

@@ -22,25 +22,17 @@ OperatorStats operator_stats(const sq::tensor::Tensor& weights,
   return s;
 }
 
-double g_of_x(const OperatorStats& s, Rounding rounding) {
-  if (rounding == Rounding::kDeterministic) {
-    return s.x_var / 4.0;
-  }
-  return (s.x_mean * s.x_mean + s.x_var) / 6.0;
-}
+double g_of_x(const OperatorStats& s) { return s.x_var / 4.0; }
 
-double operator_variance_indicator(const OperatorStats& s, Bitwidth b, Scheme scheme,
-                                   Rounding rounding) {
+double operator_variance_indicator(const OperatorStats& s, Bitwidth b) {
   if (b == Bitwidth::kFp16) return 0.0;  // Unquantized: no added variance.
-  const double scale =
-      static_cast<double>(scale_for_range(s.w_min, s.w_max, b, scheme));
-  return static_cast<double>(s.weight_dim) * scale * scale * g_of_x(s, rounding);
+  const double scale = static_cast<double>(scale_for_range(s.w_min, s.w_max, b));
+  return static_cast<double>(s.weight_dim) * scale * scale * g_of_x(s);
 }
 
-double layer_variance_indicator(std::span<const OperatorStats> ops, Bitwidth b,
-                                Scheme scheme, Rounding rounding) {
+double layer_variance_indicator(std::span<const OperatorStats> ops, Bitwidth b) {
   double acc = 0.0;
-  for (const auto& s : ops) acc += operator_variance_indicator(s, b, scheme, rounding);
+  for (const auto& s : ops) acc += operator_variance_indicator(s, b);
   return acc;
 }
 
@@ -83,12 +75,11 @@ HessianProbe hessian_top_eigenvalue(const sq::tensor::Tensor& activations,
 
 double hessian_indicator(const sq::tensor::Tensor& weights,
                          const sq::tensor::Tensor& activations, Bitwidth b,
-                         Scheme scheme, std::uint64_t seed) {
+                         std::uint64_t seed) {
   if (b == Bitwidth::kFp16) return 0.0;
   const HessianProbe probe = hessian_top_eigenvalue(activations, 64, 1e-6, seed);
-  const double qerr =
-      quantization_mse(weights.data(), b, scheme, Rounding::kDeterministic) *
-      static_cast<double>(weights.size());
+  const double qerr = quantization_mse(weights.data(), b) *
+                      static_cast<double>(weights.size());
   return probe.lambda_max * qerr;
 }
 

@@ -5,9 +5,10 @@
 //
 //  1. SplitQuant's *variance indicator* (Theorem 1 / Proposition 1):
 //       omega_{i,b} = sum_o D_{W_o} * S_{W_o}(b)^2 * G(X_o)
-//     where G(X) = Var[X]/4 (deterministic rounding) or
-//     (E[X]^2 + Var[X])/6 (stochastic rounding).  Needs only elementwise
-//     statistics — O(D_W + D_X).
+//     where G(X) = Var[X]/4, Proposition 1's form for round-to-nearest
+//     (the one rounding the quantizer implements; its stochastic-rounding
+//     form is not computed).  Needs only elementwise statistics —
+//     O(D_W + D_X).
 //  2. The HAWQ-style *Hessian indicator*: lambda_max(H) * ||Q(W) - W||^2
 //     with H = 2 X X^T the Hessian of the MSE objective (1) w.r.t. each
 //     weight row — O(D_W * D_X^2) because of the Gram matrix and power
@@ -40,16 +41,14 @@ struct OperatorStats {
 OperatorStats operator_stats(const sq::tensor::Tensor& weights,
                              const sq::tensor::Tensor& activations);
 
-/// G(X) of Proposition 1 for the given rounding mode.
-double g_of_x(const OperatorStats& s, Rounding rounding);
+/// G(X) of Proposition 1 for round-to-nearest: Var[X] / 4.
+double g_of_x(const OperatorStats& s);
 
 /// Variance indicator of one operator at bitwidth `b` (Proposition 1 term).
-double operator_variance_indicator(const OperatorStats& s, Bitwidth b, Scheme scheme,
-                                   Rounding rounding);
+double operator_variance_indicator(const OperatorStats& s, Bitwidth b);
 
 /// Variance indicator of a whole decoder layer: sum over its operators.
-double layer_variance_indicator(std::span<const OperatorStats> ops, Bitwidth b,
-                                Scheme scheme, Rounding rounding);
+double layer_variance_indicator(std::span<const OperatorStats> ops, Bitwidth b);
 
 /// Result of a Hessian sensitivity probe for one operator.
 struct HessianProbe {
@@ -67,7 +66,7 @@ HessianProbe hessian_top_eigenvalue(const sq::tensor::Tensor& activations,
 /// HAWQ-style indicator: lambda_max * ||Q(W) - W||^2 at bitwidth `b`.
 double hessian_indicator(const sq::tensor::Tensor& weights,
                          const sq::tensor::Tensor& activations, Bitwidth b,
-                         Scheme scheme, std::uint64_t seed = 7);
+                         std::uint64_t seed = 7);
 
 /// Table of indicator values for every (layer, bitwidth) pair.
 /// values[layer][k] corresponds to bitwidths[k].

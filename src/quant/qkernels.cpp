@@ -1,7 +1,7 @@
 // ISA-dispatched quantize/dequantize kernels.  See qkernels.h for the
-// determinism argument; this translation unit must be compiled with
-// -ffp-contract=off (enforced in CMakeLists.txt) so the explicit
-// mul-then-add intrinsic pairs can never be contracted to FMA.
+// determinism argument; like every kernel translation unit this one is
+// compiled with -ffp-contract=off (CMakeLists.txt), so no float chain can
+// be contracted to FMA.
 #include "quant/qkernels.h"
 
 #include <algorithm>
@@ -35,15 +35,12 @@ namespace {
 // exactly as the scalar reference does (1/scale, or 0 when scale == 0).
 struct Kernels {
   const char* name;
-  void (*minmax)(const float*, std::size_t, float*, float*);
-  void (*quantize)(const float*, std::size_t, float zero, float inv_scale,
-                   std::int32_t lo, std::int32_t hi, std::int32_t*);
-  void (*dequant)(const std::int32_t*, std::size_t, float scale, float zero,
-                  float*);
+  float (*absmax)(const float*, std::size_t);
+  void (*dequant)(const std::int32_t*, std::size_t, float scale, float*);
   // Packed storage (qkernels.h "Bit-packed code storage"): quantize to the
   // one-byte offsets code - lo, pack `units` runs of 8 offset bytes into
   // 8*b bits each, and unpack `units` runs back to int32 codes.
-  void (*quantize_u8)(const float*, std::size_t, float zero, float inv_scale,
+  void (*quantize_u8)(const float*, std::size_t, float inv_scale,
                       std::int32_t lo, std::int32_t hi, std::uint8_t*);
   void (*pack)(const std::uint8_t*, std::size_t units, int b, std::uint8_t*);
   void (*unpack)(const std::uint8_t*, std::size_t units, int b,
@@ -54,41 +51,32 @@ struct Kernels {
 };
 
 // ---- Scalar base path (and tail loops of the vector paths) --------------
-// These loops are byte-for-byte the reference loops in quantizer.cpp.
 
-void minmax_base(const float* v, std::size_t n, float* mn, float* mx) {
-  const auto [lo, hi] = std::minmax_element(v, v + n);
-  *mn = *lo;
-  *mx = *hi;
+/// max |v[i]|, +0.0 when every value is a zero (or n == 0).
+float absmax_base(const float* v, std::size_t n) {
+  float m = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::abs(v[i]));
+  return m;
 }
 
 /// One element's quantize chain: scale, round, clamp.
-std::int32_t quantize_one(float v, float zero, float inv_scale, std::int32_t lo,
+std::int32_t quantize_one(float v, float inv_scale, std::int32_t lo,
                           std::int32_t hi) {
-  const float scaled = (v - zero) * inv_scale;
-  const float rounded = std::nearbyint(scaled);
+  const float rounded = std::nearbyint(v * inv_scale);
   return std::clamp(static_cast<std::int32_t>(rounded), lo, hi);
 }
 
-void quantize_base(const float* v, std::size_t n, float zero, float inv_scale,
-                   std::int32_t lo, std::int32_t hi, std::int32_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = quantize_one(v[i], zero, inv_scale, lo, hi);
-  }
-}
-
-void dequant_base(const std::int32_t* c, std::size_t n, float scale, float zero,
+void dequant_base(const std::int32_t* c, std::size_t n, float scale,
                   float* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = scale * static_cast<float>(c[i]) + zero;
+    out[i] = scale * static_cast<float>(c[i]);
   }
 }
 
-void quantize_u8_base(const float* v, std::size_t n, float zero,
-                      float inv_scale, std::int32_t lo, std::int32_t hi,
-                      std::uint8_t* out) {
+void quantize_u8_base(const float* v, std::size_t n, float inv_scale,
+                      std::int32_t lo, std::int32_t hi, std::uint8_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint8_t>(quantize_one(v[i], zero, inv_scale, lo, hi) - lo);
+    out[i] = static_cast<std::uint8_t>(quantize_one(v[i], inv_scale, lo, hi) - lo);
   }
 }
 
@@ -224,40 +212,30 @@ void fp_blocks_base(std::uint64_t* acc, const std::uint8_t* p,
 // already-integral rounded value, matching static_cast<int32> (both yield
 // INT_MIN on overflow, which the clamp then pins to `lo` either way).
 
+/// Eight lanes of |v|, reduced in registers at the end; the operands are
+/// non-negative, so max is exact in any order.  The AVX-512 path reuses
+/// this loop: a group is short, and the quantize step dominates the write
+/// path.
 SQ_QK_TARGET_AVX2
-void minmax_avx2(const float* v, std::size_t n, float* mn, float* mx) {
+float absmax_avx2(const float* v, std::size_t n) {
+  const __m256 magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  __m256 vm = _mm256_setzero_ps();
   std::size_t i = 0;
-  float m0 = v[0], m1 = v[0];
-  if (n >= 8) {
-    __m256 vmn = _mm256_loadu_ps(v);
-    __m256 vmx = vmn;
-    for (i = 8; i + 8 <= n; i += 8) {
-      const __m256 x = _mm256_loadu_ps(v + i);
-      vmn = _mm256_min_ps(vmn, x);
-      vmx = _mm256_max_ps(vmx, x);
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, vmn);
-    m0 = lanes[0];
-    for (int l = 1; l < 8; ++l) m0 = lanes[l] < m0 ? lanes[l] : m0;
-    _mm256_store_ps(lanes, vmx);
-    m1 = lanes[0];
-    for (int l = 1; l < 8; ++l) m1 = lanes[l] > m1 ? lanes[l] : m1;
+  for (; i + 8 <= n; i += 8) {
+    vm = _mm256_max_ps(vm, _mm256_and_ps(_mm256_loadu_ps(v + i), magnitude));
   }
-  for (; i < n; ++i) {
-    m0 = v[i] < m0 ? v[i] : m0;
-    m1 = v[i] > m1 ? v[i] : m1;
-  }
-  *mn = m0;
-  *mx = m1;
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(vm), _mm256_extractf128_ps(vm, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  return std::max(_mm_cvtss_f32(m), absmax_base(v + i, n - i));
 }
 
 /// The clamped codes of v[0..8): the quantize chain shared by every AVX2
 /// loop below.
 SQ_QK_TARGET_AVX2
-inline __m256i quantize8_avx2(const float* v, __m256 vz, __m256 vis,
-                              __m256i vlo, __m256i vhi) {
-  const __m256 scaled = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(v), vz), vis);
+inline __m256i quantize8_avx2(const float* v, __m256 vis, __m256i vlo,
+                              __m256i vhi) {
+  const __m256 scaled = _mm256_mul_ps(_mm256_loadu_ps(v), vis);
   const __m256 rounded =
       _mm256_round_ps(scaled, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
   const __m256i code = _mm256_cvttps_epi32(rounded);
@@ -265,39 +243,21 @@ inline __m256i quantize8_avx2(const float* v, __m256 vz, __m256 vis,
 }
 
 SQ_QK_TARGET_AVX2
-void quantize_avx2(const float* v, std::size_t n, float zero, float inv_scale,
-                   std::int32_t lo, std::int32_t hi, std::int32_t* out) {
-  const __m256 vz = _mm256_set1_ps(zero);
-  const __m256 vs = _mm256_set1_ps(inv_scale);
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vhi = _mm256_set1_epi32(hi);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        quantize8_avx2(v + i, vz, vs, vlo, vhi));
-  }
-  quantize_base(v + i, n - i, zero, inv_scale, lo, hi, out + i);
-}
-
-SQ_QK_TARGET_AVX2
-void dequant_avx2(const std::int32_t* c, std::size_t n, float scale, float zero,
+void dequant_avx2(const std::int32_t* c, std::size_t n, float scale,
                   float* out) {
   const __m256 vs = _mm256_set1_ps(scale);
-  const __m256 vz = _mm256_set1_ps(zero);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 f = _mm256_cvtepi32_ps(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i)));
-    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_mul_ps(vs, f), vz));
+    _mm256_storeu_ps(out + i, _mm256_mul_ps(vs, f));
   }
-  dequant_base(c + i, n - i, scale, zero, out + i);
+  dequant_base(c + i, n - i, scale, out + i);
 }
 
 SQ_QK_TARGET_AVX2
-void quantize_u8_avx2(const float* v, std::size_t n, float zero,
-                      float inv_scale, std::int32_t lo, std::int32_t hi,
-                      std::uint8_t* out) {
-  const __m256 vz = _mm256_set1_ps(zero);
+void quantize_u8_avx2(const float* v, std::size_t n, float inv_scale,
+                      std::int32_t lo, std::int32_t hi, std::uint8_t* out) {
   const __m256 vs = _mm256_set1_ps(inv_scale);
   const __m256i vlo = _mm256_set1_epi32(lo);
   const __m256i vhi = _mm256_set1_epi32(hi);
@@ -306,16 +266,15 @@ void quantize_u8_avx2(const float* v, std::size_t n, float zero,
   const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m256i a = _mm256_sub_epi32(quantize8_avx2(v + i, vz, vs, vlo, vhi), vlo);
-    const __m256i b =
-        _mm256_sub_epi32(quantize8_avx2(v + i + 8, vz, vs, vlo, vhi), vlo);
+    const __m256i a = _mm256_sub_epi32(quantize8_avx2(v + i, vs, vlo, vhi), vlo);
+    const __m256i b = _mm256_sub_epi32(quantize8_avx2(v + i + 8, vs, vlo, vhi), vlo);
     const __m256i w = _mm256_packs_epi32(a, b);
     const __m256i bytes =
         _mm256_permutevar8x32_epi32(_mm256_packus_epi16(w, w), order);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm256_castsi256_si128(bytes));
   }
-  quantize_u8_base(v + i, n - i, zero, inv_scale, lo, hi, out + i);
+  quantize_u8_base(v + i, n - i, inv_scale, lo, hi, out + i);
 }
 
 /// Four units per step: the SWAR merge of pack_base on 64-bit lanes, then
@@ -453,34 +412,11 @@ void fp_blocks_avx2(std::uint64_t* acc, const std::uint8_t* p,
 // ---- AVX-512 (16-wide) --------------------------------------------------
 // roundscale imm 0x0C: M=0, suppress-precision, use MXCSR — nearbyint again.
 
-SQ_QK_TARGET_AVX512
-void minmax_avx512(const float* v, std::size_t n, float* mn, float* mx) {
-  std::size_t i = 0;
-  float m0 = v[0], m1 = v[0];
-  if (n >= 16) {
-    __m512 vmn = _mm512_loadu_ps(v);
-    __m512 vmx = vmn;
-    for (i = 16; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(v + i);
-      vmn = _mm512_min_ps(vmn, x);
-      vmx = _mm512_max_ps(vmx, x);
-    }
-    m0 = _mm512_reduce_min_ps(vmn);
-    m1 = _mm512_reduce_max_ps(vmx);
-  }
-  for (; i < n; ++i) {
-    m0 = v[i] < m0 ? v[i] : m0;
-    m1 = v[i] > m1 ? v[i] : m1;
-  }
-  *mn = m0;
-  *mx = m1;
-}
-
 /// The clamped codes of v[0..16) (AVX-512 twin of quantize8_avx2).
 SQ_QK_TARGET_AVX512
-inline __m512i quantize16_avx512(const float* v, __m512 vz, __m512 vis,
-                                 __m512i vlo, __m512i vhi) {
-  const __m512 scaled = _mm512_mul_ps(_mm512_sub_ps(_mm512_loadu_ps(v), vz), vis);
+inline __m512i quantize16_avx512(const float* v, __m512 vis, __m512i vlo,
+                                 __m512i vhi) {
+  const __m512 scaled = _mm512_mul_ps(_mm512_loadu_ps(v), vis);
   const __m512 rounded =
       _mm512_roundscale_ps(scaled, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
   const __m512i code = _mm512_cvttps_epi32(rounded);
@@ -488,37 +424,20 @@ inline __m512i quantize16_avx512(const float* v, __m512 vz, __m512 vis,
 }
 
 SQ_QK_TARGET_AVX512
-void quantize_avx512(const float* v, std::size_t n, float zero, float inv_scale,
-                     std::int32_t lo, std::int32_t hi, std::int32_t* out) {
-  const __m512 vz = _mm512_set1_ps(zero);
-  const __m512 vs = _mm512_set1_ps(inv_scale);
-  const __m512i vlo = _mm512_set1_epi32(lo);
-  const __m512i vhi = _mm512_set1_epi32(hi);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_si512(out + i, quantize16_avx512(v + i, vz, vs, vlo, vhi));
-  }
-  quantize_base(v + i, n - i, zero, inv_scale, lo, hi, out + i);
-}
-
-SQ_QK_TARGET_AVX512
 void dequant_avx512(const std::int32_t* c, std::size_t n, float scale,
-                    float zero, float* out) {
+                    float* out) {
   const __m512 vs = _mm512_set1_ps(scale);
-  const __m512 vz = _mm512_set1_ps(zero);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m512 f = _mm512_cvtepi32_ps(_mm512_loadu_si512(c + i));
-    _mm512_storeu_ps(out + i, _mm512_add_ps(_mm512_mul_ps(vs, f), vz));
+    _mm512_storeu_ps(out + i, _mm512_mul_ps(vs, f));
   }
-  dequant_base(c + i, n - i, scale, zero, out + i);
+  dequant_base(c + i, n - i, scale, out + i);
 }
 
 SQ_QK_TARGET_AVX512
-void quantize_u8_avx512(const float* v, std::size_t n, float zero,
-                        float inv_scale, std::int32_t lo, std::int32_t hi,
-                        std::uint8_t* out) {
-  const __m512 vz = _mm512_set1_ps(zero);
+void quantize_u8_avx512(const float* v, std::size_t n, float inv_scale,
+                        std::int32_t lo, std::int32_t hi, std::uint8_t* out) {
   const __m512 vs = _mm512_set1_ps(inv_scale);
   const __m512i vlo = _mm512_set1_epi32(lo);
   const __m512i vhi = _mm512_set1_epi32(hi);
@@ -526,11 +445,11 @@ void quantize_u8_avx512(const float* v, std::size_t n, float zero,
   for (; i + 16 <= n; i += 16) {
     // Offsets are in [0, 255]: the truncating dword->byte narrow is exact.
     const __m512i offs =
-        _mm512_sub_epi32(quantize16_avx512(v + i, vz, vs, vlo, vhi), vlo);
+        _mm512_sub_epi32(quantize16_avx512(v + i, vs, vlo, vhi), vlo);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm512_cvtepi32_epi8(offs));
   }
-  quantize_u8_base(v + i, n - i, zero, inv_scale, lo, hi, out + i);
+  quantize_u8_base(v + i, n - i, inv_scale, lo, hi, out + i);
 }
 
 /// Two units per step: unit 0 feeds lanes 0-7 and unit 1 lanes 8-15, each
@@ -597,12 +516,12 @@ void fp_blocks_avx512(std::uint64_t* acc, const std::uint8_t* p,
 
 // ---- Dispatch -----------------------------------------------------------
 
-constexpr Kernels kBase{"base",           minmax_base,   quantize_base,  dequant_base,
+constexpr Kernels kBase{"base",           absmax_base,   dequant_base,
                         quantize_u8_base, pack_base,     unpack_base,    fp_blocks_base};
 #if SQ_QK_MULTI_ISA
-constexpr Kernels kAvx2{"avx2",           minmax_avx2,   quantize_avx2,  dequant_avx2,
+constexpr Kernels kAvx2{"avx2",           absmax_avx2,   dequant_avx2,
                         quantize_u8_avx2, pack_avx2,     unpack_avx2,    fp_blocks_avx2};
-constexpr Kernels kAvx512{"avx512",           minmax_avx512, quantize_avx512, dequant_avx512,
+constexpr Kernels kAvx512{"avx512",           absmax_avx2,   dequant_avx512,
                           quantize_u8_avx512, pack_avx2,     unpack_avx512,   fp_blocks_avx512};
 #endif
 
@@ -620,29 +539,6 @@ std::atomic<const Kernels*>& current_kernels() {
 }
 
 const Kernels& kernels() { return *current_kernels().load(std::memory_order_acquire); }
-
-/// Resolve a 0.0 extremum against std::minmax_element's scan order (first
-/// minimum, last maximum) so the sign bit of a zero min/max matches the
-/// scalar reference.  -0.0 == 0.0 under operator<, so which zero wins is
-/// purely a scan-order artifact; vector min/max do not preserve it.
-void fix_zero_extrema(const float* v, std::size_t n, float* mn, float* mx) {
-  if (*mn == 0.0f) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (v[i] == 0.0f) {
-        *mn = v[i];
-        break;
-      }
-    }
-  }
-  if (*mx == 0.0f) {
-    for (std::size_t i = n; i-- > 0;) {
-      if (v[i] == 0.0f) {
-        *mx = v[i];
-        break;
-      }
-    }
-  }
-}
 
 float inv_scale_of(const QuantParams& p) {
   return p.scale != 0.0f ? 1.0f / p.scale : 0.0f;
@@ -768,50 +664,25 @@ bool set_qkernel_isa(const char* name) {
   return true;
 }
 
-void minmax(std::span<const float> values, float* mn, float* mx) {
-  assert(!values.empty() && "minmax: empty span");
-  const Kernels& k = kernels();
-  k.minmax(values.data(), values.size(), mn, mx);
-  fix_zero_extrema(values.data(), values.size(), mn, mx);
-}
-
-void quantize_codes(std::span<const float> values, const QuantParams& params,
-                    std::int32_t lo, std::int32_t hi,
-                    std::span<std::int32_t> codes) {
-  assert(codes.size() == values.size());
-  kernels().quantize(values.data(), values.size(), params.zero,
-                     inv_scale_of(params), lo, hi, codes.data());
-}
-
-void dequantize_codes(std::span<const std::int32_t> codes,
-                      const QuantParams& params, std::span<float> out) {
-  assert(out.size() == codes.size());
-  kernels().dequant(codes.data(), codes.size(), params.scale, params.zero,
-                    out.data());
-}
-
 std::size_t packed_size(std::size_t n, Bitwidth b) {
   assert(b != Bitwidth::kFp16 && "packed_size: FP16 is not code-packed");
   return (n * static_cast<std::size_t>(bits(b)) + 7) / 8;
 }
 
 void quantize_pack(std::span<const float> values, std::size_t group_size,
-                   Bitwidth b, Scheme scheme, Rounding rounding,
-                   sq::tensor::Rng* rng, std::span<QuantParams> params_out,
+                   Bitwidth b, std::span<QuantParams> params_out,
                    std::span<std::uint8_t> packed_out, Fingerprint* fold) {
   assert(group_size > 0 && "quantize_pack: zero group size");
   const std::size_t n = values.size();
   const std::size_t n_groups = (n + group_size - 1) / group_size;
   assert(params_out.size() == n_groups && packed_out.size() == packed_size(n, b));
-  assert((rounding != Rounding::kStochastic || rng != nullptr) &&
-         "stochastic rounding needs an RNG");
   assert((fold == nullptr || fold->folded() == n ||
           fold->folded() % kPackChunk == 0) &&
          "quantize_pack: fingerprint off the chunk grid");
   const Kernels& k = kernels();
-  const auto [lo, hi] = code_range(b, scheme);
+  const auto [lo, hi] = code_range(b);
   Packer packer(k, bits(b), packed_out);
-  // Chunks of whole groups sized to stay in L1 between the min/max scan
+  // Chunks of whole groups sized to stay in L1 between the max|w| scan
   // and the quantize step (one group per chunk when a group is larger).
   const std::size_t groups_per_chunk = std::max<std::size_t>(1, kPackChunk / group_size);
   for (std::size_t g0 = 0; g0 < n_groups; g0 += groups_per_chunk) {
@@ -825,10 +696,8 @@ void quantize_pack(std::span<const float> values, std::size_t group_size,
     for (std::size_t g = g0; g < g1; ++g) {
       const std::size_t begin = g * group_size;
       const std::size_t len = std::min(group_size, n - begin);
-      float mn = 0.0f, mx = 0.0f;
-      k.minmax(values.data() + begin, len, &mn, &mx);
-      fix_zero_extrema(values.data() + begin, len, &mn, &mx);
-      params_out[g] = params_from_range(mn, mx, b, scheme);
+      const float amax = k.absmax(values.data() + begin, len);
+      params_out[g].scale = scale_for_range(-amax, amax, b);
     }
     for (std::size_t g = g0; g < g1; ++g) {
       const QuantParams& p = params_out[g];
@@ -836,19 +705,8 @@ void quantize_pack(std::span<const float> values, std::size_t group_size,
       const std::size_t end = std::min(n, (g + 1) * group_size);
       for (std::size_t i = g * group_size; i < end; i += kPackChunk) {
         const std::size_t len = std::min(kPackChunk, end - i);
-        std::uint8_t* dst = packer.reserve(len);
-        if (rounding == Rounding::kDeterministic) {
-          k.quantize_u8(values.data() + i, len, p.zero, inv_scale, lo, hi, dst);
-        } else {
-          // Stochastic rounding stays scalar (one variate per element, in
-          // order); only its codes pass through a chunk-sized int32 buffer.
-          std::int32_t codes[kPackChunk];
-          quantize(values.subspan(i, len), p, b, scheme, rounding, rng,
-                   std::span<std::int32_t>(codes, len));
-          for (std::size_t j = 0; j < len; ++j) {
-            dst[j] = static_cast<std::uint8_t>(codes[j] - lo);
-          }
-        }
+        k.quantize_u8(values.data() + i, len, inv_scale, lo, hi,
+                      packer.reserve(len));
         packer.commit(len);
       }
     }
@@ -857,10 +715,10 @@ void quantize_pack(std::span<const float> values, std::size_t group_size,
 }
 
 void unpack_codes(std::span<const std::uint8_t> packed, std::size_t begin,
-                  Bitwidth b, Scheme scheme, std::span<std::int32_t> codes) {
+                  Bitwidth b, std::span<std::int32_t> codes) {
   const int nb = bits(b);
   const auto ub = static_cast<std::size_t>(nb);
-  const std::int32_t lo = code_range(b, scheme).first;
+  const std::int32_t lo = code_range(b).first;
   std::size_t i = begin;
   const std::size_t end = begin + codes.size();
   std::int32_t* out = codes.data();
@@ -888,7 +746,7 @@ void unpack_codes(std::span<const std::uint8_t> packed, std::size_t begin,
 }
 
 void dequantize_packed(std::span<const std::uint8_t> packed,
-                       std::size_t begin, Bitwidth b, Scheme scheme,
+                       std::size_t begin, Bitwidth b,
                        std::span<const QuantParams> params,
                        std::size_t group_size, std::span<float> out) {
   assert(group_size > 0 && "dequantize_packed: zero group size");
@@ -896,14 +754,12 @@ void dequantize_packed(std::span<const std::uint8_t> packed,
   alignas(64) std::int32_t codes[kPiece];
   for (std::size_t done = 0; done < out.size();) {
     const std::size_t len = std::min(kPiece, out.size() - done);
-    unpack_codes(packed, begin + done, b, scheme,
-                 std::span<std::int32_t>(codes, len));
+    unpack_codes(packed, begin + done, b, std::span<std::int32_t>(codes, len));
     // Split the piece at group boundaries; each run gets its group's params.
     for (std::size_t j = 0; j < len;) {
       const std::size_t g = (begin + done + j) / group_size;
       const std::size_t run = std::min(len - j, (g + 1) * group_size - (begin + done + j));
-      k.dequant(codes + j, run, params[g].scale, params[g].zero,
-                out.data() + done + j);
+      k.dequant(codes + j, run, params[g].scale, out.data() + done + j);
       j += run;
     }
     done += len;

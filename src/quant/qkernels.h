@@ -1,28 +1,24 @@
-// ISA-dispatched quantize/dequantize inner loops and the weight
-// fingerprint that keys the QuantCache.
+// ISA-dispatched quantize/dequantize inner loops (the one code format of
+// quantizer.h) and the weight fingerprint that keys the QuantCache.
 //
-// The scalar loops in quantizer.cpp stay as the byte-equality oracle;
-// everything here is a faster route to the *same bits*, following the
+// The scalar loops frozen in tests/oracles stay as the byte-equality
+// oracle; every path here is a route to the *same bits*, following the
 // determinism contract of the GEMM layer (tensor/gemm.h):
 //
 //   1. Every quantize/dequantize element is an independent chain
-//      ((v - zero) * inv_scale -> round -> clamp, or scale * code + zero),
-//      so vector width cannot change results as long as the operation
-//      sequence is preserved.  The SIMD paths use explicit mul-then-add
-//      intrinsics and this translation unit is compiled with
-//      -ffp-contract=off, so no FMA contraction can fuse them.
-//   2. Rounding uses the vector round-with-MXCSR encoding, which is
+//      (v * inv_scale -> round -> clamp, or scale * code), so vector width
+//      cannot change results.
+//   2. Round-to-nearest uses the vector round-with-MXCSR encoding, which is
 //      exactly std::nearbyint's semantics (current rounding mode, no
 //      inexact flag) — identical bits in every rounding mode.
-//   3. Min/max reductions are order-independent for finite floats except
-//      for the sign of 0.0; the kernels re-resolve a 0.0 extremum against
-//      the scan order std::minmax_element uses (first minimum, last
-//      maximum), so compute_params sees identical bytes.  Inputs are
-//      assumed finite (weights are; NaN propagation is unspecified).
+//   3. A group's scale comes from max |v|, a reduction whose value does
+//      not depend on the order it is taken in (every operand is
+//      non-negative, so not even the sign of a zero can differ).  Inputs
+//      are assumed finite (weights are; NaN propagation is unspecified).
 //   4. Bit packing and unpacking (QTensor storage, see "Bit-packed code
 //      storage" below) are integer shifts and masks on the already-clamped
 //      code, so a code survives pack -> unpack unchanged on every path and
-//      the dequantized float is the same scale * float(code) + zero.
+//      the dequantized float is the same scale * float(code).
 //   5. The weight fingerprint (Fingerprint below) is integer arithmetic
 //      modulo 2^64, lane by lane in stripe order, so vector width cannot
 //      change it: every path returns the same 64-bit value, and folding a
@@ -55,21 +51,6 @@ const char* qkernel_isa();
 /// dispatch unchanged — when this CPU cannot run the requested path or the
 /// name is unknown.  Thread-safe; takes effect on the next kernel call.
 bool set_qkernel_isa(const char* name);
-
-/// Min/max of `values` (non-empty, finite), byte-compatible with
-/// std::minmax_element: among equal extrema the FIRST minimum and the LAST
-/// maximum are returned, which pins the sign of a 0.0 extremum.
-void minmax(std::span<const float> values, float* mn, float* mx);
-
-/// Deterministic quantization: codes[i] = clamp(nearbyint((v[i] - zero) *
-/// inv_scale), lo, hi).  Bit-identical to quantize_reference.
-void quantize_codes(std::span<const float> values, const QuantParams& params,
-                    std::int32_t lo, std::int32_t hi,
-                    std::span<std::int32_t> codes);
-
-/// out[i] = scale * codes[i] + zero.  Bit-identical to dequantize_reference.
-void dequantize_codes(std::span<const std::int32_t> codes,
-                      const QuantParams& params, std::span<float> out);
 
 // ---- Weight fingerprint --------------------------------------------------
 //
@@ -121,35 +102,32 @@ class Fingerprint {
 // ---- Bit-packed code storage (QTensor) ----------------------------------
 //
 // Format: element i is stored as the unsigned offset u = code - lo (lo from
-// code_range), in bits [i*b, i*b + b) of a little-endian bitstream, b =
-// bits(bitwidth): one byte per INT8 code, two INT4 codes per byte (element
-// 2k in the low nibble), eight INT3 codes per 3 bytes.  A run of n codes
-// takes packed_size(n, b) = ceil(n*b / 8) bytes; the unused high bits of
-// the last byte are zero.  Packing and unpacking are integer-only, so every
-// ISA path produces and reads the same bytes.
+// code_range, so u is in [0, 2^b - 2]), in bits [i*b, i*b + b) of a
+// little-endian bitstream, b = bits(bitwidth): one byte per INT8 code, two
+// INT4 codes per byte (element 2k in the low nibble), eight INT3 codes per
+// 3 bytes.  A run of n codes takes packed_size(n, b) = ceil(n*b / 8) bytes;
+// the unused high bits of the last byte are zero.  Packing and unpacking
+// are integer-only, so every ISA path produces and reads the same bytes.
 
 /// Bytes holding `n` codes bit-packed at integer bitwidth `b`.
 std::size_t packed_size(std::size_t n, Bitwidth b);
 
-/// The fused write path.  Quantizes `values` in contiguous groups of
+/// The one writer.  Quantizes `values` in contiguous groups of
 /// `group_size` elements (short tail allowed) and bit-packs the codes,
-/// streaming over L1-sized chunks of whole groups: per group min/max ->
-/// params_from_range -> quantize -> pack, without materializing int32
+/// streaming over L1-sized chunks of whole groups: per group max |v| ->
+/// scale_for_range -> quantize -> pack, without materializing int32
 /// codes.  `params_out` receives one QuantParams per group and must hold
 /// exactly ceil(n / group_size) entries; `packed_out` must hold exactly
-/// packed_size(n, b) bytes.  Stochastic rounding draws from `rng` in
-/// element order, exactly like quantize().  Codes and params are
-/// bit-identical to compute_params + quantize_reference (deterministic) or
-/// compute_params + quantize (stochastic) applied group by group.
+/// packed_size(n, b) bytes.  Codes are round-to-nearest of v / scale,
+/// clamped to code_range(b).
 ///
 /// When `fold` is non-null, the pass also completes that fingerprint of
 /// `values`: each kPackChunk of values past fold->folded() (which must be
 /// a multiple of kPackChunk, or values.size()) is folded in just before
-/// its min/max scan, while it is still in cache, so a tensor that is both
+/// its max |v| scan, while it is still in cache, so a tensor that is both
 /// fingerprinted and quantized is read from memory once.
 void quantize_pack(std::span<const float> values, std::size_t group_size,
-                   Bitwidth b, Scheme scheme, Rounding rounding,
-                   sq::tensor::Rng* rng, std::span<QuantParams> params_out,
+                   Bitwidth b, std::span<QuantParams> params_out,
                    std::span<std::uint8_t> packed_out,
                    Fingerprint* fold = nullptr);
 
@@ -157,15 +135,14 @@ void quantize_pack(std::span<const float> values, std::size_t group_size,
 /// a packed_size-byte stream written by quantize_pack (offset + lo).
 /// Reads only bytes of `packed`; any `begin` is allowed.
 void unpack_codes(std::span<const std::uint8_t> packed, std::size_t begin,
-                  Bitwidth b, Scheme scheme, std::span<std::int32_t> codes);
+                  Bitwidth b, std::span<std::int32_t> codes);
 
-/// out[j] = scale * float(code) + zero for element begin + j, with the
-/// params of that element's group (group g covers [g*group_size,
-/// (g+1)*group_size)).  unpack_codes followed by dequantize_codes in
-/// cache-sized pieces, so bit-identical to dequantize_reference on the
-/// unpacked codes.  Safe to call concurrently (stack scratch only).
+/// out[j] = scale * float(code) for element begin + j, with the params of
+/// that element's group (group g covers [g*group_size,
+/// (g+1)*group_size)).  unpack_codes followed by the dequantize kernel in
+/// cache-sized pieces.  Safe to call concurrently (stack scratch only).
 void dequantize_packed(std::span<const std::uint8_t> packed,
-                       std::size_t begin, Bitwidth b, Scheme scheme,
+                       std::size_t begin, Bitwidth b,
                        std::span<const QuantParams> params,
                        std::size_t group_size, std::span<float> out);
 

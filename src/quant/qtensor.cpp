@@ -10,14 +10,14 @@
 
 namespace sq::quant {
 
-QTensor::QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
-                 Rounding rounding, std::size_t group_size, sq::tensor::Rng* rng,
-                 bool compute_mse, Fingerprint* fold)
+QTensor::QTensor(const sq::tensor::Tensor& weights, Bitwidth b,
+                 std::size_t group_size, bool compute_mse, Fingerprint* fold)
     : bitwidth_(b),
-      scheme_(scheme),
       rows_(weights.rows()),
       cols_(weights.cols()),
-      group_size_(group_size == 0 ? weights.cols() : group_size) {
+      // A zero-column tensor has no elements; group size 1 gives it zero
+      // groups instead of a division by zero.
+      group_size_(group_size != 0 ? group_size : std::max<std::size_t>(1, cols_)) {
   const auto flat = weights.data();
   if (b == Bitwidth::kFp16) {
     if (fold != nullptr) fold->fold(flat.subspan(fold->folded()));
@@ -39,11 +39,8 @@ QTensor::QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
   const std::size_t n_groups = (flat.size() + group_size_ - 1) / group_size_;
   params_.resize(n_groups);
   packed_.resize(packed_size(flat.size(), b));
-  // One fused pass: per-group min/max -> params -> quantize -> bit-pack.
-  // Codes and params are byte-identical to the per-group compute_params /
-  // quantize loop (asserted in tests/qkernels_test.cpp).
-  quantize_pack(flat, group_size_, b, scheme_, rounding, rng, params_, packed_,
-                fold);
+  // One fused pass: per-group max |w| -> scale -> quantize -> bit-pack.
+  quantize_pack(flat, group_size_, b, params_, packed_, fold);
   if (compute_mse) {
     // Codes come back through the one decoder in cache-sized pieces; the
     // double accumulation runs in element order, as it always has.
@@ -54,14 +51,13 @@ QTensor::QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
     std::size_t gend = group_size_;
     for (std::size_t begin = 0; begin < flat.size(); begin += kPiece) {
       const std::size_t len = std::min(kPiece, flat.size() - begin);
-      unpack_codes(packed_, begin, b, scheme_, std::span<std::int32_t>(codes, len));
+      unpack_codes(packed_, begin, b, std::span<std::int32_t>(codes, len));
       for (std::size_t i = 0; i < len; ++i) {
         if (begin + i == gend) {
           ++g;
           gend += group_size_;
         }
-        const QuantParams& p = params_[g];
-        const double rec = p.scale * static_cast<double>(codes[i]) + p.zero;
+        const double rec = params_[g].scale * static_cast<double>(codes[i]);
         const double d = rec - flat[begin + i];
         acc += d * d;
       }
@@ -77,7 +73,7 @@ sq::tensor::Tensor QTensor::dequantize() const {
     std::copy(fp16_passthrough_.begin(), fp16_passthrough_.end(), flat.begin());
     return out;
   }
-  dequantize_packed(packed_, 0, bitwidth_, scheme_, params_, group_size_, flat);
+  dequantize_packed(packed_, 0, bitwidth_, params_, group_size_, flat);
   return out;
 }
 
@@ -103,7 +99,7 @@ sq::tensor::Tensor QTensor::matmul(const sq::tensor::Tensor& x) const {
         std::copy_n(fp16_passthrough_.begin() + static_cast<std::ptrdiff_t>(idx),
                     j_len, drow);
       } else {
-        dequantize_packed(packed_, idx, bitwidth_, scheme_, params_, group_size_,
+        dequantize_packed(packed_, idx, bitwidth_, params_, group_size_,
                           std::span<float>(drow, j_len));
       }
     }
@@ -116,8 +112,7 @@ std::uint64_t QTensor::storage_bytes() const {
   if (bitwidth_ == Bitwidth::kFp16) return n * 2;
   const std::uint64_t code_bits = n * static_cast<std::uint64_t>(bits(bitwidth_));
   const std::uint64_t code_bytes = (code_bits + 7) / 8;
-  const std::uint64_t per_group = scheme_ == Scheme::kAsymmetric ? 4 : 2;  // fp16 scale (+zero)
-  return code_bytes + static_cast<std::uint64_t>(params_.size()) * per_group;
+  return code_bytes + static_cast<std::uint64_t>(params_.size()) * 2;  // fp16 scales
 }
 
 }  // namespace sq::quant

@@ -1,11 +1,12 @@
 // Group-quantized tensor: the storage format used by weight-only kernels
 // (GPTQ/AWQ-style).  Weights are split into contiguous groups of
-// `group_size` elements, each with its own affine parameters — exactly the
-// format whose memory footprint the paper's memory cost model accounts for.
+// `group_size` elements, each with its own scale (symmetric codes,
+// quantizer.h) — exactly the format whose memory footprint the paper's
+// memory cost model accounts for.
 //
 // Storage: the integer codes are held bit-packed at the tensor's bitwidth
 // b, row-major over the flattened [rows x cols] matrix.  Element i is the
-// unsigned offset code - lo (lo from code_range(b, scheme)) in bits
+// unsigned offset code - lo (lo from code_range(b)) in bits
 // [i*b, i*b + b) of a little-endian bitstream: one byte per INT8 code, two
 // INT4 codes per byte (even element in the low nibble), eight INT3 codes
 // per 3 bytes, possibly straddling byte boundaries.  The code bytes are
@@ -29,16 +30,14 @@ class Fingerprint;  // quant/qkernels.h
 class QTensor {
  public:
   /// Quantize `weights` at bitwidth `b` with `group_size` elements per
-  /// scale group (0 means one group per row).  Stochastic rounding draws
-  /// from `rng` when requested.  `compute_mse` controls the construction
-  /// MSE accumulation (a serial double chain); hot paths that never read
-  /// mse_vs_original() pass false and skip it — codes/params are identical
-  /// either way.  A non-null `fold` is completed over `weights` in the
-  /// same pass (quantize_pack's `fold`), so a QuantCache miss reads the
-  /// weights once.
-  QTensor(const sq::tensor::Tensor& weights, Bitwidth b, Scheme scheme,
-          Rounding rounding, std::size_t group_size = 128,
-          sq::tensor::Rng* rng = nullptr, bool compute_mse = true,
+  /// scale group (0 means one group per row; an empty tensor has no
+  /// groups).  `compute_mse` controls the construction MSE accumulation (a
+  /// serial double chain); hot paths that never read mse_vs_original()
+  /// pass false and skip it — codes/params are identical either way.  A
+  /// non-null `fold` is completed over `weights` in the same pass
+  /// (quantize_pack's `fold`), so a QuantCache miss reads the weights once.
+  QTensor(const sq::tensor::Tensor& weights, Bitwidth b,
+          std::size_t group_size = 128, bool compute_mse = true,
           Fingerprint* fold = nullptr);
 
   /// Bitwidth the weights are stored at.
@@ -61,7 +60,7 @@ class QTensor {
   sq::tensor::Tensor matmul(const sq::tensor::Tensor& x) const;
 
   /// Storage bytes of the packed representation: ceil(bits/8 per code,
-  /// bit-packed) plus one fp16 scale (+ fp16 zero if asymmetric) per group.
+  /// bit-packed) plus one fp16 scale per group.
   /// The integer code bytes are exactly packed_codes().size(); the group
   /// params are held as fp32 in memory.  FP16 passthrough is charged 2
   /// bytes per weight but is still held as fp32 (one float per weight).
@@ -71,7 +70,7 @@ class QTensor {
   /// consumes.  Empty for FP16 passthrough.
   std::span<const std::uint8_t> packed_codes() const { return packed_; }
 
-  /// The affine params, one per group.  Empty for FP16 passthrough.
+  /// The scales, one per group.  Empty for FP16 passthrough.
   std::span<const QuantParams> params() const { return params_; }
 
   /// Mean squared error against the original weights (computed at
@@ -81,7 +80,6 @@ class QTensor {
 
  private:
   Bitwidth bitwidth_;
-  Scheme scheme_;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t group_size_ = 0;

@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "quant/qkernels.h"
-#include "tensor/rng.h"
 
 namespace sq::quant {
 
@@ -25,17 +24,8 @@ std::size_t QuantKeyHash::operator()(const QuantKey& k) const {
   using sq::common::hash_mix;
   std::uint64_t h = hash_mix(0, k.weight_fp);
   h = hash_mix(h, static_cast<std::uint64_t>(bits(k.bits)));
-  h = hash_mix(h, static_cast<std::uint64_t>(k.scheme));
-  h = hash_mix(h, static_cast<std::uint64_t>(k.rounding));
   h = hash_mix(h, static_cast<std::uint64_t>(k.group_size));
-  h = hash_mix(h, k.seed);
   return static_cast<std::size_t>(h);
-}
-
-std::uint64_t weight_fingerprint(const sq::tensor::Tensor& w) {
-  Fingerprint fp;
-  fp.fold(w.data());
-  return fp.value(w.rows(), w.cols());
 }
 
 QuantCache::QuantCache(std::size_t max_entries)
@@ -69,23 +59,17 @@ void QuantCache::note_held(std::uint64_t prefix) {
 }
 
 std::shared_ptr<const QTensor> QuantCache::get_or_quantize(
-    const sq::tensor::Tensor& w, Bitwidth bits, Scheme scheme, Rounding rounding,
-    std::size_t group_size, std::uint64_t seed, bool* computed) {
+    const sq::tensor::Tensor& w, Bitwidth bits, std::size_t group_size,
+    bool* computed) {
   QuantKey key;
   key.bits = bits;
-  key.scheme = scheme;
-  key.rounding = rounding;
   key.group_size = group_size;
-  key.seed = rounding == Rounding::kStochastic ? seed : 0;
 
   double quantize_us = 0.0;
   const auto quantize = [&](Fingerprint* fold) {
     const auto t0 = Clock::now();
-    sq::tensor::Rng rng(key.seed);
-    auto qt = std::make_shared<const QTensor>(
-        w, bits, scheme, rounding, group_size,
-        rounding == Rounding::kStochastic ? &rng : nullptr,
-        /*compute_mse=*/false, fold);
+    auto qt = std::make_shared<const QTensor>(w, bits, group_size,
+                                              /*compute_mse=*/false, fold);
     quantize_us = elapsed_us(t0);
     return qt;
   };
@@ -133,8 +117,7 @@ QuantModelStats QuantCache::quantize_model(std::span<const QuantJob> jobs) {
     const QuantJob& job = jobs[i];
     bool computed = false;
     stats.tensors[i] =
-        get_or_quantize(*job.weights, job.bits, job.scheme, job.rounding,
-                        job.group_size, job.seed, &computed);
+        get_or_quantize(*job.weights, job.bits, job.group_size, &computed);
     if (computed) quantized.fetch_add(1, std::memory_order_relaxed);
   });
   stats.layers_quantized = quantized.load(std::memory_order_relaxed);

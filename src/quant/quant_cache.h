@@ -4,12 +4,12 @@
 // sensitivity probe sweeps bitwidths per layer, every materialized plan
 // re-packs the layers it assigns, plan repair re-quantizes after faults,
 // and each fleet replica group packs its own shard.  Quantization is pure
-// in (weight bytes, bitwidth, scheme, rounding, group size, rng seed), so
-// results are memoized in a process-wide sharded cache keyed by a content
-// fingerprint — two call sites quantizing identical weights the same way
-// share one packed QTensor, whoever got there first.  A cached layer costs
+// in (weight bytes, bitwidth, group size), so results are memoized in a
+// process-wide sharded cache keyed by a content fingerprint — two call
+// sites quantizing identical weights the same way share one packed
+// QTensor, whoever got there first.  A cached layer costs
 // its planned bitwidth: the QTensor holds its codes bit-packed (qtensor.h),
-// ceil(n * bits / 8) bytes plus the group params.
+// ceil(n * bits / 8) bytes plus the group scales.
 //
 // Cached tensors are shared_ptr<const QTensor>: immutable after
 // construction, safe to use from any thread, alive for as long as any
@@ -20,8 +20,8 @@
 // reads the whole layer, and so does quantizing it; a miss that did both in
 // turn would read each layer twice.  A lookup therefore folds only the
 // first kPackChunk floats, then asks a small set of the prefix digests of
-// held entries (the key's knobs and shape with that first-chunk
-// fingerprint).  No match means the call cannot hit: quantize_pack folds
+// held entries (the key's bitwidth, group size and shape with that
+// first-chunk fingerprint).  No match means the call cannot hit: quantize_pack folds
 // the rest of the fingerprint chunk by chunk as it quantizes, the layer is
 // read once, and the finished tensor goes to the ordinary MemoCache probe.
 // A match finishes the fingerprint first and quantizes only on a miss, so
@@ -42,16 +42,11 @@
 namespace sq::quant {
 
 /// Cache key: everything quantization is pure in.  `weight_fp` is a
-/// 64-bit content fingerprint of the weight bytes and shape; `seed` is 0
-/// for deterministic rounding (the rng never ticks) and the stream seed
-/// for stochastic rounding.
+/// 64-bit content fingerprint of the weight bytes and shape.
 struct QuantKey {
   std::uint64_t weight_fp = 0;
   Bitwidth bits = Bitwidth::kFp16;
-  Scheme scheme = Scheme::kSymmetric;
-  Rounding rounding = Rounding::kDeterministic;
   std::size_t group_size = 0;
-  std::uint64_t seed = 0;
   bool operator==(const QuantKey&) const = default;
 };
 
@@ -59,19 +54,12 @@ struct QuantKeyHash {
   std::size_t operator()(const QuantKey& k) const;
 };
 
-/// 64-bit content fingerprint over the raw float bytes and the shape: the
-/// Fingerprint of qkernels.h folded over `w` in one piece.
-std::uint64_t weight_fingerprint(const sq::tensor::Tensor& w);
-
 /// One whole-model quantization request: quantize `*weights` (must stay
-/// alive for the call) with the given knobs.
+/// alive for the call) at `bits` with `group_size` elements per scale.
 struct QuantJob {
   const sq::tensor::Tensor* weights = nullptr;
   Bitwidth bits = Bitwidth::kFp16;
-  Scheme scheme = Scheme::kSymmetric;
-  Rounding rounding = Rounding::kDeterministic;
   std::size_t group_size = 64;
-  std::uint64_t seed = 0;  ///< Stochastic stream seed; ignored otherwise.
 };
 
 /// Result of a quantize_model fan-out.
@@ -92,16 +80,12 @@ class QuantCache {
   /// Return the packed quantization of `w`, computing it on a miss.  The
   /// QTensor is built without the construction-MSE pass (callers of the
   /// cache feed matmuls, not indicator studies); codes and params are
-  /// bit-identical to a direct QTensor construction.  For stochastic
-  /// rounding the rng stream is recreated from `seed`, so a cached result
-  /// equals a fresh QTensor fed by Rng(seed).  Sets `*computed` (when
-  /// non-null) to whether this call's tensor went into the cache.  See
-  /// "Lookup order" above for when the weights are read once.
+  /// bit-identical to a direct QTensor construction.  Sets `*computed`
+  /// (when non-null) to whether this call's tensor went into the cache.
+  /// See "Lookup order" above for when the weights are read once.
   std::shared_ptr<const QTensor> get_or_quantize(const sq::tensor::Tensor& w,
-                                                 Bitwidth bits, Scheme scheme,
-                                                 Rounding rounding,
+                                                 Bitwidth bits,
                                                  std::size_t group_size,
-                                                 std::uint64_t seed = 0,
                                                  bool* computed = nullptr);
 
   /// Quantize a whole model: fan the jobs out over the kernel thread pool

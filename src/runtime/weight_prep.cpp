@@ -1,16 +1,11 @@
 #include "runtime/weight_prep.h"
 
 #include <chrono>
-#include <utility>
 
 #include "obs/metrics.h"
 #include "quant/quant_cache.h"
-#include "tensor/rng.h"
 
 namespace sq::runtime {
-
-WeightPrep::WeightPrep(Provider provider, Options opts)
-    : provider_(std::move(provider)), opts_(opts) {}
 
 PrepStats WeightPrep::prepare(
     const std::vector<sq::hw::Bitwidth>& layer_bits) const {
@@ -43,10 +38,6 @@ PrepStats WeightPrep::run(const std::vector<sq::hw::Bitwidth>& bits,
     sq::quant::QuantJob job;
     job.weights = w;
     job.bits = bits[l];
-    job.scheme = opts_.scheme;
-    job.rounding = opts_.rounding;
-    job.group_size = opts_.group_size;
-    job.seed = sq::tensor::derive_seed(opts_.seed, static_cast<std::uint64_t>(l));
     jobs.push_back(job);
   }
 

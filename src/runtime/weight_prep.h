@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "hw/gpu.h"
-#include "quant/quantizer.h"
 #include "tensor/tensor.h"
 
 namespace sq::runtime {
@@ -42,19 +41,9 @@ class WeightPrep {
   /// pointee must outlive the WeightPrep.
   using Provider = std::function<const sq::tensor::Tensor*(int layer)>;
 
-  /// Quantization knobs shared by every layer (plans choose bits only).
-  struct Options {
-    sq::quant::Scheme scheme = sq::quant::Scheme::kSymmetric;
-    sq::quant::Rounding rounding = sq::quant::Rounding::kDeterministic;
-    std::size_t group_size = 64;
-    std::uint64_t seed = 0;  ///< Stochastic stream base; per-layer derived.
-  };
-
-  // Two overloads instead of `Options opts = {}`: a default argument may
-  // not use a nested class's member initializers before the enclosing
-  // class is complete.
-  explicit WeightPrep(Provider provider) : WeightPrep(std::move(provider), Options{}) {}
-  WeightPrep(Provider provider, Options opts);
+  /// Every layer is quantized at QuantJob's default group size (plans
+  /// choose bits only).
+  explicit WeightPrep(Provider provider) : provider_(std::move(provider)) {}
 
   /// Quantize every non-FP16 layer of `layer_bits` into the QuantCache
   /// (parallel fan-out; already-cached layers are counted as reused).
@@ -67,14 +56,11 @@ class WeightPrep {
   PrepStats reprepare(const std::vector<sq::hw::Bitwidth>& old_bits,
                       const std::vector<sq::hw::Bitwidth>& new_bits) const;
 
-  const Options& options() const { return opts_; }
-
  private:
   PrepStats run(const std::vector<sq::hw::Bitwidth>& bits,
                 const std::vector<bool>* changed) const;
 
   Provider provider_;
-  Options opts_;
 };
 
 }  // namespace sq::runtime

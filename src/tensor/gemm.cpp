@@ -142,7 +142,7 @@ SQ_TARGET_AVX512 void band_avx512(std::size_t mc, std::size_t nc,
 #endif
 
 /// Plain i-k-j matmul with the exact accumulation order of
-/// ops.cpp matmul_naive.  Compiled per-ISA below so the j loop (independent
+/// the matmul_naive oracle.  Compiled per-ISA below so the j loop (independent
 /// chains, so vector width cannot change results) runs at full width; this
 /// is the small-shape path where the blocked kernels' packing overhead does
 /// not amortize.

@@ -1,7 +1,8 @@
 // Blocked, packed, multi-threaded GEMM kernels for the quantization /
 // probe path.
 //
-// The naive triple loops in ops.cpp are kept as the bit-exact reference;
+// The naive triple loops frozen in tests/oracles (matmul_naive,
+// matmul_bt_naive) are the bit-exact reference;
 // everything here is a faster route to the *same bits*.  The determinism
 // contract, which tests/gemm_test.cpp asserts:
 //

@@ -20,7 +20,7 @@ bool use_blocked(std::size_t m, std::size_t k, std::size_t n) {
   return m >= 48 && k >= 48 && n >= 128;
 }
 
-/// matmul_bt's naive form is a scalar dot-product chain (unvectorizable
+/// matmul_bt_small is a scalar dot-product chain (unvectorizable
 /// without reassociation), so the blocked kernels win on smaller shapes
 /// than for matmul: ≥1.2x from m, n >= 64 with k >= 96 (measured), versus
 /// losses at 48x48x48 (0.44x) and below.
@@ -28,39 +28,9 @@ bool use_blocked_bt(std::size_t m, std::size_t k, std::size_t n) {
   return m >= 64 && k >= 96 && n >= 64;
 }
 
-}  // namespace
-
-Tensor matmul_naive(const Tensor& a, const Tensor& b) {
-  assert(a.cols() == b.rows() && "matmul: inner dimensions must match");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  Tensor c(m, n);
-  // i-k-j loop order keeps the inner loop contiguous over B and C rows.
-  // No zero-skip: `aik == 0` must still multiply so NaN/Inf in B propagate
-  // (0 * NaN == NaN), and the branch would mispredict in the hot loop.
-  for (std::size_t i = 0; i < m; ++i) {
-    auto crow = c.row(i);
-    auto arow = a.row(i);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      auto brow = b.row(kk);
-      for (std::size_t j = 0; j < n; ++j) {
-        crow[j] += aik * brow[j];
-      }
-    }
-  }
-  return c;
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  assert(a.cols() == b.rows() && "matmul: inner dimensions must match");
-  if (use_blocked(a.rows(), a.cols(), b.cols())) return matmul_blocked(a, b);
-  // matmul_small is matmul_naive's loop compiled at full vector width;
-  // bit-identical, just faster on the shapes that stay below the gate.
-  return matmul_small(a, b);
-}
-
-Tensor matmul_bt_naive(const Tensor& a, const Tensor& b) {
-  assert(a.cols() == b.cols() && "matmul_bt: inner dimensions must match");
+/// matmul_bt below its gate: one scalar dot-product chain per element, the
+/// accumulation order matmul_bt_blocked reproduces.
+Tensor matmul_bt_small(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   Tensor c(m, n);
   for (std::size_t i = 0; i < m; ++i) {
@@ -78,12 +48,22 @@ Tensor matmul_bt_naive(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+}  // namespace
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  assert(a.cols() == b.rows() && "matmul: inner dimensions must match");
+  if (use_blocked(a.rows(), a.cols(), b.cols())) return matmul_blocked(a, b);
+  // matmul_small is the plain i-k-j loop compiled at full vector width;
+  // bit-identical, just faster on the shapes that stay below the gate.
+  return matmul_small(a, b);
+}
+
 Tensor matmul_bt(const Tensor& a, const Tensor& b) {
   assert(a.cols() == b.cols() && "matmul_bt: inner dimensions must match");
   if (use_blocked_bt(a.rows(), a.cols(), b.rows())) {
     return matmul_bt_blocked(a, b);
   }
-  return matmul_bt_naive(a, b);
+  return matmul_bt_small(a, b);
 }
 
 Tensor transpose(const Tensor& a) {

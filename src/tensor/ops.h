@@ -3,11 +3,11 @@
 // These are the building blocks for the executable tiny transformer
 // (src/nn) and the quantization/probe path.  matmul / matmul_bt /
 // transpose route large shapes through the blocked, packed, threaded
-// kernels in gemm.h; the naive triple loops are retained as *_naive —
-// they are the bit-exact reference the kernel layer's determinism
-// contract is tested against (tests/gemm_test.cpp).  This file is
-// compiled with -ffp-contract=off so the naive chains stay FMA-free,
-// matching the kernel layer (see gemm.h).
+// kernels in gemm.h and small ones through plain loops; both give the
+// bits of the naive triple loops frozen in tests/oracles, which the
+// kernel layer's determinism contract is tested against
+// (tests/gemm_test.cpp).  This file is compiled with -ffp-contract=off so
+// the plain chains stay FMA-free, matching the kernel layer (see gemm.h).
 #pragma once
 
 #include <span>
@@ -18,19 +18,13 @@ namespace sq::tensor {
 
 /// C = A * B.  Shapes: [m x k] * [k x n] -> [m x n].
 /// Aborts (assert) on incompatible shapes.  Large shapes run on the
-/// blocked kernels (bit-identical to matmul_naive, just faster).
+/// blocked kernels; every shape gets the bits of the plain i-k-j loop.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
-/// Naive i-k-j reference for matmul.  Bit-exact ground truth for the
-/// kernel layer; also the faster choice for tiny shapes (no packing).
-Tensor matmul_naive(const Tensor& a, const Tensor& b);
-
 /// C = A * B^T.  Shapes: [m x k] * [n x k] -> [m x n].  Large shapes run
-/// on the blocked kernels (bit-identical to matmul_bt_naive).
+/// on the blocked kernels; every shape gets the bits of one scalar
+/// dot-product chain per element.
 Tensor matmul_bt(const Tensor& a, const Tensor& b);
-
-/// Naive dot-product reference for matmul_bt.
-Tensor matmul_bt_naive(const Tensor& a, const Tensor& b);
 
 /// Return A^T (cache-blocked for large shapes; exact element copies).
 Tensor transpose(const Tensor& a);

@@ -1,7 +1,7 @@
 // Deterministic pseudo-random number generation for the whole repository.
 //
 // Everything in SplitQuant that involves randomness (synthetic weights,
-// stochastic rounding, workload sampling, simulator jitter) must be
+// workload sampling, simulator jitter) must be
 // reproducible from a single 64-bit seed so that tests and benchmarks are
 // stable across runs and machines.  We deliberately avoid <random>'s
 // distribution objects because their output is implementation-defined; the

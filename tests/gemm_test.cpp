@@ -11,6 +11,7 @@
 #include <limits>
 
 #include "obs/metrics.h"
+#include "oracles/matmul_naive.h"
 #include "quant/qtensor.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -19,6 +20,9 @@
 
 namespace sq::tensor {
 namespace {
+
+using oracle::matmul_bt_naive;
+using oracle::matmul_naive;
 
 Tensor random_tensor(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   Rng rng(seed);
@@ -101,8 +105,13 @@ TEST(GemmBlocked, BtMatchesNaiveBitForBit) {
   for (const Shape& s : kShapes) {
     const Tensor a = random_tensor(s.m, s.k, seed++);
     const Tensor b = random_tensor(s.n, s.k, seed++);  // B is [n x k]
-    EXPECT_TRUE(same_bytes(matmul_bt_blocked(a, b), matmul_bt_naive(a, b)))
+    const Tensor ref = matmul_bt_naive(a, b);
+    EXPECT_TRUE(same_bytes(matmul_bt_blocked(a, b), ref))
         << "m=" << s.m << " k=" << s.k << " n=" << s.n;
+    // matmul_bt: the blocked kernels above its gate, its own scalar loop
+    // below.
+    EXPECT_TRUE(same_bytes(matmul_bt(a, b), ref))
+        << "routed m=" << s.m << " k=" << s.k << " n=" << s.n;
   }
 }
 
@@ -158,12 +167,10 @@ TEST(GemmBlocked, FusedDequantMatmulMatchesMaterialized) {
   GemmThreadGuard guard;
   using sq::quant::Bitwidth;
   using sq::quant::QTensor;
-  using sq::quant::Rounding;
-  using sq::quant::Scheme;
   const Tensor w = random_tensor(96, 160, 51);
   const Tensor x = random_tensor(64, 96, 52);  // inside the fused win region
   for (const Bitwidth b : {Bitwidth::kInt4, Bitwidth::kInt8, Bitwidth::kFp16}) {
-    const QTensor qw(w, b, Scheme::kSymmetric, Rounding::kDeterministic, 48);
+    const QTensor qw(w, b, 48);
     const Tensor ref = matmul_blocked(x, qw.dequantize());
     for (int threads : {1, 4}) {
       set_kernel_threads(threads);

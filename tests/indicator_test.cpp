@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "quant/indicator.h"
+#include "quant/qtensor.h"
 #include "tensor/ops.h"
 
 namespace sq::quant {
@@ -32,27 +33,26 @@ TEST(OperatorStats, ExtractsMoments) {
   EXPECT_DOUBLE_EQ(s.x_var, 1.0);
 }
 
-TEST(GofX, DeterministicVsStochastic) {
+TEST(GofX, QuarterOfInputVariance) {
+  // Round-to-nearest: G(X) = Var[X] / 4, whatever the mean.
   OperatorStats s;
   s.x_mean = 2.0;
   s.x_var = 4.0;
-  EXPECT_DOUBLE_EQ(g_of_x(s, Rounding::kDeterministic), 1.0);       // Var/4
-  EXPECT_DOUBLE_EQ(g_of_x(s, Rounding::kStochastic), 8.0 / 6.0);    // (E^2+Var)/6
+  EXPECT_DOUBLE_EQ(g_of_x(s), 1.0);
+  s.x_mean = -7.0;
+  EXPECT_DOUBLE_EQ(g_of_x(s), 1.0);
 }
 
 TEST(VarianceIndicator, Fp16IsZero) {
   OperatorStats s{1024, -0.1f, 0.1f, 0.0, 1.0};
-  EXPECT_EQ(operator_variance_indicator(s, Bitwidth::kFp16, Scheme::kSymmetric,
-                                        Rounding::kDeterministic),
-            0.0);
+  EXPECT_EQ(operator_variance_indicator(s, Bitwidth::kFp16), 0.0);
 }
 
 TEST(VarianceIndicator, MonotoneInBitwidth) {
   OperatorStats s{4096, -0.2f, 0.2f, 0.1, 0.8};
   double prev = 0.0;
   for (const Bitwidth b : {Bitwidth::kInt8, Bitwidth::kInt4, Bitwidth::kInt3}) {
-    const double v = operator_variance_indicator(s, b, Scheme::kSymmetric,
-                                                 Rounding::kDeterministic);
+    const double v = operator_variance_indicator(s, b);
     EXPECT_GT(v, prev);
     prev = v;
   }
@@ -62,20 +62,16 @@ TEST(VarianceIndicator, ScalesWithWeightDim) {
   OperatorStats a{1000, -0.1f, 0.1f, 0.0, 1.0};
   OperatorStats b = a;
   b.weight_dim = 2000;
-  const double va = operator_variance_indicator(a, Bitwidth::kInt4, Scheme::kSymmetric,
-                                                Rounding::kDeterministic);
-  const double vb = operator_variance_indicator(b, Bitwidth::kInt4, Scheme::kSymmetric,
-                                                Rounding::kDeterministic);
+  const double va = operator_variance_indicator(a, Bitwidth::kInt4);
+  const double vb = operator_variance_indicator(b, Bitwidth::kInt4);
   EXPECT_DOUBLE_EQ(vb, 2.0 * va);
 }
 
 TEST(VarianceIndicator, LayerSumsOperators) {
   OperatorStats s{1024, -0.1f, 0.1f, 0.0, 1.0};
   const OperatorStats ops[] = {s, s, s};
-  const double one = operator_variance_indicator(s, Bitwidth::kInt4, Scheme::kSymmetric,
-                                                 Rounding::kDeterministic);
-  const double layer = layer_variance_indicator(ops, Bitwidth::kInt4, Scheme::kSymmetric,
-                                                Rounding::kDeterministic);
+  const double one = operator_variance_indicator(s, Bitwidth::kInt4);
+  const double layer = layer_variance_indicator(ops, Bitwidth::kInt4);
   EXPECT_NEAR(layer, 3.0 * one, 1e-12);
 }
 
@@ -89,10 +85,8 @@ TEST(Theorem1, PredictsMeasuredOutputVarianceOrder) {
   const Tensor ref = sq::tensor::matmul(x, w);
 
   auto added_var = [&](Bitwidth b) {
-    const auto flat = w.data();
-    const auto wq = fake_quantize(flat, b, Scheme::kSymmetric, Rounding::kDeterministic);
-    const Tensor wqt(d, d, wq);
-    const Tensor out = sq::tensor::matmul(x, wqt);
+    // One scale over the whole matrix (a group as large as the tensor).
+    const Tensor out = QTensor(w, b, d * d).matmul(x);
     return sq::tensor::mse(out, ref);
   };
   const double v4 = added_var(Bitwidth::kInt4);
@@ -131,10 +125,10 @@ TEST(HessianProbe, DominantDirection) {
 TEST(HessianIndicator, ZeroAtFp16AndMonotone) {
   const Tensor w = randn(32, 32, 7, 0.1f);
   const Tensor x = randn(64, 32, 8, 1.0f);
-  EXPECT_EQ(hessian_indicator(w, x, Bitwidth::kFp16, Scheme::kSymmetric), 0.0);
-  const double h8 = hessian_indicator(w, x, Bitwidth::kInt8, Scheme::kSymmetric);
-  const double h4 = hessian_indicator(w, x, Bitwidth::kInt4, Scheme::kSymmetric);
-  const double h3 = hessian_indicator(w, x, Bitwidth::kInt3, Scheme::kSymmetric);
+  EXPECT_EQ(hessian_indicator(w, x, Bitwidth::kFp16), 0.0);
+  const double h8 = hessian_indicator(w, x, Bitwidth::kInt8);
+  const double h4 = hessian_indicator(w, x, Bitwidth::kInt4);
+  const double h3 = hessian_indicator(w, x, Bitwidth::kInt3);
   EXPECT_LT(h8, h4);
   EXPECT_LT(h4, h3);
 }

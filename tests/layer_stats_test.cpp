@@ -88,12 +88,5 @@ TEST(IndicatorTable, MonotoneInBitwidthEveryLayer) {
   }
 }
 
-TEST(IndicatorTable, StochasticRoundingChangesValues) {
-  const LlmSpec m = spec(ModelId::kOpt1_3B);
-  const auto det = variance_indicator_table(m, kBits, sq::quant::Rounding::kDeterministic);
-  const auto sto = variance_indicator_table(m, kBits, sq::quant::Rounding::kStochastic);
-  EXPECT_NE(det.at(0, Bitwidth::kInt4), sto.at(0, Bitwidth::kInt4));
-}
-
 }  // namespace
 }  // namespace sq::model

@@ -1,7 +1,8 @@
 // Byte-equality tests for the ISA-dispatched quantize/dequantize kernels
-// against the scalar reference loops — the contract that lets every
-// caller use the fast paths without auditing float behavior — and for the
-// weight fingerprint: one value on every path and every fold split.
+// against the scalar reference loops frozen in tests/oracles — the
+// contract that lets every caller use the fast paths without auditing
+// float behavior — and for the weight fingerprint: one value on every path
+// and every fold split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "oracles/quant_reference.h"
 #include "quant/qkernels.h"
-#include "quant/quant_cache.h"
 #include "quant/qtensor.h"
 #include "quant/quantizer.h"
 #include "tensor/rng.h"
@@ -56,46 +57,42 @@ TEST(QuantKernels, ForcingUnknownOrUnsupportedIsaFails) {
   EXPECT_TRUE(set_qkernel_isa("auto"));
 }
 
-TEST(QuantKernels, MinmaxMatchesMinmaxElementAllIsas) {
-  IsaGuard guard;
-  // Sizes straddle the 8/16-lane boundaries to exercise the vector tails.
-  for (const std::size_t n : {1u, 3u, 7u, 8u, 15u, 16u, 17u, 64u, 257u}) {
-    const std::vector<float> v = random_values(n, 1000 + n);
-    const auto [mn_it, mx_it] = std::minmax_element(v.begin(), v.end());
-    const float ref_mn = *mn_it, ref_mx = *mx_it;
-    for (const char* isa : available_isas()) {
-      ASSERT_TRUE(set_qkernel_isa(isa));
-      float mn = 0.0f, mx = 0.0f;
-      minmax(v, &mn, &mx);
-      EXPECT_EQ(std::memcmp(&mn, &ref_mn, 4), 0) << isa << " n=" << n;
-      EXPECT_EQ(std::memcmp(&mx, &ref_mx, 4), 0) << isa << " n=" << n;
-    }
-  }
+/// `v` quantized as groups of `group` by quantize_pack: the params and
+/// the packed bytes.
+struct Packed {
+  std::vector<QuantParams> params;
+  std::vector<std::uint8_t> bytes;
+};
+
+Packed pack(const std::vector<float>& v, std::size_t group, Bitwidth b) {
+  Packed p;
+  p.params.resize((v.size() + group - 1) / group);
+  p.bytes.resize(packed_size(v.size(), b));
+  quantize_pack(v, group, b, p.params, p.bytes);
+  return p;
 }
 
-TEST(QuantKernels, MinmaxPreservesSignedZeroScanOrder) {
+TEST(QuantKernels, GroupScaleMatchesMinmaxElementAllIsas) {
   IsaGuard guard;
-  // minmax_element keeps the FIRST minimum and LAST maximum; when the
-  // extremum is 0.0 that pins which zero's sign bit survives.  The vector
-  // paths must resolve ties the same way — the sign of `zero` feeds the
-  // asymmetric dequantization of code 0.
-  const std::vector<std::vector<float>> cases = {
-      {-0.0f, 0.0f, 1.0f},
-      {0.0f, -0.0f, 1.0f},
-      {-1.0f, 0.0f, -0.0f},
-      {-1.0f, -0.0f, 0.0f},
-      {0.0f, 0.5f, -0.0f, 0.25f, 0.0f, 1.0f, -0.0f, 0.75f, 0.5f},  // > 8 lanes
-      std::vector<float>(40, -0.0f),
-  };
+  // The group scale comes from the max |v| kernel; it must equal the scale
+  // of the extrema std::minmax_element finds.  Sizes straddle the 8/16-lane
+  // boundaries to exercise the vector tails; the signed-zero cases cannot
+  // change max |v|, whichever zero a scan keeps.
+  std::vector<std::vector<float>> cases;
+  for (const std::size_t n : {1u, 3u, 7u, 8u, 15u, 16u, 17u, 64u, 257u}) {
+    cases.push_back(random_values(n, 1000 + n));
+  }
+  cases.push_back({-0.0f, 0.0f, 1.0f});
+  cases.push_back({-1.0f, 0.0f, -0.0f});
+  cases.push_back({0.0f, 0.5f, -0.0f, 0.25f, 0.0f, 1.0f, -0.0f, 0.75f, 0.5f});
+  cases.push_back(std::vector<float>(40, -0.0f));
   for (const auto& v : cases) {
-    const auto [mn_it, mx_it] = std::minmax_element(v.begin(), v.end());
-    const float ref_mn = *mn_it, ref_mx = *mx_it;
+    const QuantParams want = oracle::params_reference(v, Bitwidth::kInt4);
     for (const char* isa : available_isas()) {
       ASSERT_TRUE(set_qkernel_isa(isa));
-      float mn = 0.0f, mx = 0.0f;
-      minmax(v, &mn, &mx);
-      EXPECT_EQ(std::memcmp(&mn, &ref_mn, 4), 0) << isa;
-      EXPECT_EQ(std::memcmp(&mx, &ref_mx, 4), 0) << isa;
+      const Packed got = pack(v, v.size(), Bitwidth::kInt4);
+      EXPECT_EQ(std::memcmp(&got.params[0], &want, sizeof want), 0)
+          << isa << " n=" << v.size();
     }
   }
 }
@@ -103,70 +100,88 @@ TEST(QuantKernels, MinmaxPreservesSignedZeroScanOrder) {
 TEST(QuantKernels, QuantizeDequantizeMatchReferenceAllIsas) {
   IsaGuard guard;
   for (const auto bw : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
-    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
-      for (const std::size_t n : {1u, 9u, 16u, 33u, 250u}) {
-        const std::vector<float> v =
-            random_values(n, 31 * n + static_cast<std::uint64_t>(sq::hw::bits(bw)));
-        const QuantParams p = compute_params(v, bw, scheme);
-        std::vector<std::int32_t> ref_codes(n);
-        quantize_reference(v, p, bw, scheme, ref_codes);
-        std::vector<float> ref_deq(n);
-        dequantize_reference(ref_codes, p, ref_deq);
-        const auto [lo, hi] = code_range(bw, scheme);
-        for (const char* isa : available_isas()) {
-          ASSERT_TRUE(set_qkernel_isa(isa));
-          std::vector<std::int32_t> codes(n);
-          quantize_codes(v, p, lo, hi, codes);
-          EXPECT_TRUE(bytes_equal(codes, ref_codes)) << isa << " n=" << n;
-          std::vector<float> deq(n);
-          dequantize_codes(codes, p, deq);
-          EXPECT_TRUE(bytes_equal(deq, ref_deq)) << isa << " n=" << n;
-        }
+    for (const std::size_t n : {1u, 9u, 16u, 33u, 250u}) {
+      const std::vector<float> v =
+          random_values(n, 31 * n + static_cast<std::uint64_t>(sq::hw::bits(bw)));
+      const QuantParams p = oracle::params_reference(v, bw);
+      std::vector<std::int32_t> ref_codes(n);
+      oracle::quantize_reference(v, p, bw, ref_codes);
+      std::vector<float> ref_deq(n);
+      oracle::dequantize_reference(ref_codes, p, ref_deq);
+      for (const char* isa : available_isas()) {
+        ASSERT_TRUE(set_qkernel_isa(isa));
+        const Packed got = pack(v, n, bw);
+        std::vector<std::int32_t> codes(n);
+        unpack_codes(got.bytes, 0, bw, codes);
+        EXPECT_TRUE(bytes_equal(codes, ref_codes)) << isa << " n=" << n;
+        std::vector<float> deq(n);
+        dequantize_packed(got.bytes, 0, bw, got.params, n, deq);
+        EXPECT_TRUE(bytes_equal(deq, ref_deq)) << isa << " n=" << n;
       }
     }
   }
 }
 
-TEST(QuantKernels, PublicQuantizeRoutesThroughKernelsBitIdentically) {
-  IsaGuard guard;
-  const std::vector<float> v = random_values(129, 99);
-  const QuantParams p = compute_params(v, Bitwidth::kInt4, Scheme::kAsymmetric);
-  std::vector<std::int32_t> ref(v.size());
-  quantize_reference(v, p, Bitwidth::kInt4, Scheme::kAsymmetric, ref);
-  for (const char* isa : available_isas()) {
-    ASSERT_TRUE(set_qkernel_isa(isa));
-    std::vector<std::int32_t> got(v.size());
-    quantize(v, p, Bitwidth::kInt4, Scheme::kAsymmetric, Rounding::kDeterministic,
-             nullptr, got);
-    EXPECT_TRUE(bytes_equal(got, ref)) << isa;
-  }
-}
-
-TEST(QuantKernels, DegenerateGroupsAndClampEdges) {
-  IsaGuard guard;
-  // Constant group (span 0 -> scale 1), huge outlier (clamps at both code
-  // ends), all-zero input.
-  const std::vector<std::vector<float>> cases = {
+/// The degenerate inputs: a constant group, huge outliers at both ends,
+/// all zeros.
+const std::vector<std::vector<float>>& degenerate_cases() {
+  static const std::vector<std::vector<float>> cases = {
       std::vector<float>(20, 0.125f),
       {1e30f, -1e30f, 0.5f, -0.5f, 1e30f, -1e30f, 0.1f, -0.1f, 0.0f},
       std::vector<float>(17, 0.0f),
   };
-  for (const auto& v : cases) {
-    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
-      const QuantParams p = compute_params(v, Bitwidth::kInt4, scheme);
-      std::vector<std::int32_t> ref(v.size());
-      quantize_reference(v, p, Bitwidth::kInt4, scheme, ref);
-      std::vector<float> ref_deq(v.size());
-      dequantize_reference(ref, p, ref_deq);
-      const auto [lo, hi] = code_range(Bitwidth::kInt4, scheme);
+  return cases;
+}
+
+TEST(QuantKernels, DegenerateGroupsAndClampEdges) {
+  IsaGuard guard;
+  for (const auto& v : degenerate_cases()) {
+    const QuantParams p = oracle::params_reference(v, Bitwidth::kInt4);
+    std::vector<std::int32_t> ref(v.size());
+    oracle::quantize_reference(v, p, Bitwidth::kInt4, ref);
+    std::vector<float> ref_deq(v.size());
+    oracle::dequantize_reference(ref, p, ref_deq);
+    for (const char* isa : available_isas()) {
+      ASSERT_TRUE(set_qkernel_isa(isa));
+      const Packed got = pack(v, v.size(), Bitwidth::kInt4);
+      std::vector<std::int32_t> codes(v.size());
+      unpack_codes(got.bytes, 0, Bitwidth::kInt4, codes);
+      EXPECT_TRUE(bytes_equal(codes, ref)) << isa;
+      std::vector<float> deq(v.size());
+      dequantize_packed(got.bytes, 0, Bitwidth::kInt4, got.params, v.size(), deq);
+      EXPECT_TRUE(bytes_equal(deq, ref_deq)) << isa;
+    }
+  }
+}
+
+TEST(QuantKernels, QuantizationMseMatchesReferenceRoundTripAllIsas) {
+  IsaGuard guard;
+  // quantization_mse runs the packed path over one group; it must return
+  // exactly the MSE of the reference round trip, summed in element order.
+  const auto reference_mse = [](const std::vector<float>& v, Bitwidth b) {
+    if (v.empty()) return 0.0;
+    const QuantParams p = oracle::params_reference(v, b);
+    std::vector<std::int32_t> codes(v.size());
+    oracle::quantize_reference(v, p, b, codes);
+    std::vector<float> rt(v.size());
+    oracle::dequantize_reference(codes, p, rt);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const double d = static_cast<double>(rt[i]) - static_cast<double>(v[i]);
+      acc += d * d;
+    }
+    return acc / static_cast<double>(v.size());
+  };
+  std::vector<std::vector<float>> cases = degenerate_cases();
+  cases.emplace_back();                                      // Empty span.
+  cases.push_back(random_values(kPackChunk * 2 + 333, 77));  // Several chunks.
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
+    for (const auto& v : cases) {
+      const double want = reference_mse(v, b);
       for (const char* isa : available_isas()) {
         ASSERT_TRUE(set_qkernel_isa(isa));
-        std::vector<std::int32_t> codes(v.size());
-        quantize_codes(v, p, lo, hi, codes);
-        EXPECT_TRUE(bytes_equal(codes, ref)) << isa;
-        std::vector<float> deq(v.size());
-        dequantize_codes(codes, p, deq);
-        EXPECT_TRUE(bytes_equal(deq, ref_deq)) << isa;
+        EXPECT_EQ(quantization_mse(v, b), want)
+            << isa << " n=" << v.size() << " bits=" << sq::hw::bits(b);
       }
     }
   }
@@ -179,28 +194,24 @@ TEST(QuantKernels, QTensorHoistedPathMatchesLegacyGroupLoop) {
   w.fill_normal(rng, 0.0f, 0.1f);
   const auto flat = w.data();
   for (const std::size_t g : {1u, 7u, 64u, 0u}) {
-    // Hand-rolled legacy flat-group loop: per-group minmax scan, scalar
-    // reference quantize + dequantize (what QTensor's constructor did
-    // before the hoisted kernel path).
+    // Hand-rolled flat-group loop: per-group extrema, scalar reference
+    // quantize + dequantize (what QTensor's constructor did before the
+    // hoisted kernel path).
     const std::size_t gs = g == 0 ? w.cols() : g;
     std::vector<float> ref(flat.size());
     std::vector<std::int32_t> codes;
     for (std::size_t begin = 0; begin < flat.size(); begin += gs) {
       const std::size_t len = std::min(gs, flat.size() - begin);
       const auto chunk = flat.subspan(begin, len);
-      const auto [mn_it, mx_it] = std::minmax_element(chunk.begin(), chunk.end());
-      const QuantParams p =
-          params_from_range(*mn_it, *mx_it, Bitwidth::kInt4, Scheme::kAsymmetric);
+      const QuantParams p = oracle::params_reference(chunk, Bitwidth::kInt4);
       codes.resize(len);
-      quantize_reference(chunk, p, Bitwidth::kInt4, Scheme::kAsymmetric, codes);
-      dequantize_reference(codes, p,
-                           std::span<float>(ref).subspan(begin, len));
+      oracle::quantize_reference(chunk, p, Bitwidth::kInt4, codes);
+      oracle::dequantize_reference(codes, p,
+                                   std::span<float>(ref).subspan(begin, len));
     }
     for (const char* isa : available_isas()) {
       ASSERT_TRUE(set_qkernel_isa(isa));
-      const QTensor fast(w, Bitwidth::kInt4, Scheme::kAsymmetric,
-                         Rounding::kDeterministic, g, nullptr,
-                         /*compute_mse=*/false);
+      const QTensor fast(w, Bitwidth::kInt4, g, /*compute_mse=*/false);
       const auto got = fast.dequantize();
       ASSERT_EQ(got.data().size(), ref.size());
       EXPECT_EQ(std::memcmp(got.data().data(), ref.data(),
@@ -213,9 +224,8 @@ TEST(QuantKernels, QTensorHoistedPathMatchesLegacyGroupLoop) {
 
 // ---- Packed storage: quantize_pack / unpack_codes / dequantize_packed ----
 
-/// Reference codes and params group by group: compute_params, then
-/// quantize_reference (deterministic) or the scalar stochastic quantize fed
-/// by Rng(seed) — what quantize_pack must reproduce.
+/// Reference codes and params group by group: params_reference, then
+/// quantize_reference — what quantize_pack must reproduce.
 struct RefQuant {
   std::vector<std::int32_t> codes;
   std::vector<QuantParams> params;
@@ -223,24 +233,18 @@ struct RefQuant {
 };
 
 RefQuant reference_quant(const std::vector<float>& v, std::size_t group,
-                         Bitwidth b, Scheme scheme, Rounding rounding,
-                         std::uint64_t seed) {
+                         Bitwidth b) {
   RefQuant r;
   r.codes.resize(v.size());
   r.deq.resize(v.size());
-  sq::tensor::Rng rng(seed);
   for (std::size_t begin = 0; begin < v.size(); begin += group) {
     const std::size_t len = std::min(group, v.size() - begin);
     const auto chunk = std::span<const float>(v).subspan(begin, len);
     const auto codes = std::span<std::int32_t>(r.codes).subspan(begin, len);
-    const auto [mn, mx] = std::minmax_element(chunk.begin(), chunk.end());
-    const QuantParams p = params_from_range(*mn, *mx, b, scheme);
-    if (rounding == Rounding::kDeterministic) {
-      quantize_reference(chunk, p, b, scheme, codes);
-    } else {
-      quantize(chunk, p, b, scheme, rounding, &rng, codes);
-    }
-    dequantize_reference(codes, p, std::span<float>(r.deq).subspan(begin, len));
+    const QuantParams p = oracle::params_reference(chunk, b);
+    oracle::quantize_reference(chunk, p, b, codes);
+    oracle::dequantize_reference(codes, p,
+                                 std::span<float>(r.deq).subspan(begin, len));
     r.params.push_back(p);
   }
   return r;
@@ -260,39 +264,32 @@ TEST(QuantKernels, PackedRoundTripMatchesReferenceAllIsas) {
       {1, 1},   {7, 3},   {8, 8},   {9, 4},    {17, 5},   {33, 64},
       {64, 64}, {250, 7}, {257, 1}, {1000, 0}, {9000, 1000}, {8200, 8192}};
   for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
-    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
-      for (const auto rounding : {Rounding::kDeterministic, Rounding::kStochastic}) {
-        for (const auto& [n, g0] : shapes) {
-          const std::size_t g = g0 == 0 ? n : g0;  // 0: one group
-          const std::vector<float> v = random_values(n, 7 * n + g);
-          const RefQuant ref = reference_quant(v, g, b, scheme, rounding, 11);
-          std::vector<std::uint8_t> first;
-          for (const char* isa : available_isas()) {
-            ASSERT_TRUE(set_qkernel_isa(isa));
-            const std::string where = std::string(isa) + " n=" + std::to_string(n) +
-                                      " g=" + std::to_string(g) +
-                                      " bits=" + std::to_string(sq::hw::bits(b));
-            std::vector<QuantParams> params((n + g - 1) / g);
-            std::vector<std::uint8_t> packed(packed_size(n, b));
-            sq::tensor::Rng rng(11);
-            quantize_pack(v, g, b, scheme, rounding, &rng, params, packed);
-            ASSERT_EQ(params.size(), ref.params.size()) << where;
-            for (std::size_t i = 0; i < params.size(); ++i) {
-              EXPECT_EQ(std::memcmp(&params[i], &ref.params[i], sizeof(QuantParams)), 0)
-                  << where << " group " << i;
-            }
-            // Every ISA writes the same bytes.
-            if (first.empty()) first = packed;
-            EXPECT_TRUE(bytes_equal(packed, first)) << where;
-
-            std::vector<std::int32_t> codes(n);
-            unpack_codes(packed, 0, b, scheme, codes);
-            EXPECT_TRUE(bytes_equal(codes, ref.codes)) << where;
-            std::vector<float> deq(n);
-            dequantize_packed(packed, 0, b, scheme, params, g, deq);
-            EXPECT_TRUE(bytes_equal(deq, ref.deq)) << where;
-          }
+    for (const auto& [n, g0] : shapes) {
+      const std::size_t g = g0 == 0 ? n : g0;  // 0: one group
+      const std::vector<float> v = random_values(n, 7 * n + g);
+      const RefQuant ref = reference_quant(v, g, b);
+      std::vector<std::uint8_t> first;
+      for (const char* isa : available_isas()) {
+        ASSERT_TRUE(set_qkernel_isa(isa));
+        const std::string where = std::string(isa) + " n=" + std::to_string(n) +
+                                  " g=" + std::to_string(g) +
+                                  " bits=" + std::to_string(sq::hw::bits(b));
+        const Packed got = pack(v, g, b);
+        ASSERT_EQ(got.params.size(), ref.params.size()) << where;
+        for (std::size_t i = 0; i < got.params.size(); ++i) {
+          EXPECT_EQ(std::memcmp(&got.params[i], &ref.params[i], sizeof(QuantParams)), 0)
+              << where << " group " << i;
         }
+        // Every ISA writes the same bytes.
+        if (first.empty()) first = got.bytes;
+        EXPECT_TRUE(bytes_equal(got.bytes, first)) << where;
+
+        std::vector<std::int32_t> codes(n);
+        unpack_codes(got.bytes, 0, b, codes);
+        EXPECT_TRUE(bytes_equal(codes, ref.codes)) << where;
+        std::vector<float> deq(n);
+        dequantize_packed(got.bytes, 0, b, got.params, g, deq);
+        EXPECT_TRUE(bytes_equal(deq, ref.deq)) << where;
       }
     }
   }
@@ -305,24 +302,20 @@ TEST(QuantKernels, UnpackAndDequantizeAnySubrangeAllIsas) {
   const std::size_t n = 203, g = 13;
   const std::vector<float> v = random_values(n, 5);
   for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
-    const RefQuant ref =
-        reference_quant(v, g, b, Scheme::kSymmetric, Rounding::kDeterministic, 0);
-    std::vector<QuantParams> params((n + g - 1) / g);
-    std::vector<std::uint8_t> packed(packed_size(n, b));
-    quantize_pack(v, g, b, Scheme::kSymmetric, Rounding::kDeterministic, nullptr,
-                  params, packed);
+    const RefQuant ref = reference_quant(v, g, b);
+    const Packed packed = pack(v, g, b);
     for (const char* isa : available_isas()) {
       ASSERT_TRUE(set_qkernel_isa(isa));
       for (const std::size_t begin : {0u, 1u, 3u, 8u, 13u, 100u, 195u, 202u}) {
         for (const std::size_t len : {0u, 1u, 5u, 8u, 9u, 40u, 300u}) {
           const std::size_t m = std::min(len, n - begin);
           std::vector<std::int32_t> codes(m);
-          unpack_codes(packed, begin, b, Scheme::kSymmetric, codes);
+          unpack_codes(packed.bytes, begin, b, codes);
           EXPECT_TRUE(spans_equal<std::int32_t>(
               std::span<const std::int32_t>(ref.codes).subspan(begin, m), codes))
               << isa << " begin=" << begin << " len=" << m;
           std::vector<float> deq(m);
-          dequantize_packed(packed, begin, b, Scheme::kSymmetric, params, g, deq);
+          dequantize_packed(packed.bytes, begin, b, packed.params, g, deq);
           EXPECT_TRUE(spans_equal<float>(
               std::span<const float>(ref.deq).subspan(begin, m), deq))
               << isa << " begin=" << begin << " len=" << m;
@@ -339,20 +332,15 @@ TEST(QuantKernels, QTensorPackedCodesMatchReferenceAllIsas) {
   w.fill_normal(wrng, 0.0f, 0.1f);
   const std::vector<float> flat(w.data().begin(), w.data().end());
   for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
-    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
-      for (const auto rounding : {Rounding::kDeterministic, Rounding::kStochastic}) {
-        const RefQuant ref = reference_quant(flat, 64, b, scheme, rounding, 17);
-        for (const char* isa : available_isas()) {
-          ASSERT_TRUE(set_qkernel_isa(isa));
-          sq::tensor::Rng rng(17);
-          const QTensor q(w, b, scheme, rounding, 64, &rng);
-          std::vector<std::int32_t> codes(flat.size());
-          unpack_codes(q.packed_codes(), 0, b, scheme, codes);
-          EXPECT_TRUE(bytes_equal(codes, ref.codes)) << isa;
-          const auto deq = q.dequantize();
-          EXPECT_TRUE(spans_equal<float>(deq.data(), ref.deq)) << isa;
-        }
-      }
+    const RefQuant ref = reference_quant(flat, 64, b);
+    for (const char* isa : available_isas()) {
+      ASSERT_TRUE(set_qkernel_isa(isa));
+      const QTensor q(w, b, 64);
+      std::vector<std::int32_t> codes(flat.size());
+      unpack_codes(q.packed_codes(), 0, b, codes);
+      EXPECT_TRUE(bytes_equal(codes, ref.codes)) << isa;
+      const auto deq = q.dequantize();
+      EXPECT_TRUE(spans_equal<float>(deq.data(), ref.deq)) << isa;
     }
   }
 }
@@ -389,8 +377,7 @@ TEST(QuantKernels, ChunkedFoldEqualsOneShotFingerprint) {
   IsaGuard guard;
   for (const std::size_t n : {1u, 15u, 16u, 17u, 4095u, 4096u, 4097u, 1000003u}) {
     const std::vector<float> v = random_values(n, 50 + n);
-    const sq::tensor::Tensor w(1, n, v);
-    const std::uint64_t want = weight_fingerprint(w);
+    const std::uint64_t want = fingerprint_of(v, 1, n);
     for (const char* isa : available_isas()) {
       ASSERT_TRUE(set_qkernel_isa(isa));
       // Folded in blocks and in chunks, as a lookup and quantize_pack do.
@@ -410,8 +397,7 @@ TEST(QuantKernels, ChunkedFoldEqualsOneShotFingerprint) {
         fp.fold(std::span<const float>(v).first(std::min(n, kPackChunk)));
         std::vector<QuantParams> params((n + group - 1) / group);
         std::vector<std::uint8_t> packed(packed_size(n, Bitwidth::kInt4));
-        quantize_pack(v, group, Bitwidth::kInt4, Scheme::kSymmetric,
-                      Rounding::kDeterministic, nullptr, params, packed, &fp);
+        quantize_pack(v, group, Bitwidth::kInt4, params, packed, &fp);
         EXPECT_EQ(fp.folded(), n);
         EXPECT_EQ(fp.value(1, n), want) << isa << " n=" << n << " group=" << group;
       }

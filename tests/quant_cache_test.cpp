@@ -1,7 +1,7 @@
 // Tests for the content-addressed quantized-layer cache and the runtime
 // WeightPrep hook built on it: hit/miss semantics, key separation per
 // quantization knob, bit-identity of cached results against direct QTensor
-// construction (deterministic and stochastic), whole-model fan-out stats,
+// construction, whole-model fan-out stats,
 // concurrent access (TSan coverage), the two lookup orders (a miss that
 // quantizes while fingerprinting, and a fingerprint-first probe), and
 // changed-bits-only re-preparation after plan repair.
@@ -42,20 +42,14 @@ TEST(QuantCache, MissThenHitReturnsSharedTensor) {
   const Tensor w = random_weights(8, 32, 1);
 
   bool computed = false;
-  const auto first = cache.get_or_quantize(w, Bitwidth::kInt4,
-                                           Scheme::kSymmetric,
-                                           Rounding::kDeterministic, 16,
-                                           /*seed=*/0, &computed);
+  const auto first = cache.get_or_quantize(w, Bitwidth::kInt4, 16, &computed);
   ASSERT_NE(first, nullptr);
   EXPECT_TRUE(computed);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.size(), 1u);
 
-  const auto second = cache.get_or_quantize(w, Bitwidth::kInt4,
-                                            Scheme::kSymmetric,
-                                            Rounding::kDeterministic, 16,
-                                            /*seed=*/0, &computed);
+  const auto second = cache.get_or_quantize(w, Bitwidth::kInt4, 16, &computed);
   EXPECT_FALSE(computed);
   EXPECT_EQ(second.get(), first.get());  // Same cached object, not a copy.
   EXPECT_EQ(cache.hits(), 1u);
@@ -63,9 +57,7 @@ TEST(QuantCache, MissThenHitReturnsSharedTensor) {
 
   // Identical content in a distinct allocation also hits (content-addressed).
   const Tensor copy(w.rows(), w.cols(), w.data());
-  const auto third = cache.get_or_quantize(copy, Bitwidth::kInt4,
-                                           Scheme::kSymmetric,
-                                           Rounding::kDeterministic, 16);
+  const auto third = cache.get_or_quantize(copy, Bitwidth::kInt4, 16);
   EXPECT_EQ(third.get(), first.get());
   EXPECT_EQ(cache.hits(), 2u);
 }
@@ -76,27 +68,16 @@ TEST(QuantCache, EveryKnobSeparatesKeys) {
   const Tensor w2 = random_weights(4, 64, 3);
 
   // Baseline entry, then one variation per knob: each must miss.
-  cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                        Rounding::kDeterministic, 16);
-  cache.get_or_quantize(w2, Bitwidth::kInt4, Scheme::kSymmetric,
-                        Rounding::kDeterministic, 16);  // weights
-  cache.get_or_quantize(w, Bitwidth::kInt8, Scheme::kSymmetric,
-                        Rounding::kDeterministic, 16);  // bits
-  cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kAsymmetric,
-                        Rounding::kDeterministic, 16);  // scheme
-  cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                        Rounding::kStochastic, 16, 7);  // rounding
-  cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                        Rounding::kDeterministic, 32);  // group size
-  cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                        Rounding::kStochastic, 16, 8);  // stochastic seed
-  EXPECT_EQ(cache.size(), 7u);
+  cache.get_or_quantize(w, Bitwidth::kInt4, 16);
+  cache.get_or_quantize(w2, Bitwidth::kInt4, 16);  // weights
+  cache.get_or_quantize(w, Bitwidth::kInt8, 16);   // bits
+  cache.get_or_quantize(w, Bitwidth::kInt4, 32);   // group size
+  EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.hits(), 0u);
 
-  // Deterministic rounding ignores the seed: different seeds, same entry.
+  // The same knobs again: one entry.
   bool computed = true;
-  cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                        Rounding::kDeterministic, 16, /*seed=*/99, &computed);
+  cache.get_or_quantize(w, Bitwidth::kInt4, 16, &computed);
   EXPECT_FALSE(computed);
 }
 
@@ -104,34 +85,18 @@ TEST(QuantCache, CachedBitsMatchDirectConstruction) {
   QuantCache cache;
   const Tensor w = random_weights(16, 48, 4);
 
-  const auto det = cache.get_or_quantize(w, Bitwidth::kInt3,
-                                         Scheme::kAsymmetric,
-                                         Rounding::kDeterministic, 24);
-  const QTensor direct(w, Bitwidth::kInt3, Scheme::kAsymmetric,
-                       Rounding::kDeterministic, 24);
-  EXPECT_TRUE(same_bits(det->dequantize(), direct.dequantize()));
-  EXPECT_EQ(det->storage_bytes(), direct.storage_bytes());
-
-  // Stochastic rounding: the cache recreates the rng stream from the seed,
-  // so the cached tensor equals a fresh QTensor fed by Rng(seed).
-  const std::uint64_t seed = 1234;
-  const auto sto = cache.get_or_quantize(w, Bitwidth::kInt4,
-                                         Scheme::kSymmetric,
-                                         Rounding::kStochastic, 16, seed);
-  sq::tensor::Rng rng(seed);
-  const QTensor direct_sto(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                           Rounding::kStochastic, 16, &rng);
-  EXPECT_TRUE(same_bits(sto->dequantize(), direct_sto.dequantize()));
+  for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4}) {
+    const auto cached = cache.get_or_quantize(w, b, 24);
+    const QTensor direct(w, b, 24);
+    EXPECT_TRUE(same_bits(cached->dequantize(), direct.dequantize()));
+    EXPECT_EQ(cached->storage_bytes(), direct.storage_bytes());
+  }
 }
 
-/// Codes and params of `got` equal a direct QTensor construction (fed by
-/// Rng(seed) for stochastic rounding).
+/// Codes and params of `got` equal a direct QTensor construction.
 void expect_direct(const QTensor& got, const Tensor& w, Bitwidth b,
-                   Scheme scheme, Rounding rounding, std::size_t group,
-                   std::uint64_t seed) {
-  sq::tensor::Rng rng(seed);
-  const QTensor direct(w, b, scheme, rounding, group,
-                       rounding == Rounding::kStochastic ? &rng : nullptr);
+                   std::size_t group) {
+  const QTensor direct(w, b, group);
   const auto codes = got.packed_codes(), want_codes = direct.packed_codes();
   ASSERT_EQ(codes.size(), want_codes.size());
   EXPECT_EQ(std::memcmp(codes.data(), want_codes.data(), codes.size()), 0);
@@ -150,44 +115,33 @@ TEST(QuantCache, EveryLookupOrderMatchesDirectConstruction) {
   Tensor twin = w;
   twin.data()[kPackChunk + 7] += 1.0f;
   for (const auto b : {Bitwidth::kInt3, Bitwidth::kInt4, Bitwidth::kInt8}) {
-    for (const auto scheme : {Scheme::kSymmetric, Scheme::kAsymmetric}) {
-      for (const auto rounding : {Rounding::kDeterministic, Rounding::kStochastic}) {
-        for (const std::size_t group : {64u, 100u}) {
-          SCOPED_TRACE(testing::Message()
-                       << bits(b) << " bits, scheme " << static_cast<int>(scheme)
-                       << ", rounding " << static_cast<int>(rounding)
-                       << ", group " << group);
-          QuantCache cache;
-          const std::uint64_t seed = 31;
-          bool computed = false;
+    for (const std::size_t group : {64u, 100u}) {
+      SCOPED_TRACE(testing::Message() << bits(b) << " bits, group " << group);
+      QuantCache cache;
+      bool computed = false;
 
-          // No digest held: the miss quantizes while it fingerprints.
-          ASSERT_EQ(cache.prefix_digests(), 0u);
-          const auto fused =
-              cache.get_or_quantize(w, b, scheme, rounding, group, seed, &computed);
-          EXPECT_TRUE(computed);
-          EXPECT_EQ(cache.misses(), 1u);
-          EXPECT_EQ(cache.prefix_digests(), 1u);
-          expect_direct(*fused, w, b, scheme, rounding, group, seed);
+      // No digest held: the miss quantizes while it fingerprints.
+      ASSERT_EQ(cache.prefix_digests(), 0u);
+      const auto fused = cache.get_or_quantize(w, b, group, &computed);
+      EXPECT_TRUE(computed);
+      EXPECT_EQ(cache.misses(), 1u);
+      EXPECT_EQ(cache.prefix_digests(), 1u);
+      expect_direct(*fused, w, b, group);
 
-          // Digest held: fingerprint first, then a hit.
-          const auto hit =
-              cache.get_or_quantize(w, b, scheme, rounding, group, seed, &computed);
-          EXPECT_FALSE(computed);
-          EXPECT_EQ(hit.get(), fused.get());
-          EXPECT_EQ(cache.hits(), 1u);
+      // Digest held: fingerprint first, then a hit.
+      const auto hit = cache.get_or_quantize(w, b, group, &computed);
+      EXPECT_FALSE(computed);
+      EXPECT_EQ(hit.get(), fused.get());
+      EXPECT_EQ(cache.hits(), 1u);
 
-          // Digest held, full key new: fingerprint first, then a miss.
-          const auto second = cache.get_or_quantize(twin, b, scheme, rounding,
-                                                    group, seed, &computed);
-          EXPECT_TRUE(computed);
-          EXPECT_NE(second.get(), fused.get());
-          EXPECT_EQ(cache.misses(), 2u);
-          EXPECT_EQ(cache.prefix_digests(), 1u);  // The twin shared it.
-          EXPECT_EQ(cache.size(), 2u);
-          expect_direct(*second, twin, b, scheme, rounding, group, seed);
-        }
-      }
+      // Digest held, full key new: fingerprint first, then a miss.
+      const auto second = cache.get_or_quantize(twin, b, group, &computed);
+      EXPECT_TRUE(computed);
+      EXPECT_NE(second.get(), fused.get());
+      EXPECT_EQ(cache.misses(), 2u);
+      EXPECT_EQ(cache.prefix_digests(), 1u);  // The twin shared it.
+      EXPECT_EQ(cache.size(), 2u);
+      expect_direct(*second, twin, b, group);
     }
   }
 }
@@ -195,8 +149,7 @@ TEST(QuantCache, EveryLookupOrderMatchesDirectConstruction) {
 TEST(QuantCache, ClearForgetsPrefixDigests) {
   QuantCache cache;
   const Tensor w = random_weights(8, 600, 6);
-  const auto first = cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                                           Rounding::kDeterministic, 64);
+  const auto first = cache.get_or_quantize(w, Bitwidth::kInt4, 64);
   EXPECT_EQ(cache.prefix_digests(), 1u);
   cache.clear();
   EXPECT_EQ(cache.prefix_digests(), 0u);
@@ -205,8 +158,7 @@ TEST(QuantCache, ClearForgetsPrefixDigests) {
 
   // Back to the fused order: a miss, bit-identical to the first result.
   bool computed = false;
-  const auto again = cache.get_or_quantize(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                                           Rounding::kDeterministic, 64, 0, &computed);
+  const auto again = cache.get_or_quantize(w, Bitwidth::kInt4, 64, &computed);
   EXPECT_TRUE(computed);
   EXPECT_EQ(cache.prefix_digests(), 1u);
   EXPECT_TRUE(same_bits(again->dequantize(), first->dequantize()));
@@ -233,8 +185,7 @@ TEST(QuantCache, QuantizeModelFansOutAndReuses) {
   EXPECT_EQ(stats.layers_reused, 0u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_NE(stats.tensors[i], nullptr);
-    const QTensor direct(weights[i], Bitwidth::kInt4, Scheme::kSymmetric,
-                         Rounding::kDeterministic, 20);
+    const QTensor direct(weights[i], Bitwidth::kInt4, 20);
     EXPECT_TRUE(same_bits(stats.tensors[i]->dequantize(), direct.dequantize()));
   }
 
@@ -264,9 +215,7 @@ TEST(QuantCache, ConcurrentAccessYieldsOneTensorPerKey) {
     threads.emplace_back([&, t] {
       for (int rep = 0; rep < 8; ++rep) {
         for (std::size_t k = 0; k < kKeys; ++k) {
-          seen[t].push_back(cache.get_or_quantize(
-              weights[k], Bitwidth::kInt4, Scheme::kSymmetric,
-              Rounding::kDeterministic, 16));
+          seen[t].push_back(cache.get_or_quantize(weights[k], Bitwidth::kInt4, 16));
         }
       }
     });

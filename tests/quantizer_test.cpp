@@ -1,10 +1,12 @@
 // Unit + property tests for the quantizer: round-trips, scaling factors,
-// rounding modes, error monotonicity in bitwidth.
+// code ranges, error monotonicity in bitwidth.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "oracles/quant_reference.h"
+#include "quant/qkernels.h"
 #include "quant/quantizer.h"
 #include "tensor/rng.h"
 
@@ -20,51 +22,47 @@ std::vector<float> random_weights(std::size_t n, std::uint64_t seed, float stdde
   return w;
 }
 
-TEST(ScaleForRange, AsymmetricFormula) {
-  // (max - min) / (2^b - 1), paper Sec. IV-B.
-  EXPECT_FLOAT_EQ(scale_for_range(-1.0f, 1.0f, Bitwidth::kInt8, Scheme::kAsymmetric),
-                  2.0f / 255.0f);
-  EXPECT_FLOAT_EQ(scale_for_range(-1.0f, 1.0f, Bitwidth::kInt4, Scheme::kAsymmetric),
-                  2.0f / 15.0f);
-  EXPECT_FLOAT_EQ(scale_for_range(-1.0f, 1.0f, Bitwidth::kInt3, Scheme::kAsymmetric),
-                  2.0f / 7.0f);
+/// `w` quantized as one group by the packed write path: the codes, and the
+/// scale in `*p`.
+std::vector<std::int32_t> pack_codes(const std::vector<float>& w, Bitwidth b,
+                                     QuantParams* p, std::vector<std::uint8_t>* packed) {
+  packed->assign(packed_size(w.size(), b), 0);
+  quantize_pack(w, w.size(), b, std::span<QuantParams>(p, 1), *packed);
+  std::vector<std::int32_t> codes(w.size());
+  unpack_codes(*packed, 0, b, codes);
+  return codes;
 }
 
 TEST(ScaleForRange, SymmetricFormula) {
   // max|.| / (2^(b-1) - 1).
-  EXPECT_FLOAT_EQ(scale_for_range(-0.5f, 1.0f, Bitwidth::kInt8, Scheme::kSymmetric),
-                  1.0f / 127.0f);
-  EXPECT_FLOAT_EQ(scale_for_range(-2.0f, 1.0f, Bitwidth::kInt4, Scheme::kSymmetric),
-                  2.0f / 7.0f);
+  EXPECT_FLOAT_EQ(scale_for_range(-0.5f, 1.0f, Bitwidth::kInt8), 1.0f / 127.0f);
+  EXPECT_FLOAT_EQ(scale_for_range(-2.0f, 1.0f, Bitwidth::kInt4), 2.0f / 7.0f);
 }
 
 TEST(ScaleForRange, Fp16IsIdentity) {
-  EXPECT_FLOAT_EQ(scale_for_range(-3.0f, 3.0f, Bitwidth::kFp16, Scheme::kSymmetric), 1.0f);
+  EXPECT_FLOAT_EQ(scale_for_range(-3.0f, 3.0f, Bitwidth::kFp16), 1.0f);
 }
 
 TEST(ScaleForRange, DegenerateRange) {
-  EXPECT_FLOAT_EQ(scale_for_range(0.0f, 0.0f, Bitwidth::kInt4, Scheme::kSymmetric), 1.0f);
+  EXPECT_FLOAT_EQ(scale_for_range(0.0f, 0.0f, Bitwidth::kInt4), 1.0f);
 }
 
 TEST(CodeRange, MatchesBitwidths) {
-  EXPECT_EQ(code_range(Bitwidth::kInt8, Scheme::kSymmetric),
-            (std::pair<std::int32_t, std::int32_t>{-127, 127}));
-  EXPECT_EQ(code_range(Bitwidth::kInt4, Scheme::kAsymmetric),
-            (std::pair<std::int32_t, std::int32_t>{0, 15}));
-  EXPECT_EQ(code_range(Bitwidth::kInt3, Scheme::kSymmetric),
-            (std::pair<std::int32_t, std::int32_t>{-3, 3}));
+  EXPECT_EQ(code_range(Bitwidth::kInt8), (std::pair<std::int32_t, std::int32_t>{-127, 127}));
+  EXPECT_EQ(code_range(Bitwidth::kInt4), (std::pair<std::int32_t, std::int32_t>{-7, 7}));
+  EXPECT_EQ(code_range(Bitwidth::kInt3), (std::pair<std::int32_t, std::int32_t>{-3, 3}));
 }
 
 TEST(Quantize, RoundTripErrorBoundedByScale) {
-  // |x - dequant(quant(x))| <= scale/2 for in-range values with
-  // deterministic rounding.
+  // |x - dequant(quant(x))| <= scale/2: every value lies inside
+  // [-max|x|, max|x|], so round-to-nearest never clamps.
   const auto w = random_weights(4096, 1);
   for (const Bitwidth b : {Bitwidth::kInt8, Bitwidth::kInt4, Bitwidth::kInt3}) {
-    const QuantParams p = compute_params(w, b, Scheme::kAsymmetric);
-    std::vector<std::int32_t> codes(w.size());
-    quantize(w, p, b, Scheme::kAsymmetric, Rounding::kDeterministic, nullptr, codes);
+    QuantParams p;
+    std::vector<std::uint8_t> packed;
+    pack_codes(w, b, &p, &packed);
     std::vector<float> rec(w.size());
-    dequantize(codes, p, rec);
+    dequantize_packed(packed, 0, b, std::span<const QuantParams>(&p, 1), w.size(), rec);
     for (std::size_t i = 0; i < w.size(); ++i) {
       EXPECT_LE(std::abs(rec[i] - w[i]), p.scale * 0.5f + 1e-6f)
           << "bit=" << bits(b) << " i=" << i;
@@ -74,40 +72,20 @@ TEST(Quantize, RoundTripErrorBoundedByScale) {
 
 TEST(Quantize, ExtremesMapToCodeEndpoints) {
   const std::vector<float> w = {-1.0f, -0.5f, 0.0f, 0.5f, 1.0f};
-  const QuantParams p = compute_params(w, Bitwidth::kInt4, Scheme::kAsymmetric);
-  std::vector<std::int32_t> codes(w.size());
-  quantize(w, p, Bitwidth::kInt4, Scheme::kAsymmetric, Rounding::kDeterministic,
-           nullptr, codes);
-  EXPECT_EQ(codes.front(), 0);
-  EXPECT_EQ(codes.back(), 15);
-}
-
-TEST(Quantize, StochasticRoundingIsUnbiased) {
-  // E[round_stochastic(x)] == x: average many round-trips of one value.
-  sq::tensor::Rng rng(7);
-  const std::vector<float> w = {0.0f, 0.37f, 1.0f};  // 0.37 between grid points
-  const QuantParams p = compute_params(w, Bitwidth::kInt3, Scheme::kAsymmetric);
-  double acc = 0.0;
-  const int trials = 20000;
-  for (int t = 0; t < trials; ++t) {
-    std::vector<std::int32_t> codes(w.size());
-    quantize(w, p, Bitwidth::kInt3, Scheme::kAsymmetric, Rounding::kStochastic, &rng,
-             codes);
-    std::vector<float> rec(w.size());
-    dequantize(codes, p, rec);
-    acc += rec[1];
-  }
-  EXPECT_NEAR(acc / trials, 0.37, 0.01);
+  QuantParams p;
+  std::vector<std::uint8_t> packed;
+  const auto codes = pack_codes(w, Bitwidth::kInt4, &p, &packed);
+  EXPECT_FLOAT_EQ(p.scale, 1.0f / 7.0f);
+  EXPECT_EQ(codes.front(), -7);
+  EXPECT_EQ(codes[2], 0);
+  EXPECT_EQ(codes.back(), 7);
 }
 
 TEST(QuantizationMse, DecreasesWithBitwidth) {
   const auto w = random_weights(8192, 3);
-  const double e3 = quantization_mse(w, Bitwidth::kInt3, Scheme::kSymmetric,
-                                     Rounding::kDeterministic);
-  const double e4 = quantization_mse(w, Bitwidth::kInt4, Scheme::kSymmetric,
-                                     Rounding::kDeterministic);
-  const double e8 = quantization_mse(w, Bitwidth::kInt8, Scheme::kSymmetric,
-                                     Rounding::kDeterministic);
+  const double e3 = quantization_mse(w, Bitwidth::kInt3);
+  const double e4 = quantization_mse(w, Bitwidth::kInt4);
+  const double e8 = quantization_mse(w, Bitwidth::kInt8);
   EXPECT_GT(e3, e4);
   EXPECT_GT(e4, e8);
   EXPECT_GT(e8, 0.0);
@@ -116,20 +94,21 @@ TEST(QuantizationMse, DecreasesWithBitwidth) {
 TEST(QuantizationMse, MatchesUniformNoiseModel) {
   // For dense Gaussian weights, MSE ~ scale^2 / 12 (uniform rounding noise).
   const auto w = random_weights(200000, 5);
-  const QuantParams p = compute_params(w, Bitwidth::kInt8, Scheme::kAsymmetric);
-  const double e = quantization_mse(w, Bitwidth::kInt8, Scheme::kAsymmetric,
-                                    Rounding::kDeterministic);
+  const QuantParams p = oracle::params_reference(w, Bitwidth::kInt8);
+  const double e = quantization_mse(w, Bitwidth::kInt8);
   const double predicted = p.scale * p.scale / 12.0;
   EXPECT_NEAR(e / predicted, 1.0, 0.15);
 }
 
-TEST(FakeQuantize, Fp16PathIsNearlyLossless) {
+TEST(QuantizationMse, Fp16PathIsNearlyLossless) {
+  // The fp16 round trip keeps 11 significant bits: relative error <= 2^-11.
   const auto w = random_weights(1024, 9);
-  const auto rec = fake_quantize(w, Bitwidth::kFp16, Scheme::kSymmetric,
-                                 Rounding::kDeterministic);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_NEAR(rec[i], w[i], std::abs(w[i]) * 1e-3 + 1e-6);
-  }
+  double mean_sq = 0.0;
+  for (const float v : w) mean_sq += static_cast<double>(v) * v;
+  mean_sq /= static_cast<double>(w.size());
+  const double e = quantization_mse(w, Bitwidth::kFp16);
+  EXPECT_GT(e, 0.0);
+  EXPECT_LT(e, mean_sq * 1e-6);
 }
 
 TEST(ToFp16, RepresentableValuesExact) {
@@ -150,37 +129,6 @@ TEST(ToFp16, MantissaPrecisionLoss) {
   EXPECT_NE(v, 2049.0f);
   EXPECT_NEAR(v, 2049.0f, 2.0f);
 }
-
-// Parameterized round-trip sweep over (bitwidth, scheme, rounding).
-struct QuantCase {
-  Bitwidth bit;
-  Scheme scheme;
-  Rounding rounding;
-};
-
-class QuantRoundTrip : public ::testing::TestWithParam<QuantCase> {};
-
-TEST_P(QuantRoundTrip, ErrorWithinOneStep) {
-  const auto [bit, scheme, rounding] = GetParam();
-  const auto w = random_weights(2048, 11);
-  sq::tensor::Rng rng(13);
-  const auto rec = fake_quantize(w, bit, scheme, rounding, &rng);
-  const QuantParams p = compute_params(w, bit, scheme);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    // Stochastic rounding can land on the far neighbor: allow one step.
-    EXPECT_LE(std::abs(rec[i] - w[i]), p.scale * 1.0f + 1e-6f);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, QuantRoundTrip,
-    ::testing::Values(
-        QuantCase{Bitwidth::kInt8, Scheme::kSymmetric, Rounding::kDeterministic},
-        QuantCase{Bitwidth::kInt8, Scheme::kAsymmetric, Rounding::kDeterministic},
-        QuantCase{Bitwidth::kInt4, Scheme::kSymmetric, Rounding::kDeterministic},
-        QuantCase{Bitwidth::kInt4, Scheme::kAsymmetric, Rounding::kStochastic},
-        QuantCase{Bitwidth::kInt3, Scheme::kSymmetric, Rounding::kStochastic},
-        QuantCase{Bitwidth::kInt3, Scheme::kAsymmetric, Rounding::kDeterministic}));
 
 }  // namespace
 }  // namespace sq::quant
