@@ -1,13 +1,16 @@
 // Fig. 8 reproduction: fidelity of the memory and latency cost models
 // against the "real system" (the ground-truth simulator + engine
-// accounting).  Paper protocol: memory over BLOOM-560M/1B7 and
-// OPT-13/30/66B with random shapes; latency over 50 unseen workloads per
-// device (batch 3/5/7, past sequence 384/768, random precisions).
+// accounting).  The memory side compares the planner's own charge
+// (sim::plan_charge, what PlanContext fits plans under) with the engine's
+// paged accounting (sim::plan_memory).  Paper protocol: memory over
+// BLOOM-560M/1B7 and OPT-13/30/66B with random shapes; latency over 50
+// unseen workloads per device (batch 3/5/7, past sequence 384/768, random
+// precisions).  Exits 1 when the worst memory error reaches 2% or the
+// overall mean latency error reaches 6%.
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
-#include "cost/memory_model.h"
 #include "sim/memory.h"
 #include "tensor/rng.h"
 
@@ -19,7 +22,8 @@ Bitwidth random_bit(sq::tensor::Rng& rng) {
   return sq::hw::kAllBitwidths[rng.below(std::size(sq::hw::kAllBitwidths))];
 }
 
-void memory_fidelity() {
+/// Worst relative error of the planner's memory charge, as a fraction.
+double memory_fidelity() {
   std::printf("Fig. 8 (left): memory cost model vs engine accounting\n");
   sq::bench::rule(80);
   std::printf("%-12s %14s %14s %10s\n", "model", "predicted(GB)", "actual(GB)",
@@ -31,7 +35,6 @@ void memory_fidelity() {
                         sq::model::ModelId::kOpt13B, sq::model::ModelId::kOpt30B,
                         sq::model::ModelId::kOpt66B}) {
     const auto m = sq::model::spec(id);
-    const sq::cost::MemoryCostModel mm(m);
     // Random shape per the paper: prompt U[128,512], batch {2,4,8},
     // generation U[100,200], random per-layer precisions.
     sq::sim::BatchWorkload w;
@@ -47,7 +50,7 @@ void memory_fidelity() {
     plan.prefill_microbatch = 2;
     plan.decode_microbatch = w.batch_size;
 
-    const auto pred = mm.plan_bytes(plan, w);
+    const auto pred = sq::sim::plan_charge(m, plan, w);
     const auto real = sq::sim::plan_memory(cluster, m, plan, w);
     double pred_total = 0.0, real_total = 0.0;
     for (std::size_t d = 0; d < pred.size(); ++d) {
@@ -61,9 +64,11 @@ void memory_fidelity() {
   }
   std::printf("worst-case memory error: %.2f%% (paper: 'almost negligible')\n\n",
               100.0 * worst);
+  return worst;
 }
 
-void latency_fidelity() {
+/// Overall mean relative error of the latency model, as a fraction.
+double latency_fidelity() {
   std::printf("Fig. 8 (right): latency cost model on 50 unseen workloads per device\n");
   sq::bench::rule(80);
   std::printf("%-10s %8s %12s %12s\n", "device", "samples", "mean err", "max err");
@@ -102,12 +107,18 @@ void latency_fidelity() {
   }
   std::printf("overall mean latency error: %.2f%% (paper: < 6%%)\n",
               100.0 * overall / overall_n);
+  return overall / overall_n;
 }
 
 }  // namespace
 
 int main() {
-  memory_fidelity();
-  latency_fidelity();
+  const double memory_err = memory_fidelity();
+  const double latency_err = latency_fidelity();
+  if (memory_err >= 0.02 || latency_err >= 0.06) {
+    std::fprintf(stderr, "FAIL: memory error %.2f%% (< 2%% wanted), latency error %.2f%% "
+                 "(< 6%% wanted)\n", 100.0 * memory_err, 100.0 * latency_err);
+    return 1;
+  }
   return 0;
 }

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <memory>
 
+#include "sim/memory.h"
+
 namespace sq::core {
 
 namespace {
@@ -68,10 +70,8 @@ PlanContext::PlanContext(const PlanInputs& in, const Topology& topo,
           static_cast<double>(w.chunks()) * 1e-6;
       const double per_layer_dec =
           fits.predict_us(sq::model::Phase::kDecode, xi_, ctx_mid) * 1e-6;
-      const double per_layer_mem =
-          static_cast<double>(m.layer_weight_bytes(bit)) +
-          static_cast<double>(w.batch_size) *
-              static_cast<double>(m.layer_kv_bytes(w.max_context(), in.kv_bits));
+      const double per_layer_mem = static_cast<double>(sq::sim::layer_charge(
+          m, bit, in.kv_bits, w.batch_size, w.max_context()));
       for (int g = 0; g < G; ++g) {
         const auto [first, last] = group_range(g);
         const double layers = static_cast<double>(last - first);
@@ -99,18 +99,16 @@ PlanContext::PlanContext(const PlanInputs& in, const Topology& topo,
   stage_.assign(static_cast<std::size_t>(J), StageConst{});
 
   const std::uint64_t act_stage =
-      std::max(m.layer_peak_activation_bytes(eta_, w.chunk_len()),
-               m.layer_peak_activation_bytes(xi_, 1));
+      sq::sim::stage_activation_bytes(m, eta_, xi_, w.chunk_len());
   const sq::sim::KernelModel km;  // Planner-side analytic constants.
 
   for (int j = 0; j < J; ++j) {
     const auto& grp = topo.groups[static_cast<std::size_t>(j)];
     const auto& spec = cluster.spec(grp.devices.front());
-    const double tp = static_cast<double>(grp.devices.size());
     StageConst& sc = stage_[static_cast<std::size_t>(j)];
-    double budget = static_cast<double>(spec.usable_memory_bytes());
-    if (j == 0) budget -= static_cast<double>(m.embedding_bytes());
-    sc.m_eff = std::max(0.0, budget * tp - static_cast<double>(act_stage));
+    sc.m_eff = sq::sim::stage_layer_budget(m, spec.usable_memory_bytes(),
+                                           static_cast<int>(grp.devices.size()), j == 0,
+                                           act_stage);
 
     if (j == 0) {
       // Master engine: token embedding before stage 0, logits after the

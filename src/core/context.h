@@ -83,10 +83,12 @@ class PlanContext {
   double l_pre(int g, int j, int bi) const { return cost_[idx(g, j, bi)].pre; }
   /// Per-token decode time of group g on stage j at bit index bi, seconds.
   double l_dec(int g, int j, int bi) const { return cost_[idx(g, j, bi)].dec; }
-  /// Memory of group g on stage j at bit index bi (weights + KV), bytes,
-  /// before TP division (budgets are pre-multiplied instead).
+  /// Memory of group g on stage j at bit index bi: its layers'
+  /// sim::layer_charge, bytes, before TP division (budgets are
+  /// pre-multiplied instead).
   double mem(int g, int j, int bi) const { return cost_[idx(g, j, bi)].mem; }
-  /// Effective memory budget of stage j, bytes.
+  /// Memory budget of stage j's layer charges (sim::stage_layer_budget),
+  /// bytes.
   double mem_budget(int j) const { return stage_[static_cast<std::size_t>(j)].m_eff; }
   /// Master-stage constant added to stage j's prefill/decode time, seconds.
   double const_pre(int j) const { return stage_[static_cast<std::size_t>(j)].c_pre; }

@@ -347,11 +347,6 @@ ElasticStats ElasticFleetEngine::serve(
     future_work[k] = future_work[k + 1] + jobs[order[k]].arrivals.size();
   }
 
-  const std::uint64_t pos_s = model_.pos_s;
-  const auto clamped_prompt = [&](std::uint64_t prompt) {
-    return std::max<std::uint64_t>(1, std::min(prompt, pos_s - 1));
-  };
-
   for (std::size_t k = 0; k < order.size(); ++k) {
     const std::size_t j = order[k];
     const sq::runtime::FleetJob& job = jobs[j];
@@ -567,7 +562,8 @@ ElasticStats ElasticFleetEngine::serve(
         for (const std::size_t id : remaining) {
           if (progress[id] < 0) continue;
           const std::uint64_t ctx =
-              clamped_prompt(job.arrivals[id].request.prompt_tokens) +
+              sq::workload::clamp_to_context(job.arrivals[id].request, model_.pos_s)
+                  .prompt_tokens +
               static_cast<std::uint64_t>(progress[id]);
           const double bytes =
               static_cast<double>(model_.n_layers) *

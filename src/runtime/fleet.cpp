@@ -30,8 +30,8 @@ struct GroupState {
 /// True when every batch of `job` can hold at least one request on the
 /// group's current (cluster, plan): weights fit and the tightest stage has
 /// KV room for a single full-context request.  A continuous job is probed
-/// with its largest request (clamped to the model's context limit, exactly
-/// as the request scheduler clamps).
+/// with its largest request, clamped to the model's context limit as the
+/// request scheduler clamps it.
 bool can_run(const ReplicaGroup& g, const sq::model::LlmSpec& model,
              const FleetJob& job) {
   for (const auto& b : job.batches) {
@@ -44,11 +44,11 @@ bool can_run(const ReplicaGroup& g, const sq::model::LlmSpec& model,
       prompt = std::max(prompt, a.request.prompt_tokens);
       gen = std::max(gen, a.request.output_tokens);
     }
+    const sq::workload::Request len = sq::workload::clamp_to_context({prompt, gen}, model.pos_s);
     sq::sim::BatchWorkload probe;
     probe.batch_size = 1;
-    probe.prompt_len = std::max<std::uint64_t>(1, std::min(prompt, model.pos_s - 1));
-    probe.gen_tokens =
-        std::max<std::uint64_t>(1, std::min(gen, model.pos_s - probe.prompt_len));
+    probe.prompt_len = len.prompt_tokens;
+    probe.gen_tokens = len.output_tokens;
     if (max_concurrency(g.cluster, model, g.plan, probe) == 0) return false;
   }
   return true;

@@ -1,20 +1,21 @@
 #include "runtime/kv_cache.h"
 
+#include "sim/memory.h"
+
 namespace sq::runtime {
+
+using sq::sim::kKvBlockTokens;
 
 KvCacheAllocator::KvCacheAllocator(const sq::model::LlmSpec& m,
                                    std::uint64_t budget_bytes, int layers,
-                                   sq::hw::Bitwidth kv_bits,
-                                   std::uint64_t block_tokens)
-    : block_tokens_(block_tokens) {
-  block_bytes_ = m.layer_kv_bytes(block_tokens_, kv_bits) *
-                 static_cast<std::uint64_t>(layers > 0 ? layers : 0);
+                                   sq::hw::Bitwidth kv_bits)
+    : block_bytes_(sq::sim::paged_kv_bytes(m, kKvBlockTokens, kv_bits,
+                                           layers > 0 ? layers : 0)) {
   total_blocks_ = block_bytes_ > 0 ? budget_bytes / block_bytes_ : 0;
 }
 
 bool KvCacheAllocator::reserve(std::uint64_t req, std::uint64_t context_tokens) {
-  const std::uint64_t need =
-      (context_tokens + block_tokens_ - 1) / block_tokens_;
+  const std::uint64_t need = (context_tokens + kKvBlockTokens - 1) / kKvBlockTokens;
   const std::uint64_t have = blocks_of(req);
   if (need <= have) return true;
   const std::uint64_t grow = need - have;

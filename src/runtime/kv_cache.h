@@ -1,9 +1,10 @@
 // Paged KV-cache allocator (PagedAttention-style accounting).
 //
-// The serving runtime reserves KV memory in fixed-size token blocks per
-// request per layer.  This module tracks allocation against a byte budget
-// so the engine can detect mid-batch OOM and cap concurrency — the
-// mechanism behind the Uniform baseline's failures in Fig. 10.
+// The serving runtime reserves KV memory in pages of sim::kKvBlockTokens
+// tokens per request per layer (the engine's accounting, sim/memory.h).
+// This module tracks allocation against a byte budget so the engine can
+// detect mid-batch OOM and cap concurrency — the mechanism behind the
+// Uniform baseline's failures in Fig. 10.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +27,8 @@ class KvCacheAllocator {
  public:
   /// `budget_bytes`: memory available for KV on the device.
   /// `layers`: decoder layers resident on the device (its stage share).
-  /// `block_tokens`: tokens per page (vLLM default 16).
   KvCacheAllocator(const sq::model::LlmSpec& m, std::uint64_t budget_bytes,
-                   int layers, sq::hw::Bitwidth kv_bits,
-                   std::uint64_t block_tokens = 16);
+                   int layers, sq::hw::Bitwidth kv_bits);
 
   /// Bytes of one block across all resident layers.
   std::uint64_t block_bytes() const { return block_bytes_; }
@@ -59,7 +58,6 @@ class KvCacheAllocator {
   void set_metrics(KvMetrics* m) { metrics_ = m; }
 
  private:
-  std::uint64_t block_tokens_;
   std::uint64_t block_bytes_ = 0;
   std::uint64_t total_blocks_ = 0;
   std::uint64_t used_blocks_ = 0;

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "runtime/kv_cache.h"
+#include "sim/memory.h"
 #include "sim/pipeline.h"
 
 namespace sq::runtime {
@@ -194,17 +195,16 @@ RequestStats RequestScheduler::serve(
   if (ob) met.submitted->add(n);
 
   // ---- Request state (lengths clamped to the model's context limit) ----
-  const std::uint64_t pos_s = model_.pos_s;
   const std::uint64_t chunk_tokens = std::max<std::uint64_t>(1, opts.chunk_tokens);
   std::vector<ReqState> req(n);
   std::uint64_t max_prompt = 1;
   for (std::size_t i = 0; i < n; ++i) {
     ReqState& r = req[i];
     r.arrive_us = arrivals[i].arrive_s * 1e6;
-    r.prompt = std::max<std::uint64_t>(
-        1, std::min(arrivals[i].request.prompt_tokens, pos_s - 1));
-    r.output = std::max<std::uint64_t>(
-        1, std::min(arrivals[i].request.output_tokens, pos_s - r.prompt));
+    const sq::workload::Request len = sq::workload::clamp_to_context(
+        arrivals[i].request, model_.pos_s);
+    r.prompt = len.prompt_tokens;
+    r.output = len.output_tokens;
     r.chunks = (r.prompt + chunk_tokens - 1) / chunk_tokens;
     r.chunk_len = (r.prompt + r.chunks - 1) / r.chunks;
     max_prompt = std::max(max_prompt, r.prompt);
@@ -226,7 +226,7 @@ RequestStats RequestScheduler::serve(
     }
   }
 
-  // ---- Per-stage KV budgets (sim/memory.cpp accounting) ----------------
+  // ---- Per-stage KV budgets (the engine's accounting, sim/memory.h) ----
   const std::size_t n_stages = plan_.stages.size();
   const std::uint64_t eta = std::max<std::uint64_t>(1, plan_.prefill_microbatch);
   const std::uint64_t xi = std::max<std::uint64_t>(1, plan_.decode_microbatch);
@@ -235,29 +235,22 @@ RequestStats RequestScheduler::serve(
   alloc.reserve(n_stages);
   for (std::size_t s = 0; s < n_stages; ++s) {
     const auto& stage = plan_.stages[s];
-    const auto tp = static_cast<std::uint64_t>(stage.tp());
-    std::uint64_t weights = 0;
-    for (int l = stage.layer_begin; l < stage.layer_end; ++l) {
-      weights += model_.layer_weight_bytes(
-          plan_.layer_bits[static_cast<std::size_t>(l)]);
-    }
-    const std::uint64_t act =
-        std::max(model_.layer_peak_activation_bytes(eta, chunk_repr),
-                 model_.layer_peak_activation_bytes(xi, 1));
     std::uint64_t budget = std::numeric_limits<std::uint64_t>::max();
-    for (const int d : stage.devices) {
-      std::uint64_t need = weights / tp + act / tp;
-      if (s == 0 && d == stage.devices.front()) need += model_.embedding_bytes();
-      const std::uint64_t usable = cluster_.spec(d).usable_memory_bytes();
+    for (std::size_t di = 0; di < stage.devices.size(); ++di) {
+      const sq::sim::DeviceMemory fixed =
+          sq::sim::device_fixed_memory(model_, plan_, s, di, eta, xi, chunk_repr);
+      const std::uint64_t need = fixed.total();
+      const std::uint64_t usable = cluster_.spec(fixed.device).usable_memory_bytes();
       if (need >= usable) {
         stats.feasible = false;
         stats.failure = "OOM: plan weights exceed memory on device " +
-                        std::to_string(d);
+                        std::to_string(fixed.device);
         return stats;
       }
       budget = std::min(budget, usable - need);
     }
-    alloc.emplace_back(model_, budget * tp, stage.layer_count(), plan_.kv_bits);
+    alloc.emplace_back(model_, budget * static_cast<std::uint64_t>(stage.tp()),
+                       stage.layer_count(), plan_.kv_bits);
     if (ob) alloc.back().set_metrics(&met.kv);
   }
 

@@ -14,9 +14,11 @@
 //     is a pure function of the inputs.
 //   * Iteration-level admission against the paged KV allocator.  Each
 //     pipeline stage owns a KvCacheAllocator sized to the memory its
-//     devices have left after weights, activations and (on the master)
-//     embeddings — the same accounting as sim/memory.cpp.  A request is
-//     admitted only when its full prompt KV reserves on every stage.
+//     devices have left after their fixed bytes (weights, activations and,
+//     on the master, embeddings) under the engine's accounting of
+//     sim/memory.h (sim::device_fixed_memory), which plan_memory and
+//     max_concurrency use too.  A request is admitted only when its full
+//     prompt KV reserves on every stage.
 //   * Prefill/decode interleaving under the plan's micro-batch limits: at
 //     most eta requests are in their (chunked) prefill at a time, and
 //     running decode requests step one token per iteration in xi-sized

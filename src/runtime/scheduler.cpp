@@ -11,21 +11,26 @@ std::uint64_t max_concurrency(const sq::hw::Cluster& cluster,
                               const sq::model::LlmSpec& m,
                               const sq::sim::ExecutionPlan& plan,
                               const sq::sim::BatchWorkload& w) {
-  // Binary search the largest batch size whose memory report is OOM-free.
-  sq::sim::BatchWorkload probe = w;
-  probe.batch_size = 1;
-  if (sq::sim::plan_memory(cluster, m, plan, probe).oom) return 0;
-  std::uint64_t lo = 1, hi = w.batch_size;
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo + 1) / 2;
-    probe.batch_size = mid;
-    if (sq::sim::plan_memory(cluster, m, plan, probe).oom) {
-      hi = mid - 1;
-    } else {
-      lo = mid;
+  // B requests hold fixed + floor(B * K / tp) bytes on a device of a stage
+  // whose requests take K paged KV bytes each, so the device fits
+  // B <= ((usable - fixed + 1) * tp - 1) / K.
+  std::uint64_t cap = std::max<std::uint64_t>(1, w.batch_size);
+  for (std::size_t s = 0; s < plan.stages.size(); ++s) {
+    const auto& stage = plan.stages[s];
+    const auto tp = static_cast<std::uint64_t>(stage.tp());
+    const std::uint64_t kv =
+        sq::sim::paged_kv_bytes(m, w.max_context(), plan.kv_bits, stage.layer_count());
+    for (std::size_t di = 0; di < stage.devices.size(); ++di) {
+      const sq::sim::DeviceMemory fixed =
+          sq::sim::device_fixed_memory(m, plan, s, di, plan.prefill_microbatch,
+                                       plan.decode_microbatch, w.chunk_len());
+      const std::uint64_t need = fixed.total();
+      const std::uint64_t usable = cluster.spec(fixed.device).usable_memory_bytes();
+      if (need + kv / tp > usable) return 0;  // Not even one request fits.
+      if (kv > 0) cap = std::min(cap, ((usable - need + 1) * tp - 1) / kv);
     }
   }
-  return lo;
+  return cap;
 }
 
 BatchSchedule schedule_batch(const sq::hw::Cluster& cluster,

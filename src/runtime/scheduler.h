@@ -26,8 +26,9 @@ struct BatchSchedule {
   bool weights_fit = true;  ///< False: plan cannot run at all (weights OOM).
 };
 
-/// Maximum concurrent requests whose full-context KV fits every stage of
-/// the plan (0 when even the weights do not fit somewhere).
+/// Maximum concurrent requests, at most `w.batch_size` (but at least 1),
+/// whose paged full-context KV fits every device of the plan under the
+/// engine's accounting (sim/memory.h); 0 when not even one request fits.
 std::uint64_t max_concurrency(const sq::hw::Cluster& cluster,
                               const sq::model::LlmSpec& m,
                               const sq::sim::ExecutionPlan& plan,

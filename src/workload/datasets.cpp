@@ -63,6 +63,13 @@ Request sample_sharegpt(sq::tensor::Rng& rng) {
 
 }  // namespace
 
+Request clamp_to_context(Request r, std::uint64_t pos_s) {
+  r.prompt_tokens = std::max<std::uint64_t>(1, std::min(r.prompt_tokens, pos_s - 1));
+  r.output_tokens =
+      std::max<std::uint64_t>(1, std::min(r.output_tokens, pos_s - r.prompt_tokens));
+  return r;
+}
+
 std::vector<Request> sample(Dataset d, int count, std::uint64_t seed) {
   sq::tensor::Rng rng(sq::tensor::derive_seed(seed, static_cast<std::uint64_t>(d)));
   std::vector<Request> out;

@@ -22,6 +22,11 @@ struct Request {
   std::uint64_t output_tokens = 0;
 };
 
+/// `r` clamped to a model's context limit of `pos_s` tokens: the prompt to
+/// [1, pos_s - 1], the output to [1, pos_s - prompt].  The serving engines
+/// run every request at these lengths.
+Request clamp_to_context(Request r, std::uint64_t pos_s);
+
 /// Workloads evaluated in the paper.
 enum class Dataset {
   kCnnDailyMail,  ///< Summarization (Fig. 9a).

@@ -8,6 +8,7 @@
 #include "core/heuristics.h"
 #include "core_test_util.h"
 #include "hw/cluster.h"
+#include "sim/memory.h"
 
 namespace sq::core {
 namespace {
@@ -145,6 +146,60 @@ TEST(PlanContext, TpBudgetsScaleWithGroupSize) {
   const PlanContext ctx(h.inputs, *tp4, 4, 8, 4);
   const PlanContext single = h.context(4, 8);
   EXPECT_GT(ctx.mem_budget(0), 3.0 * single.mem_budget(0));
+}
+
+// The memory table and stage budgets are sim/memory's planner charge, bit
+// for bit, on pipeline and TP topologies of a mixed cluster; on a
+// single-device pipeline a plan's table sums are its sim::plan_charge.
+TEST(PlanContext, MemoryTablesAreThePlannersCharge) {
+  const sq::sim::BatchWorkload w{16, 391, 117, 256};  // unaligned chunks
+  for (const int cluster_id : {5, 9}) {
+    const Harness h(sq::model::ModelId::kOpt13B, cluster_id, w);
+    const auto& m = h.model;
+    const std::uint64_t act = sq::sim::stage_activation_bytes(m, 4, 8, w.chunk_len());
+    const auto topos = enumerate_topologies(h.cluster, true, 16);
+    ASSERT_FALSE(topos.empty());
+    for (const Topology& topo : topos) {
+      const PlanContext ctx(h.inputs, topo, 4, 8, 3);
+      for (int j = 0; j < ctx.num_stages(); ++j) {
+        const auto& devices = topo.groups[static_cast<std::size_t>(j)].devices;
+        EXPECT_EQ(ctx.mem_budget(j),
+                  sq::sim::stage_layer_budget(
+                      m, h.cluster.spec(devices.front()).usable_memory_bytes(),
+                      static_cast<int>(devices.size()), j == 0, act));
+        for (int g = 0; g < ctx.num_groups(); ++g) {
+          const auto [first, last] = ctx.group_range(g);
+          for (int bi = 0; bi < ctx.num_bits(); ++bi) {
+            const std::uint64_t charge = sq::sim::layer_charge(
+                m, h.inputs.bits[static_cast<std::size_t>(bi)], h.inputs.kv_bits,
+                w.batch_size, w.max_context());
+            EXPECT_EQ(ctx.mem(g, j, bi),
+                      static_cast<double>(last - first) * static_cast<double>(charge));
+          }
+        }
+      }
+    }
+  }
+
+  const Harness h(sq::model::ModelId::kOpt13B, 9, w);
+  const PlanContext ctx = h.context(4, 8, 3);
+  const std::vector<int> stage = even_partition(ctx);
+  std::vector<int> bit(stage.size());
+  for (std::size_t g = 0; g < bit.size(); ++g) bit[g] = static_cast<int>(g % 4);
+  const auto plan = ctx.to_plan(stage, bit, "charge");
+  const auto charge = sq::sim::plan_charge(h.model, plan, w);
+  ASSERT_EQ(charge.size(), static_cast<std::size_t>(ctx.num_stages()));
+  const std::uint64_t act = sq::sim::stage_activation_bytes(h.model, 4, 8, w.chunk_len());
+  for (int j = 0; j < ctx.num_stages(); ++j) {
+    double used = static_cast<double>(act);
+    if (j == 0) used += static_cast<double>(h.model.embedding_bytes());
+    for (int g = 0; g < ctx.num_groups(); ++g) {
+      if (stage[static_cast<std::size_t>(g)] == j) {
+        used += ctx.mem(g, j, bit[static_cast<std::size_t>(g)]);
+      }
+    }
+    EXPECT_EQ(used, static_cast<double>(charge[static_cast<std::size_t>(j)])) << j;
+  }
 }
 
 // A context rebound to inputs that differ only in theta and the quality

@@ -1,8 +1,8 @@
 // Oracle test for the simplex pivot and pricing kernels: every ISA path this
-// CPU can run must reproduce the frozen reference simplex (lp_reference.cpp)
-// byte for byte — status, objective bits, x bits (signed zeros included)
-// and iteration count — and BranchAndBound over the kernels must walk the
-// same tree (nodes, pivots, incumbent bytes) as over the reference.
+// CPU can run must reproduce the frozen reference simplex
+// (oracles/lp_reference.cpp) byte for byte — status, objective bits, x
+// bits (signed zeros included) and iteration count — and BranchAndBound
+// over the kernels must walk the same tree (nodes, pivots, incumbent bytes) as over the reference.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,7 @@
 #include "core/heuristics.h"
 #include "core/ilp.h"
 #include "core_test_util.h"
-#include "lp_reference.h"
+#include "oracles/lp_reference.h"
 #include "solver/lp.h"
 #include "solver/milp.h"
 #include "solver_test_util.h"
